@@ -10,9 +10,7 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
-
-import networkx as nx
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import IndexOutOfRange, NotTopological
 
@@ -73,6 +71,8 @@ class Graph:
         return len(self.edges) == self.m * (self.m - 1) // 2
 
     def to_networkx(self) -> "nx.Graph":
+        import networkx as nx   # deferred: only this and maximal_cliques need it
+
         g = nx.Graph()
         g.add_nodes_from(self.vertices)
         g.add_edges_from(self.edges)
@@ -133,8 +133,19 @@ class Decomposition:
     W: tuple[int, ...]
 
 
+def adjacency(G: Graph) -> dict[int, set[int]]:
+    """Neighbour sets of every vertex, built in one pass over the edges."""
+    adj: dict[int, set[int]] = {v: set() for v in G.vertices}
+    for i, j in G.edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    return adj
+
+
 def maximal_cliques(G: Graph) -> list[tuple[int, ...]]:
     """All maximal cliques, each sorted, listed lexicographically."""
+    import networkx as nx
+
     cliques = [tuple(sorted(c)) for c in nx.find_cliques(G.to_networkx())]
     return sorted(cliques)
 
@@ -147,8 +158,7 @@ def is_chordal(G: Graph) -> tuple[bool, Optional[tuple[int, ...]]]:
     Ties in the search are broken towards the smallest vertex label, so
     the order is deterministic.
     """
-    m = G.m
-    nbrs = {v: G.neighbors(v) for v in G.vertices}
+    nbrs = adjacency(G)
     weight = {v: 0 for v in G.vertices}
     unpicked = set(G.vertices)
     picked: list[int] = []
@@ -170,37 +180,65 @@ def is_chordal(G: Graph) -> tuple[bool, Optional[tuple[int, ...]]]:
     return True, order
 
 
-def _all_cliques(G: Graph) -> list[tuple[int, ...]]:
-    """Every clique of G (including the empty one), sorted by size then lex."""
-    out = [tuple(sorted(c))
-           for c in nx.enumerate_all_cliques(G.to_networkx())]
-    out.append(())
-    return sorted(out, key=lambda c: (len(c), c))
+def _cliques_of_size(adj: dict[int, set[int]], k: int, pool: list[int]
+                     ) -> Iterator[tuple[int, ...]]:
+    """The k-cliques inside the sorted vertex list ``pool``, as sorted
+    tuples in lexicographic order."""
+
+    def extend(clique: tuple[int, ...], cands: list[int]):
+        if len(clique) == k:
+            yield clique
+            return
+        need = k - len(clique)
+        for n, v in enumerate(cands):
+            if len(cands) - n < need:
+                return
+            yield from extend(clique + (v,),
+                              [u for u in cands[n + 1:] if u in adj[v]])
+
+    yield from extend((), pool)
+
+
+def _component(adj: dict[int, set[int]], allowed: set[int],
+               start: int) -> set[int]:
+    """Vertices reachable from ``start`` inside ``allowed``."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        new = (adj[stack.pop()] & allowed) - seen
+        seen |= new
+        stack.extend(new)
+    return seen
 
 
 def find_reducible_decomposition(G: Graph) -> Optional[Decomposition]:
     """Search for a clique separator and split the graph across it.
 
-    Candidate separators are enumerated by increasing size, ties broken
-    lexicographically, so the returned separator is a smallest clique
-    separator with the lexicographically least vertex set.  The U side
-    is the component of ``G - T`` containing the smallest vertex; every
-    remaining component goes to the W side.  Returns ``None`` when no
-    clique separator exists (in particular for complete graphs).
+    Candidate separators are generated lazily by increasing size, each
+    size in lexicographic order, so the returned separator is a smallest
+    clique separator with the lexicographically least vertex set.  The U
+    side is the component of ``G - T`` containing the smallest vertex;
+    every remaining component goes to the W side.  Returns ``None`` when
+    no clique separator exists (in particular for complete graphs).
+    The search stops at the first separating clique, but a graph with
+    large cliques and no clique separator still visits all its cliques.
     """
+    if G.is_complete():
+        return None
+    adj = adjacency(G)
     vertices = set(G.vertices)
-    for T in _all_cliques(G):
-        rest = vertices - set(T)
-        if len(rest) < 2:
-            continue
-        sub = G.to_networkx().subgraph(rest)
-        comps = [set(c) for c in nx.connected_components(sub)]
-        if len(comps) < 2:
-            continue
-        comps.sort(key=min)
-        U = tuple(sorted(comps[0] | set(T)))
-        W = tuple(sorted((rest - comps[0]) | set(T)))
-        return Decomposition(U=U, T=tuple(T), W=W)
+    # A vertex whose neighbours form a clique is in no smallest clique
+    # separator T: its neighbours outside T lie in one component, so T
+    # without it would separate as well.
+    pool = [v for v in G.vertices
+            if not all(adj[v] - {u} <= adj[u] for u in adj[v])]
+    for size in range(min(G.m - 2, len(pool)) + 1):   # T leaves >= 2 vertices
+        for T in _cliques_of_size(adj, size, pool):
+            rest = vertices.difference(T)
+            first = _component(adj, rest, min(rest))
+            if len(first) < len(rest):
+                return Decomposition(U=tuple(sorted(first.union(T))), T=T,
+                                     W=tuple(sorted((rest - first).union(T))))
     return None
 
 
@@ -251,8 +289,10 @@ def list_treks(dag: Digraph, i: int, j: int) -> list[Trek]:
     vertex, one ending at ``i`` and one at ``j``, sharing only the top;
     equivalently, a simple collider-free path between the endpoints.
     ``list_treks(dag, i, i)`` is the single trivial trek at ``i``.
+    The number of treks grows exponentially with the size of the DAG;
+    :func:`logvor.models.trek_covariance` sums them by a recursion
+    instead, and this listing serves as its reference.
     """
-    topological_order(dag)
     _check_vertex(i, dag.m)
     _check_vertex(j, dag.m)
     children = {v: dag.children(v) for v in dag.vertices}
@@ -272,11 +312,8 @@ def list_treks(dag: Digraph, i: int, j: int) -> list[Trek]:
 
 
 def topological_order(dag: Digraph) -> tuple[int, ...]:
-    """Identity order 1..m after validating the labelling constraint."""
-    for i, j in dag.arcs:
-        if i >= j:
-            raise NotTopological(
-                f"arc ({i}, {j}) runs against the vertex labelling")
+    """The identity order 1..m, which :class:`Digraph` guarantees is
+    topological (its constructor rejects arcs against the labelling)."""
     return dag.vertices
 
 

@@ -2,21 +2,24 @@
 
 Each model family gets the solver its geometry calls for: Newton
 iteration on the concentration coefficients for linear concentration
-models, the clique-separator recursion for decomposable graphs, exact
-per-vertex regressions for DAGs, closed-form cubics for the bivariate
-and equicorrelation families, and seeded multistart root-finding on the
-tangential score equations for unrestricted correlation matrices.
+models, the closed-form clique formula along a perfect elimination
+order for decomposable graphs, exact per-vertex regressions for DAGs,
+closed-form cubics for the bivariate and equicorrelation families, and
+seeded multistart root-finding on the tangential score equations for
+unrestricted correlation matrices.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .core import check_symmetric, is_positive_definite, log_likelihood, \
-    principal_submatrix, embed, score_matrix
+    score_matrix
 from .errors import (
     DegenerateLeadingCoefficient,
     InvalidModel,
@@ -24,10 +27,10 @@ from .errors import (
     NoInteriorPoint,
     NotChordal,
     NotPD,
+    OutOfRange,
     ShapeMismatch,
 )
-from .graphs import Graph, find_reducible_decomposition, induced_subgraph, \
-    is_chordal
+from .graphs import Graph, adjacency, is_chordal
 from .models import (
     BivariateCorrelation,
     CiUnion,
@@ -76,6 +79,16 @@ class SolverOptions:
     seed: int = 0
     tol: float = 1e-12
     max_iter: int = 100
+
+    def __post_init__(self):
+        if not self.starts >= 1:
+            raise OutOfRange(f"starts must be at least 1, got {self.starts!r}")
+        if not self.max_iter >= 1:
+            raise OutOfRange(
+                f"max_iter must be at least 1, got {self.max_iter!r}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise OutOfRange(
+                f"tol must be finite and positive, got {self.tol!r}")
 
 
 def options_from_json(obj) -> SolverOptions:
@@ -175,13 +188,6 @@ def cubic_roots_in_interval(c3: float, c2: float, c1: float, c0: float,
     return dedup
 
 
-def _combo(basis, lam):
-    K = np.zeros_like(basis[0])
-    for c, B in zip(lam, basis):
-        K += c * B
-    return K
-
-
 def _logdet_chol(K) -> float:
     """log det of a PD matrix; raises np.linalg.LinAlgError when not PD."""
     L = np.linalg.cholesky(K)
@@ -215,42 +221,42 @@ def mle_concentration(model: LinearConcentration, S, *,
     if not is_positive_definite(A):
         raise NotPD("sample matrix is not positive definite")
 
-    basis = model.basis
-    d = len(basis)
-    gram = np.array([[float(np.sum(Ki * Kj)) for Kj in basis] for Ki in basis])
-    target = np.array([float(np.sum(A * Kj)) for Kj in basis])
+    B = np.stack(model.basis)               # (d, m, m)
+    d = B.shape[0]
+    Bf = B.reshape(d, -1)
+    gram = Bf @ Bf.T
+    target = Bf @ A.ravel()
 
     def project(Mat):
-        rhs = np.array([float(np.sum(Mat * Kj)) for Kj in basis])
-        return np.linalg.solve(gram, rhs)
+        return np.linalg.solve(gram, Bf @ Mat.ravel())
 
     lam = project(np.linalg.inv(A))
-    K = _combo(basis, lam)
+    K = np.tensordot(lam, B, 1)
     if not is_positive_definite(K):
         lam = project(np.eye(m))
-        K = _combo(basis, lam)
+        K = np.tensordot(lam, B, 1)
         if not is_positive_definite(K):
             raise NoInteriorPoint(
                 "no positive definite matrix found in the span")
         # rescale so the fitted trace against S matches its optimum value
-        lam = lam * (m / float(np.sum(A * K)))
-        K = _combo(basis, lam)
+        lam = lam * (m / float(np.vdot(A, K)))
+        K = np.tensordot(lam, B, 1)
 
     def phi(K):
-        return _logdet_chol(K) - float(np.sum(A * K))
+        return _logdet_chol(K) - float(np.vdot(A, K))
 
     val = phi(K)
     for _ in range(max_iter):
         Sigma = np.linalg.inv(K)
         Sigma = (Sigma + Sigma.T) / 2.0
-        fitted = np.array([float(np.sum(Sigma * Kj)) for Kj in basis])
+        fitted = Bf @ Sigma.ravel()
         grad = fitted - target
         if np.all(np.abs(grad) < 1e-10 * (1.0 + np.abs(target))):
             ll = log_likelihood(Sigma, A)
             return CriticalPoint(sigma=Sigma, loglik=ll, source="unique")
-        prods = [Sigma @ Kj for Kj in basis]
-        H = np.array([[float(np.sum(prods[i] * prods[j].T)) for j in range(d)]
-                      for i in range(d)])
+        # H_ij = tr(Sigma B_i Sigma B_j)
+        P = Sigma @ B
+        H = P.reshape(d, -1) @ P.transpose(0, 2, 1).reshape(d, -1).T
         try:
             step = np.linalg.solve(H, grad)
         except np.linalg.LinAlgError as exc:
@@ -264,7 +270,7 @@ def mle_concentration(model: LinearConcentration, S, *,
         t = 1.0
         for _ in range(60):
             cand = lam + t * step
-            Kc = _combo(basis, cand)
+            Kc = np.tensordot(cand, B, 1)
             try:
                 cand_val = phi(Kc)
             except np.linalg.LinAlgError:
@@ -282,43 +288,47 @@ def mle_concentration(model: LinearConcentration, S, *,
 
 
 def mle_graph_decomposable(G: Graph, S) -> CriticalPoint:
-    """MLE for a chordal graph by recursion over clique separators.
+    """Closed-form MLE for a chordal graph (Lauritzen, *Graphical
+    Models*, 1996).
 
-    Complete graphs return the sample itself; otherwise the graph is
-    split across a clique separator ``T`` into sides ``U`` and ``W``,
-    the sides are solved recursively, and the concentrations are glued:
-    ``K = [inv(MLE_U)] + [inv(MLE_W)] - [inv(S_TT)]`` (each embedded
-    into the full dimension).  Non-chordal graphs raise
-    :class:`NotChordal`.
+    Along the perfect elimination order of :func:`is_chordal`, let
+    ``pa(v)`` be the neighbours of ``v`` that come later (a clique) and
+    ``fa(v) = pa(v) + {v}``.  The fitted concentration is
+    ``K = sum_v [inv(S_fa(v))] - [inv(S_pa(v))]``, each block embedded
+    into the full dimension; equal blocks cancel before they are
+    inverted, which leaves the cliques minus the separators.  ``K`` is
+    inverted once.  Complete graphs return the sample itself;
+    non-chordal graphs raise :class:`NotChordal`.
     """
     A = check_symmetric(S)
-    if A.shape[0] != G.m:
+    m = G.m
+    if A.shape[0] != m:
         raise ShapeMismatch(
-            f"graph has {G.m} vertices, sample dimension is {A.shape[0]}")
+            f"graph has {m} vertices, sample dimension is {A.shape[0]}")
     if not is_positive_definite(A):
         raise NotPD("sample matrix is not positive definite")
-    chordal, _ = is_chordal(G)
+    chordal, order = is_chordal(G)
     if not chordal:
-        raise NotChordal("decomposable recursion needs a chordal graph")
+        raise NotChordal("decomposable MLE needs a chordal graph")
 
-    def solve(G: Graph, A: np.ndarray) -> np.ndarray:
-        if G.is_complete():
-            return A.copy()
-        dec = find_reducible_decomposition(G)
-        if dec is None:     # cannot happen for chordal non-complete graphs
-            raise NotChordal("no clique separator found")
-        m = G.m
-        U, T, W = dec.U, dec.T, dec.W
-        M1 = solve(induced_subgraph(G, U), principal_submatrix(A, U))
-        M2 = solve(induced_subgraph(G, W), principal_submatrix(A, W))
-        K = embed(np.linalg.inv(M1), U, U, m) \
-            + embed(np.linalg.inv(M2), W, W, m)
-        if T:
-            K -= embed(np.linalg.inv(principal_submatrix(A, T)), T, T, m)
+    if G.is_complete():
+        Sigma = A.copy()
+    else:
+        adj = adjacency(G)
+        pos = {v: k for k, v in enumerate(order)}
+        weight: Counter = Counter()
+        for v in order:
+            pa = tuple(sorted(u for u in adj[v] if pos[u] > pos[v]))
+            weight[tuple(sorted(pa + (v,)))] += 1
+            if pa:
+                weight[pa] -= 1
+        K = np.zeros((m, m))
+        for block, w in weight.items():
+            if w:
+                idx = np.ix_([v - 1 for v in block], [v - 1 for v in block])
+                K[idx] += w * np.linalg.inv(A[idx])
         Sigma = np.linalg.inv(K)
-        return (Sigma + Sigma.T) / 2.0
-
-    Sigma = solve(G, A)
+        Sigma = (Sigma + Sigma.T) / 2.0
     return CriticalPoint(sigma=Sigma, loglik=log_likelihood(Sigma, A),
                          source="unique")
 

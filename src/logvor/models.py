@@ -26,7 +26,7 @@ from .errors import (
     SingularPoint,
 )
 from .graphs import Digraph, Graph, digraph_from_json, digraph_to_json, \
-    graph_from_json, graph_to_json, topological_order
+    graph_from_json, graph_to_json
 
 #: Off-diagonal entries below this are treated as exact zeros when
 #: deciding which chart of a union model a point belongs to.
@@ -325,15 +325,16 @@ def tangent_basis(model, Sigma) -> list[np.ndarray]:
 
 
 def trek_covariance(dag: Digraph, params: DagParams) -> np.ndarray:
-    """Covariance matrix from the trek rule.
+    """Covariance matrix from the simple trek rule.
 
     Diagonal entries are the parameters ``a_i``; the entry ``(i, j)``
-    sums, over all treks between ``i`` and ``j``, the top's ``a`` value
-    times the product of the arc weights along the trek.
+    sums, over all simple treks between ``i`` and ``j``, the top's ``a``
+    value times the product of the arc weights along the trek.  Each
+    such trek with ``i < j`` ends in one arc ``p -> j``, so the sum is
+    computed column by column in the vertex order as
+    ``sigma_ij = sum_{p in pa(j)} lam_pj sigma_ip`` (Sullivant, Talaska
+    and Draisma, *Trek separation*, 2010), without listing treks.
     """
-    from .graphs import list_treks  # local import keeps module load cheap
-
-    topological_order(dag)
     m = dag.m
     a = tuple(float(x) for x in params.a)
     if len(a) != m:
@@ -343,23 +344,18 @@ def trek_covariance(dag: Digraph, params: DagParams) -> np.ndarray:
     lam = {tuple(k): float(v) for k, v in params.lam.items()}
     if set(lam) != set(dag.arcs):
         raise ShapeMismatch("arc weights must cover exactly the arcs of the DAG")
-    S = np.zeros((m, m))
-    for i in range(1, m + 1):
-        for j in range(i, m + 1):
-            total = 0.0
-            for trek in list_treks(dag, i, j):
-                w = a[trek.top - 1]
-                for e in trek.up + trek.down:
-                    w *= lam[e]
-                total += w
-            S[i - 1, j - 1] = S[j - 1, i - 1] = total
+    S = np.diag(a)
+    for j in range(1, m + 1):
+        pa = dag.parents(j)
+        if pa:
+            col = S[:j - 1, [p - 1 for p in pa]] @ [lam[p, j] for p in pa]
+            S[:j - 1, j - 1] = S[j - 1, :j - 1] = col
     return S
 
 
 def sem_covariance(dag: Digraph, params: SemParams) -> np.ndarray:
     """Covariance of the structural equation model
     ``(I - Lambda)^{-T} Omega (I - Lambda)^{-1}``."""
-    topological_order(dag)
     m = dag.m
     if params.omega.shape[0] != m:
         raise ShapeMismatch(

@@ -19,7 +19,11 @@ from logvor import (
     BivariateCorrelation,
     CiUnion,
     DagModel,
+    DagParams,
+    Decomposition,
+    Digraph,
     Equicorrelation,
+    Graph,
     GraphModel,
     SolverOptions,
     UnrestrictedCorrelation,
@@ -47,6 +51,7 @@ from logvor import (
     sample_spectrahedron,
     score_matrix,
     sem_covariance,
+    sem_fit,
     symmetrize,
     trek_covariance,
 )
@@ -281,6 +286,56 @@ def test_ci_union_strip_matches_direct_comparison_and_figure_boundary(
     outside = [x1 for x1, _, spec, cell in rows if spec and not cell]
     assert any(bound < x1 <= bound + 2.0 * step for x1 in outside)
     assert any(-bound - 2.0 * step <= x1 < -bound for x1 in outside)
+
+
+def test_graph_and_dag_fits_scale_polynomially():
+    """Two 14-cliques sharing four vertices are split and fitted, the
+    trek rule on the complete DAG with m = 14 matches the structural
+    equations, and Newton fits the path with m = 60, all within one
+    budget that clique, trek or double-loop enumeration cannot meet."""
+    t0 = perf_counter()
+    rng = np.random.default_rng(87)
+
+    # two 14-cliques {1..14} and {11..24} meeting in {11, 12, 13, 14}
+    edges = [(i, j) for block in (range(1, 15), range(11, 25))
+             for i in block for j in block if i < j]
+    G = Graph(24, frozenset(edges))
+    assert find_reducible_decomposition(G) == Decomposition(
+        U=tuple(range(1, 15)), T=(11, 12, 13, 14), W=tuple(range(11, 25)))
+    S = random_pd(24, rng)
+    Sigma = mle_graph_decomposable(G, S).sigma
+    for block in (range(14), range(10, 24)):
+        idx = np.ix_(block, block)
+        np.testing.assert_allclose(Sigma[idx], S[idx], rtol=1e-10, atol=1e-12)
+    K = np.linalg.inv(Sigma)
+    assert float(np.abs(K[:10, 14:]).max()) < 1e-10 * float(np.abs(K).max())
+
+    # trek rule on the complete DAG with m = 14
+    m = 14
+    dag = Digraph(m, frozenset((i, j) for i in range(1, m + 1)
+                               for j in range(i + 1, m + 1)))
+    params = DagParams(a=tuple(float(x) for x in rng.uniform(1.0, 2.0, m)),
+                       lam={arc: float(rng.uniform(-0.3, 0.3))
+                            for arc in dag.arcs})
+    Sigma = trek_covariance(dag, params)
+    assert is_positive_definite(Sigma)
+    sem = sem_fit(dag, Sigma)
+    for (i, j), w in params.lam.items():
+        assert abs(sem.Lambda[i - 1, j - 1] - w) < 1e-10
+    np.testing.assert_allclose(sem_covariance(dag, sem), Sigma,
+                               rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(np.diag(Sigma), params.a, rtol=1e-12)
+
+    # Newton on the path with m = 60 against the closed form
+    m = 60
+    path = Graph(m, frozenset((i, i + 1) for i in range(1, m)))
+    S = random_pd(m, rng)
+    newton = mle_concentration(GraphModel(path), S)
+    direct = mle_graph_decomposable(path, S)
+    np.testing.assert_allclose(newton.sigma, direct.sigma,
+                               rtol=1e-8, atol=1e-10)
+
+    assert perf_counter() - t0 < 3.0
 
 
 def test_property_suites_convexity_containment_gradient_symmetry(

@@ -134,6 +134,22 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, ["mle", file])
         assert code == 2
 
+    @pytest.mark.parametrize("options", [
+        {"starts": 0}, {"starts": -5}, {"max_iter": 0}, {"tol": -1.0},
+        {"tol": float("nan")},
+    ])
+    def test_out_of_range_options_exit_two(self, tmp_path, capsys,
+                                           elliptope_s1, options):
+        doc = {"model": {"kind": "correlation", "m": 3},
+               "sample": sym_to_json(elliptope_s1), "options": options}
+        file = write_problem(tmp_path, doc)
+        code, out, err = run_cli(capsys, ["critical-points", file])
+        assert code == 2
+        assert out == ""
+        field = next(iter(options))
+        assert err.startswith("error: ") and field in err
+        assert "array" not in err and "Traceback" not in err
+
     def test_solver_failure_exits_three(self, tmp_path, capsys, path_sigma):
         # a non-PD sigma makes the sampler fail outside the input layer
         bad = np.diag([1.0, 1.0, 1.0, -1.0])
@@ -342,6 +358,20 @@ def source_tree_env():
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [package_root, env.get("PYTHONPATH")]))
     return env
+
+
+def test_cli_import_leaves_networkx_unloaded(tmp_path, path_sigma):
+    """networkx is imported only by the functions that need it; importing
+    the package and running the graph commands does not load it."""
+    file = write_problem(tmp_path, path_problem(path_sigma))
+    code = ("import sys; from logvor.cli import main; "
+            f"assert main(['decompose', {file!r}]) == 0; "
+            f"assert main(['mle', {file!r}]) == 0; "
+            "print('networkx' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=source_tree_env())
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "False"
 
 
 class TestConsoleScript:

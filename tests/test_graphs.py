@@ -32,6 +32,24 @@ def random_graph(m, rng, p=0.5):
     return Graph(m, frozenset(edges))
 
 
+def exhaustive_decomposition(G):
+    """Reference separator search: every clique (the empty one included)
+    by size, then lexicographically, tested with networkx components."""
+    g = G.to_networkx()
+    cliques = [tuple(sorted(c)) for c in nx.enumerate_all_cliques(g)] + [()]
+    for T in sorted(cliques, key=lambda c: (len(c), c)):
+        rest = set(G.vertices) - set(T)
+        if len(rest) < 2:
+            continue
+        comps = sorted((set(c) for c in nx.connected_components(g.subgraph(rest))),
+                       key=min)
+        if len(comps) < 2:
+            continue
+        return Decomposition(U=tuple(sorted(comps[0] | set(T))), T=T,
+                             W=tuple(sorted((rest - comps[0]) | set(T))))
+    return None
+
+
 class TestGraphConstruction:
     def test_edges_are_normalised(self):
         G = Graph(3, ((2, 1), (3, 2)))
@@ -147,6 +165,19 @@ class TestDecomposition:
                 for j in W - T:
                     assert not G.has_edge(i, j)
         assert checked > 50
+
+    def test_matches_exhaustive_search(self):
+        """Smallest separator, least vertex set and the U side all agree
+        with the search over every clique."""
+        rng = np.random.default_rng(24)
+        found = 0
+        for _ in range(600):
+            m = int(rng.integers(1, 10))
+            G = random_graph(m, rng, p=float(rng.uniform(0.1, 0.95)))
+            dec = find_reducible_decomposition(G)
+            assert dec == exhaustive_decomposition(G), G
+            found += dec is not None
+        assert found > 200
 
     def test_induced_subgraph_relabels(self, path_graph):
         H = induced_subgraph(path_graph, (2, 3, 4))

@@ -14,6 +14,7 @@ from logvor import (
     LinearConcentration,
     NotChordal,
     NotPD,
+    OutOfRange,
     SolverOptions,
     UnrestrictedCorrelation,
     bivariate_discriminant,
@@ -23,6 +24,7 @@ from logvor import (
     cubic_roots_in_interval,
     equicorrelation_cubic,
     equicorrelation_matrix,
+    is_chordal,
     mle_concentration,
     mle_dag,
     mle_graph_decomposable,
@@ -40,6 +42,26 @@ ELLIPTOPE_TRIPLES = [
     (0.182141, 0.316592, 0.190067),
 ]
 ELLIPTOPE_LOGLIKS = [-1.24750351572487, -1.53844955693696, -1.55375020617405]
+
+
+def random_chordal_graph(m, rng):
+    """Fill-in of a random graph under a random elimination order."""
+    adj = {v: set() for v in range(1, m + 1)}
+    p = float(rng.uniform(0.1, 0.6))
+    for i in range(1, m + 1):
+        for j in range(i + 1, m + 1):
+            if rng.uniform() < p:
+                adj[i].add(j)
+                adj[j].add(i)
+    left = set(adj)
+    for v in (int(x) + 1 for x in rng.permutation(m)):
+        left.remove(v)
+        later = sorted(adj[v] & left)
+        for i, u in enumerate(later):
+            for w in later[i + 1:]:
+                adj[u].add(w)
+                adj[w].add(u)
+    return Graph(m, frozenset((i, j) for i in adj for j in adj[i] if i < j))
 
 
 def triple(Sigma):
@@ -218,6 +240,44 @@ class TestDecomposableRecursion:
         cp = mle_graph_decomposable(path_graph, path_sigma)
         np.testing.assert_allclose(cp.sigma, path_sigma, rtol=1e-12, atol=1e-14)
 
+    @staticmethod
+    def assert_agrees_with_newton(G, S):
+        direct = mle_graph_decomposable(G, S)
+        newton = mle_concentration(GraphModel(G), S)
+        np.testing.assert_allclose(direct.sigma, newton.sigma,
+                                   rtol=1e-8, atol=1e-10)
+        assert direct.loglik == pytest.approx(newton.loglik, rel=1e-10)
+
+    def test_agrees_with_newton_on_random_chordal_graphs(self):
+        rng = np.random.default_rng(51)
+        sizes = set()
+        for _ in range(60):
+            m = int(rng.integers(2, 13))
+            G = random_chordal_graph(m, rng)
+            assert is_chordal(G)[0]
+            self.assert_agrees_with_newton(G, random_pd(m, rng))
+            sizes.add(m)
+        assert 12 in sizes
+
+    def test_agrees_with_newton_on_overlapping_cliques(self):
+        # cliques {1..6} and {4..9} meet in the separator {4, 5, 6}
+        edges = [(i, j) for block in (range(1, 7), range(4, 10))
+                 for i in block for j in block if i < j]
+        G = Graph(9, frozenset(edges))
+        rng = np.random.default_rng(52)
+        for _ in range(5):
+            self.assert_agrees_with_newton(G, random_pd(9, rng))
+
+    def test_agrees_with_newton_on_disconnected_graph(self):
+        # a triangle, a single edge and an isolated vertex
+        G = Graph(6, ((1, 2), (2, 3), (1, 3), (4, 5)))
+        rng = np.random.default_rng(53)
+        for _ in range(5):
+            S = random_pd(6, rng)
+            self.assert_agrees_with_newton(G, S)
+            K = np.linalg.inv(mle_graph_decomposable(G, S).sigma)
+            assert float(np.abs(K[:3, 3:]).max()) < 1e-12
+
 
 class TestDagMle:
     def test_model_point_is_fixed(self, collider_dag, collider_sigma):
@@ -358,3 +418,18 @@ class TestSolverOptions:
 
     def test_none_gives_defaults(self):
         assert options_from_json(None) == SolverOptions()
+
+    @pytest.mark.parametrize("field, value", [
+        ("starts", 0), ("starts", -5), ("max_iter", 0), ("max_iter", -1),
+        ("tol", 0.0), ("tol", -1.0), ("tol", float("nan")),
+        ("tol", float("inf")),
+    ])
+    def test_out_of_range_values_are_rejected(self, field, value):
+        with pytest.raises(OutOfRange, match=field):
+            SolverOptions(**{field: value})
+        with pytest.raises(OutOfRange, match=field):
+            options_from_json({field: value})
+
+    def test_smallest_valid_values(self):
+        opts = SolverOptions(starts=1, max_iter=1, tol=5e-324)
+        assert (opts.starts, opts.max_iter) == (1, 1)

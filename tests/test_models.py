@@ -30,6 +30,7 @@ from logvor import (
     model_to_json,
     sem_covariance,
     sem_fit,
+    list_treks,
     tangent_basis,
     trek_covariance,
 )
@@ -233,6 +234,34 @@ class TestTrekRule:
             sem = sem_covariance(dag, dag_params_to_sem(dag, params))
             np.testing.assert_allclose(trek, sem, rtol=1e-10, atol=1e-12)
         assert checked >= 100
+
+    def test_recursion_matches_trek_listing(self):
+        """The recursion equals the sum over every listed trek, also for
+        parameters whose matrix is not positive definite."""
+        from logvor import is_positive_definite
+
+        rng = np.random.default_rng(34)
+        not_pd = 0
+        for _ in range(150):
+            m = int(rng.integers(1, 8))
+            dag = random_dag(m, rng, p=float(rng.uniform(0.2, 0.9)))
+            params = DagParams(
+                a=tuple(float(x) for x in rng.uniform(0.5, 2.0, size=m)),
+                lam={arc: float(rng.uniform(-2.0, 2.0)) for arc in dag.arcs})
+            expected = np.zeros((m, m))
+            for i in range(1, m + 1):
+                for j in range(i, m + 1):
+                    for trek in list_treks(dag, i, j):
+                        w = params.a[trek.top - 1]
+                        for arc in trek.up + trek.down:
+                            w *= params.lam[arc]
+                        expected[i - 1, j - 1] += w
+                        if i != j:
+                            expected[j - 1, i - 1] += w
+            got = trek_covariance(dag, params)
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+            not_pd += not is_positive_definite(got)
+        assert not_pd >= 20
 
     def test_weights_must_cover_arcs(self, collider_dag):
         with pytest.raises(ShapeMismatch):

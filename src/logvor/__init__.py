@@ -33,6 +33,7 @@ from .core import (
     embed,
     is_positive_definite,
     log_likelihood,
+    pd_mask,
     principal_submatrix,
     score_matrix,
     sym_from_json,

@@ -47,6 +47,9 @@ _INPUT_ERRORS = (ShapeMismatch, IndexOutOfRange, InvalidModel, OutOfRange,
 _FIGURES = ("ci-union-t", "ci-union-s", "bivariate", "dag-slice",
             "path-spectrahedron")
 
+#: Range of ``figure --grid``, points per axis; a scene has grid^2 rows.
+_GRID_RANGE = (2, 1001)
+
 
 def _round15(x):
     """Round floats (recursively) to 15 significant digits for stable output."""
@@ -253,6 +256,10 @@ def _figure_rows(name: str, grid: int, z: float):
 
 
 def _cmd_figure(args) -> int:
+    lo, hi = _GRID_RANGE
+    if not lo <= args.grid <= hi:
+        raise OutOfRange(f"--grid must be between {lo} and {hi}, "
+                         f"got {args.grid}")
     header, rows = _figure_rows(args.name, args.grid, args.z)
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     fd, tmp_path = tempfile.mkstemp(dir=out_dir, suffix=".csv.tmp")
@@ -313,7 +320,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", help=f"one of {', '.join(_FIGURES)}")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--grid", type=int, default=201,
-                   help="points per axis (default 201)")
+                   help=f"points per axis, {_GRID_RANGE[0]} to "
+                        f"{_GRID_RANGE[1]} (default 201)")
     p.add_argument("--z", type=float, default=0.0,
                    help="fixed third coordinate of the 3-d scenes")
     p.set_defaults(func=_cmd_figure)

@@ -67,6 +67,34 @@ def is_positive_definite(M) -> bool:
     return True
 
 
+def pd_mask(M) -> np.ndarray:
+    """Batched strict positive definiteness of an ``(N, m, m)`` stack.
+
+    Row ``n`` is ``True`` exactly when :func:`is_positive_definite`
+    accepts ``M[n]``: the same elimination and ``PD_PIVOT_RTOL`` pivot
+    rule, run on all matrices at once.  Rows with a non-finite entry
+    are ``False``.  The input is trusted to be symmetric and is not
+    validated; a row is reset to the identity as soon as it fails, so
+    no pivot of a rejected row is ever divided by.
+    """
+    A = np.array(M, dtype=float)
+    m = A.shape[-1]
+    eye = np.eye(m)
+    dmax = np.diagonal(A, axis1=1, axis2=2).max(axis=1)
+    ok = np.isfinite(A).all(axis=(1, 2)) & (dmax > 0.0)
+    A[~ok] = eye
+    thresh = PD_PIVOT_RTOL * dmax
+    for k in range(m):
+        fail = ok & ~(A[:, k, k] > thresh)
+        if fail.any():
+            ok &= ~fail
+            A[fail] = eye
+        v = A[:, k + 1:, k]
+        A[:, k + 1:, k + 1:] -= v[:, :, None] * v[:, None, :] \
+            / A[:, k, k, None, None]
+    return ok
+
+
 def log_likelihood(Sigma, S) -> float:
     """Normalised Gaussian log-likelihood ``-log det(Sigma) - tr(S Sigma^{-1})``.
 

@@ -68,6 +68,15 @@ class LinearConcentration:
     def dim(self) -> int:
         return self.basis[0].shape[0]
 
+    @classmethod
+    def _independent(cls, basis) -> "LinearConcentration":
+        """A model on a basis of symmetric matrices that is linearly
+        independent by construction; the validation, and its rank
+        check, are skipped."""
+        model = object.__new__(cls)
+        object.__setattr__(model, "basis", tuple(basis))
+        return model
+
 
 @dataclass(frozen=True)
 class GraphModel:
@@ -199,8 +208,12 @@ def concentration_basis(G: Graph) -> list[np.ndarray]:
 
 
 def as_concentration(model: GraphModel) -> LinearConcentration:
-    """The linear concentration model of an undirected graph."""
-    return LinearConcentration(tuple(concentration_basis(model.graph)))
+    """The linear concentration model of an undirected graph.
+
+    Its basis ``{E_ii} + {E_ij + E_ji : ij an edge}`` has disjoint
+    supports, so it is independent and needs no rank check.
+    """
+    return LinearConcentration._independent(concentration_basis(model.graph))
 
 
 def _check_model_matrix(model, Sigma) -> np.ndarray:

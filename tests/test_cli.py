@@ -14,7 +14,7 @@ import pytest
 
 import logvor
 from logvor import sym_to_json
-from logvor.cli import main
+from logvor.cli import _GRID_RANGE, main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -55,6 +55,30 @@ class TestMle:
         assert point["source"] == "unique"
         assert report["note"] == \
             "ML degree one: the critical point is the unique MLE"
+
+    def test_chordal_graphs_skip_newton(self, tmp_path, capsys, path_sigma,
+                                        monkeypatch):
+        """The path is chordal: its MLE comes from the clique formula.
+        The 4-cycle is not, and still runs Newton's method."""
+        import logvor.mle
+        newton = logvor.mle.mle_concentration
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return newton(*args, **kwargs)
+
+        monkeypatch.setattr(logvor.mle, "mle_concentration", counted)
+        file = write_problem(tmp_path, path_problem(path_sigma))
+        code, out, _ = run_cli(capsys, ["mle", file])
+        assert code == 0 and json.loads(out)["points"][0]["residual"] < 1e-8
+        assert calls == []
+        cycle = {"kind": "graph", "m": 4,
+                 "edges": [[1, 2], [2, 3], [3, 4], [1, 4]]}
+        file = write_problem(tmp_path, {"model": cycle,
+                                        "sample": sym_to_json(path_sigma)})
+        code, _, _ = run_cli(capsys, ["mle", file])
+        assert code == 0 and len(calls) == 1
 
     def test_all_flag_lists_every_point(self, tmp_path, capsys, elliptope_s1):
         doc = {"model": {"kind": "correlation", "m": 3},
@@ -322,6 +346,16 @@ class TestFigure:
                                         "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("grid", [-1, 0, 1, _GRID_RANGE[1] + 1])
+    def test_grid_out_of_range_exits_two(self, tmp_path, capsys, grid):
+        out = tmp_path / "g.csv"
+        code, _, err = run_cli(capsys, ["figure", "bivariate", "--out",
+                                        str(out), "--grid", str(grid)])
+        assert code == 2
+        assert err == (f"error: --grid must be between {_GRID_RANGE[0]} "
+                       f"and {_GRID_RANGE[1]}, got {grid}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_no_temp_files_left_behind(self, tmp_path, capsys):
         out = tmp_path / "clean.csv"

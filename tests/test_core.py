@@ -13,6 +13,7 @@ from logvor import (
     embed,
     is_positive_definite,
     log_likelihood,
+    pd_mask,
     principal_submatrix,
     score_matrix,
     sym_from_json,
@@ -71,6 +72,37 @@ class TestIsPositiveDefinite:
     def test_semidefinite_is_rejected(self):
         A = np.array([[1.0, 1.0], [1.0, 1.0]])
         assert not is_positive_definite(A)
+
+
+class TestPdMask:
+    def test_agrees_with_single_matrix_test(self):
+        """Every row of the batched test equals is_positive_definite on
+        PD, indefinite, singular PSD and near-boundary matrices."""
+        rng = np.random.default_rng(12)
+        for m in range(1, 8):
+            mats = []
+            for _ in range(50):
+                A = rng.standard_normal((m, m))
+                A = A @ A.T + 0.1 * np.eye(m)
+                B = rng.uniform(-1.0, 1.0, size=(m, m))
+                C = rng.standard_normal((m, int(rng.integers(0, m))))
+                lam, V = np.linalg.eigh(A)
+                lam[0] = rng.choice([-1.0, 1.0]) * lam[-1] \
+                    * 10.0 ** rng.uniform(-14.0, -10.0)
+                N = (V * lam) @ V.T
+                mats += [A, (B + B.T) / 2.0, C @ C.T, (N + N.T) / 2.0]
+            M = np.array(mats)
+            before = M.copy()
+            assert pd_mask(M).tolist() == [is_positive_definite(X) for X in M]
+            np.testing.assert_array_equal(M, before)
+
+    def test_non_finite_rows_are_not_pd(self):
+        M = np.stack([np.eye(3)] * 5)
+        M[1, 0, 0] = np.nan
+        M[2, 1, 2] = M[2, 2, 1] = np.inf
+        M[3, 2, 2] = -np.inf
+        M[4, 0, 1] = M[4, 1, 0] = np.nan
+        assert pd_mask(M).tolist() == [True, False, False, False, False]
 
 
 class TestLogLikelihood:

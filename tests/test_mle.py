@@ -25,13 +25,16 @@ from logvor import (
     equicorrelation_cubic,
     equicorrelation_matrix,
     is_chordal,
+    log_likelihood,
     mle_concentration,
     mle_dag,
     mle_graph_decomposable,
     options_from_json,
     options_to_json,
 )
-from logvor.core import random_pd
+from logvor.core import pd_mask, random_pd
+from logvor.mle import _CorrChart, _corr_residuals, _line_search, \
+    _newton_directions, _onion_starts
 
 from conftest import random_correlation
 
@@ -400,6 +403,193 @@ class TestElliptopeMultistart:
         model = UnrestrictedCorrelation(3)
         for cp in critical_points(model, elliptope_s1):
             assert criticality_residual(model, cp.sigma, elliptope_s1) < 1e-8
+
+
+# The correlation multistart as it was before the batched kernel, kept
+# as the oracle of the rebuilt one: starts drawn from the box (-1, 1)^p
+# with rejection on the smallest eigenvalue, a Jacobian built column by
+# column, and a line search that halves each row's step one at a time.
+
+def _box_corr(X, m):
+    iu = np.triu_indices(m, 1)
+    Sig = np.zeros((X.shape[0], m, m))
+    Sig[:, iu[0], iu[1]] = X
+    Sig = Sig + np.transpose(Sig, (0, 2, 1))
+    Sig[:, np.arange(m), np.arange(m)] = 1.0
+    return Sig
+
+
+def _sequential_line_search(x, delta, rnorm, residual_norm):
+    t = np.ones(len(x))
+    xa = x.copy()
+    accepted = np.zeros(len(x), dtype=bool)
+    for _ in range(30):
+        rem = np.where(~accepted)[0]
+        if rem.size == 0:
+            break
+        cand = xa[rem] + t[rem, None] * delta[rem]
+        good = residual_norm(cand) <= (1.0 - 1e-4 * t[rem]) * rnorm[rem]
+        xa[rem[good]] = cand[good]
+        accepted[rem[good]] = True
+        t[rem[~good]] *= 0.5
+    return np.where(accepted, t, 0.0), xa
+
+
+def _column_jacobian(K, W, m):
+    """Jacobian of upper(K - K S K), column l the derivative along D_l."""
+    p = m * (m - 1) // 2
+    iu = np.triu_indices(m, 1)
+    D = np.zeros((p, m, m))
+    D[np.arange(p), iu[0], iu[1]] = 1.0
+    D[np.arange(p), iu[1], iu[0]] = 1.0
+    J = np.empty((len(K), p, p))
+    for l in range(p):
+        KD = K @ D[l]
+        J[:, :, l] = (-KD @ K + KD @ W + W @ D[l] @ K)[:, iu[0], iu[1]]
+    return J
+
+
+def _box_multistart(m, S, opts):
+    """Deduplicated converged parameter rows of the old solver."""
+    p = m * (m - 1) // 2
+    iu = np.triu_indices(m, 1)
+    rng = np.random.default_rng(opts.seed)
+    chunks, have = [], 0
+    while have < opts.starts:
+        n = max(2 * (opts.starts - have), 64)
+        draw = rng.uniform(-1.0, 1.0, size=(n, p))
+        ok = np.linalg.eigvalsh(_box_corr(draw, m))[:, 0] > 1e-10
+        chunks.append(draw[ok])
+        have += int(ok.sum())
+    x = np.concatenate(chunks)[:opts.starts]
+
+    def residuals(xa):
+        K = np.linalg.inv(_box_corr(xa, m))
+        W = K @ S @ K
+        return K, W, (K - W)[:, iu[0], iu[1]]
+
+    def residual_norm(cand):
+        rc = np.full(len(cand), np.inf)
+        ok = np.linalg.eigvalsh(_box_corr(cand, m))[:, 0] > 1e-12
+        if ok.any():
+            rc[ok] = np.abs(residuals(cand[ok])[2]).max(axis=1)
+        return rc
+
+    active = np.ones(len(x), dtype=bool)
+    converged = np.zeros(len(x), dtype=bool)
+    for _ in range(opts.max_iter):
+        idx = np.where(active)[0]
+        if idx.size == 0:
+            break
+        K, W, F = residuals(x[idx])
+        rnorm = np.abs(F).max(axis=1)
+        done = rnorm < opts.tol
+        converged[idx[done]] = True
+        active[idx[done]] = False
+        idx, K, W, F, rnorm = (a[~done] for a in (idx, K, W, F, rnorm))
+        if idx.size == 0:
+            break
+        J = _column_jacobian(K, W, m)
+        try:
+            delta = np.linalg.solve(J, -F[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            delta = np.stack([np.linalg.lstsq(Jr, -Fr, rcond=None)[0]
+                              for Jr, Fr in zip(J, F)])
+        t, x[idx] = _sequential_line_search(x[idx], delta, rnorm,
+                                            residual_norm)
+        active[idx[t == 0.0]] = False
+    kept = []
+    sols = x[converged]
+    for row in sols[np.lexsort(np.round(sols, 8).T[::-1])]:
+        if all(float(np.abs(row - q).max()) > 1e-6 for q in kept):
+            kept.append(row)
+    return kept
+
+
+class TestBatchedMultistart:
+    def test_onion_starts_have_the_uniform_elliptope_marginal(self):
+        """Each coordinate is 2 Beta(m/2, m/2) - 1: mean 0, variance
+        1/(m+1), and the Beta(2, 2) distribution function at m = 4."""
+        m = 4
+        X = _onion_starts(_CorrChart(m), 20000, np.random.default_rng(8))
+        assert X.shape == (20000, 6)
+        assert pd_mask(_box_corr(X, m)).all()
+        np.testing.assert_allclose(X.mean(axis=0), 0.0, atol=0.015)
+        np.testing.assert_allclose(X.var(axis=0), 1.0 / (m + 1), atol=0.01)
+        for r in (-0.6, -0.2, 0.3, 0.7):
+            u = (r + 1.0) / 2.0
+            np.testing.assert_allclose((X <= r).mean(axis=0),
+                                       3 * u ** 2 - 2 * u ** 3, atol=0.015)
+
+    @pytest.mark.parametrize("m", [6, 7])
+    def test_enumerates_beyond_five(self, m):
+        rng = np.random.default_rng(60 + m)
+        S = random_correlation(m, rng) + np.diag(rng.uniform(0.0, 1.0, m))
+        model = UnrestrictedCorrelation(m)
+        pts = critical_points(model, S)
+        assert any(criticality_residual(model, cp.sigma, S) < 1e-8
+                   for cp in pts)
+
+    @pytest.mark.parametrize("m, count", [(3, 40), (4, 10)])
+    def test_same_points_as_the_old_solver(self, m, count):
+        rng = np.random.default_rng(70 + m)
+        model = UnrestrictedCorrelation(m)
+        opts = SolverOptions()
+        iu = np.triu_indices(m, 1)
+        for _ in range(count):
+            S = random_correlation(m, rng) + np.diag(rng.uniform(0.0, 1.0, m))
+            old = _box_multistart(m, S, opts)
+            new = critical_points(model, S, opts)
+            assert len(new) == len(old)
+            for row in old:
+                assert min(np.abs(cp.sigma[iu] - row).max()
+                           for cp in new) < 1e-6
+            best_old = max(log_likelihood(P, S)
+                           for P in _box_corr(np.array(old), m))
+            assert abs(new[0].loglik - best_old) <= 1e-10
+
+    @pytest.mark.parametrize("m", [3, 4, 6])
+    def test_newton_directions_solve_the_column_jacobian(self, m):
+        rng = np.random.default_rng(80 + m)
+        chart = _CorrChart(m)
+        S = random_correlation(m, rng) + np.diag(rng.uniform(0.0, 1.0, m))
+        K, W, F = _corr_residuals(chart, S, chart.matrices(
+            _onion_starts(chart, 300, rng)))
+        delta = _newton_directions(chart, K, W, F)
+        J = _column_jacobian(K, W, m)
+        np.testing.assert_allclose(np.einsum("nij,nj->ni", J, delta), -F,
+                                   rtol=0, atol=1e-9 * np.abs(F).max())
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_blocked_line_search_takes_the_sequential_step(self, m):
+        """Newton directions from random starts, and random directions
+        scaled over six decades so that every block and outright failure
+        occur."""
+        rng = np.random.default_rng(90 + m)
+        chart = _CorrChart(m)
+        S = random_correlation(m, rng) + np.diag(rng.uniform(0.0, 1.0, m))
+
+        def residual_norm(X):
+            rc = np.full(len(X), np.inf)
+            Sig = chart.matrices(X)
+            ok = pd_mask(Sig)
+            rc[ok] = np.abs(_corr_residuals(chart, S, Sig[ok])[2]).max(axis=1)
+            return rc
+
+        x = _onion_starts(chart, 600, rng)
+        K, W, F = _corr_residuals(chart, S, chart.matrices(x))
+        rnorm = np.abs(F).max(axis=1)
+        newton = _newton_directions(chart, K, W, F)
+        scaled = rng.standard_normal(x.shape) \
+            * 10.0 ** rng.uniform(-3.0, 3.0, size=(len(x), 1))
+        delta = np.where(rng.uniform(size=(len(x), 1)) < 0.5, newton, scaled)
+        t_seq, x_seq = _sequential_line_search(x, delta, rnorm, residual_norm)
+        t_blk, x_blk = _line_search(x, delta, rnorm, residual_norm)
+        np.testing.assert_array_equal(t_blk, t_seq)
+        np.testing.assert_array_equal(x_blk, x_seq)
+        k = np.full(len(x), 30)
+        k[t_seq > 0] = -np.log2(t_seq[t_seq > 0]).astype(int)
+        assert set(np.digitize(k, [1, 3, 7, 15, 30])) == {0, 1, 2, 3, 4, 5}
 
 
 class TestSolverOptions:

@@ -80,6 +80,19 @@ class TestModelConstruction:
         model = as_concentration(GraphModel(path_graph))
         assert len(model.basis) == len(basis)
 
+    def test_graph_basis_skips_the_rank_check(self, path_graph, monkeypatch):
+        """A graph's basis is independent by construction; a basis given
+        by the user is still checked."""
+        def no_rank(*args, **kwargs):
+            raise AssertionError("rank check")
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", no_rank)
+        model = as_concentration(GraphModel(path_graph))
+        for K, E in zip(model.basis, concentration_basis(path_graph)):
+            np.testing.assert_array_equal(K, E)
+        with pytest.raises(AssertionError, match="rank check"):
+            LinearConcentration((np.eye(2),))
+
 
 class TestModelContains:
     def test_path_sigma_in_graph_model(self, path_graph, path_sigma):

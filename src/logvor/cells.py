@@ -19,23 +19,20 @@ from typing import Optional
 
 import numpy as np
 
-from .core import check_symmetric, embed, is_positive_definite, \
-    log_likelihood, principal_submatrix
+from .core import _is_pd, _loglik, check_symmetric, embed, \
+    is_positive_definite, log_likelihood, principal_submatrix
 from .errors import NotOnSlice, NotPD, OutOfRange, PreconditionFailed, \
     SamplingExhausted, ShapeMismatch
 from .graphs import Graph, find_reducible_decomposition, induced_subgraph
-from .mle import SolverOptions, CriticalPoint, critical_points, \
-    criticality_residual, cubic_roots_in_interval, equicorrelation_cubic
-from .models import DagModel, GraphModel, LinearConcentration, \
-    UnrestrictedCorrelation, equicorrelation_matrix, tangent_basis
+from .mle import SolverOptions, CriticalPoint, _residual, \
+    cubic_roots_in_interval, equicorrelation_cubic
+from .models import GraphModel, _model_point, _symmetrize, \
+    equicorrelation_matrix, symmetrize
 
 IN_CELL = "InCell"
 IN_SPECTRAHEDRON_NOT_CELL = "InSpectrahedronNotCell"
 NOT_IN_SPECTRAHEDRON = "NotInSpectrahedron"
 NOT_PD = "NotPD"
-
-#: Families whose cells fill the whole spectrahedron (unique maximiser).
-DEGREE_ONE_FAMILIES = (LinearConcentration, GraphModel, DagModel)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,18 +86,25 @@ def _sym_coords(m: int):
     return vec, unvec
 
 
+def _on_model(model, Sigma) -> np.ndarray:
+    """``Sigma`` validated as a point of ``model``: a model point that
+    fails the model equations raises :class:`PreconditionFailed`."""
+    A = _model_point(model, Sigma)
+    if not model.contains(A, 1e-8):
+        raise PreconditionFailed("Sigma is not a point of the model")
+    return A
+
+
 def lognormal_basis(model, Sigma) -> AffineSlice:
     """The log-normal matrix space of the model at ``Sigma``.
 
     Solves the linear system ``tr(K D K T_k) = 0`` over symmetric
     directions ``D`` (with ``K = Sigma^{-1}`` and ``T_k`` the tangent
     basis) and returns ``Sigma`` plus an orthonormal basis of the
-    solution space.
+    solution space.  ``Sigma`` must be a point of the model.
     """
-    A = check_symmetric(Sigma)
-    if not is_positive_definite(A):
-        raise NotPD("Sigma is not positive definite")
-    tangent = tangent_basis(model, A)
+    A = _on_model(model, Sigma)
+    tangent = model.tangent_basis(A)
     K = np.linalg.inv(A)
     m = A.shape[0]
     vec, unvec = _sym_coords(m)
@@ -112,17 +116,31 @@ def lognormal_basis(model, Sigma) -> AffineSlice:
     return AffineSlice(base=A, directions=directions)
 
 
+def _spectrahedron_status(model, Sigma, S, tol: float):
+    """Validate ``Sigma`` (a point of the model) and ``S``, and place
+    ``S``: returns ``(Sigma, S, status)`` with status ``NOT_PD``,
+    ``NOT_IN_SPECTRAHEDRON``, or ``None`` inside the spectrahedron."""
+    Sg = _on_model(model, Sigma)
+    Ss = check_symmetric(S)
+    if not _is_pd(Ss):
+        return Sg, Ss, NOT_PD
+    if Ss.shape != Sg.shape:
+        raise ShapeMismatch(
+            f"Sigma has shape {Sg.shape} but S has shape {Ss.shape}")
+    if not _residual(model, Sg, Ss) < tol:
+        return Sg, Ss, NOT_IN_SPECTRAHEDRON
+    return Sg, Ss, None
+
+
 def in_spectrahedron(model, Sigma, S, tol: float = 1e-8) -> bool:
     """Is ``S`` in the log-normal spectrahedron of the model at ``Sigma``?
 
     True when ``S`` is positive definite and the score of ``S`` at
     ``Sigma`` is trace-orthogonal to the tangent space within ``tol``
-    (largest normalised component).
+    (largest normalised component).  ``Sigma`` must be a point of the
+    model.
     """
-    Ss = check_symmetric(S)
-    if not is_positive_definite(Ss):
-        return False
-    return criticality_residual(model, Sigma, Ss) < tol
+    return _spectrahedron_status(model, Sigma, S, tol)[2] is None
 
 
 def cell_membership(model, Sigma, S, opts: Optional[SolverOptions] = None, *,
@@ -132,24 +150,22 @@ def cell_membership(model, Sigma, S, opts: Optional[SolverOptions] = None, *,
 
     The sample is first tested for positive definiteness and
     spectrahedron membership (at criticality tolerance ``tol``).  For
-    the unique-maximiser families the cell equals the spectrahedron and
+    the ``degree_one`` families the cell equals the spectrahedron and
     the verdict is immediate.  Otherwise all critical points of ``S``
     on the model are enumerated and the log-likelihood of ``Sigma`` is
     compared against the best competitor; ties within ``tie_tol`` count
-    as membership.  ``Sigma`` must be a nonsingular model point.
+    as membership.  ``Sigma`` must be a nonsingular model point; one
+    off the model raises :class:`PreconditionFailed`.
     """
-    Sg = check_symmetric(Sigma)
-    Ss = check_symmetric(S)
-    if not is_positive_definite(Ss):
-        return MembershipVerdict(status=NOT_PD)
-    if not in_spectrahedron(model, Sg, Ss, tol):
-        return MembershipVerdict(status=NOT_IN_SPECTRAHEDRON)
-    if isinstance(model, DEGREE_ONE_FAMILIES):
+    Sg, Ss, status = _spectrahedron_status(model, Sigma, S, tol)
+    if status is not None:
+        return MembershipVerdict(status=status)
+    if model.degree_one:
         return MembershipVerdict(status=IN_CELL)
 
-    best_effort = isinstance(model, UnrestrictedCorrelation)
-    points = critical_points(model, Ss, opts)
-    base_ll = log_likelihood(Sg, Ss)
+    best_effort = model.best_effort
+    points = model.critical_points(Ss, opts or SolverOptions())
+    base_ll = _loglik(Sg, Ss)
     others = [cp for cp in points
               if float(np.abs(cp.sigma - Sg).max()) > 1e-6]
     if not others:
@@ -183,7 +199,7 @@ def bivariate_cell(c: float, S, *, slice_tol: float = 1e-8) -> bool:
     A = check_symmetric(S)
     if A.shape != (2, 2):
         raise ShapeMismatch(f"expected a 2 x 2 matrix, got {A.shape}")
-    if not is_positive_definite(A):
+    if not _is_pd(A):
         raise NotOnSlice("S is not positive definite")
     a = float((A[0, 0] + A[1, 1]) / 2.0)
     b = float(A[0, 1])
@@ -196,25 +212,6 @@ def bivariate_cell(c: float, S, *, slice_tol: float = 1e-8) -> bool:
         raise NotOnSlice(
             f"half-trace {a} is off the slice value {a_expect}")
     return b >= 0.0 if c > 0.0 else b <= 0.0
-
-
-def symmetrize(S) -> tuple[float, float, np.ndarray]:
-    """Average over simultaneous row/column permutations.
-
-    Returns the mean diagonal value ``a``, the mean off-diagonal value
-    ``b`` and the averaged matrix ``a I + b (J - I)``, which is what a
-    full average over the symmetric group produces.
-    """
-    A = check_symmetric(S)
-    m = A.shape[0]
-    a = float(np.trace(A)) / m
-    if m == 1:
-        b = 0.0
-    else:
-        iu = np.triu_indices(m, 1)
-        b = float(A[iu].mean())
-    Sbar = a * np.eye(m) + b * (np.ones((m, m)) - np.eye(m))
-    return a, b, Sbar
 
 
 def equicorrelation_cell(m: int, c: float, S, *,
@@ -238,19 +235,19 @@ def equicorrelation_cell(m: int, c: float, S, *,
     if A.shape[0] != m:
         raise ShapeMismatch(
             f"expected a {m} x {m} matrix, got {A.shape}")
-    a, b, Sbar = symmetrize(A)
+    a, b, Sbar = _symmetrize(A)
     if c == 0.0:
         if abs(b) > slice_tol * (1.0 + abs(a)):
             raise NotOnSlice("slice of the identity point needs mean "
                              "off-diagonal zero")
-        return is_positive_definite(A) and a >= 0.5
+        return _is_pd(A) and a >= 0.5
     denom = c * c * m - 2.0 * c * c + 2.0 * c
     a_expect = ((m - 2) * c * c + (m - 1) * b * c * c
                 - (m - 1) * c ** 3 + b + c) / denom
     if _slice_mismatch(a, a_expect, slice_tol):
         raise NotOnSlice(
             f"symmetrised half-trace {a} is off the slice value {a_expect}")
-    if not is_positive_definite(A):
+    if not _is_pd(A):
         return False
     roots = cubic_roots_in_interval(*equicorrelation_cubic(m, a, b), lo, 1.0)
     ll_c = log_likelihood(equicorrelation_matrix(m, c), Sbar)
@@ -276,7 +273,7 @@ def ci_union_cell(Sigma, S, *, slice_tol: float = 1e-8) -> bool:
     Ss = check_symmetric(S)
     if Sg.shape != (3, 3) or Ss.shape != (3, 3):
         raise ShapeMismatch("the union model lives on 3 x 3 matrices")
-    if not is_positive_definite(Sg):
+    if not _is_pd(Sg):
         raise NotPD("Sigma is not positive definite")
     scale = max(1.0, float(np.abs(Sg).max()))
     s12, s13, s23 = Sg[0, 1], Sg[0, 2], Sg[1, 2]
@@ -299,20 +296,19 @@ def ci_union_cell(Sigma, S, *, slice_tol: float = 1e-8) -> bool:
         d1, d2, d3 = Sg[0, 0], Sg[1, 1], Sg[2, 2]
         M1 = np.array([[d1, x, y], [x, d2, 0.0], [y, 0.0, d3]])
         M2 = np.array([[d1, 0.0, y], [0.0, d2, z], [y, z, d3]])
-        return (is_positive_definite(Ss) and is_positive_definite(M1)
-                and is_positive_definite(M2))
+        return _is_pd(Ss) and _is_pd(M1) and _is_pd(M2)
 
     if abs(s12) <= slice_tol * scale:
         # component one: free entries S_12, S_13
         pinned([(0, 0), (1, 1), (1, 2), (2, 2)])
         bound = abs(s23) * np.sqrt(Sg[0, 0] / Sg[2, 2])
-        return is_positive_definite(Ss) and abs(Ss[0, 1]) <= bound
+        return _is_pd(Ss) and abs(Ss[0, 1]) <= bound
 
     if abs(s23) <= slice_tol * scale:
         # component two: free entries S_13, S_23
         pinned([(0, 0), (0, 1), (1, 1), (2, 2)])
         bound = abs(s12) * np.sqrt(Sg[2, 2] / Sg[0, 0])
-        return is_positive_definite(Ss) and abs(Ss[1, 2]) <= bound
+        return _is_pd(Ss) and abs(Ss[1, 2]) <= bound
 
     raise NotOnSlice("Sigma is not a union-model point")
 

@@ -23,13 +23,15 @@ import numpy as np
 
 from . import __version__
 from .cells import cell_membership, sample_spectrahedron, verdict_to_json, \
-    IN_CELL, DEGREE_ONE_FAMILIES
+    IN_CELL
 from .core import is_positive_definite, sym_from_json, sym_to_json
 from .errors import (
+    DimensionMismatch,
     IndexOutOfRange,
     InvalidModel,
     LogvorError,
     NotOnSlice,
+    NotTopological,
     OutOfRange,
     PreconditionFailed,
     ShapeMismatch,
@@ -42,7 +44,8 @@ from .models import GraphModel, model_from_json
 
 #: Errors that indicate malformed input rather than a failed computation.
 _INPUT_ERRORS = (ShapeMismatch, IndexOutOfRange, InvalidModel, OutOfRange,
-                 UnknownFigure, NotOnSlice, PreconditionFailed)
+                 UnknownFigure, NotOnSlice, PreconditionFailed,
+                 DimensionMismatch, NotTopological)
 
 _FIGURES = ("ci-union-t", "ci-union-s", "bivariate", "dag-slice",
             "path-spectrahedron")
@@ -121,7 +124,7 @@ def _cmd_points(args, all_points: bool) -> int:
     if not all_points:
         points = points[:1]
     report = {"points": [_point_report(model, cp, sample) for cp in points]}
-    if isinstance(model, DEGREE_ONE_FAMILIES):
+    if model.degree_one:
         report["note"] = "ML degree one: the critical point is the unique MLE"
     _emit(report)
     return 0

@@ -52,7 +52,13 @@ def is_positive_definite(M) -> bool:
     largest diagonal entry of the input.  Semidefinite boundary matrices
     are therefore classified as not positive definite.
     """
-    A = check_symmetric(M)
+    return _is_pd(check_symmetric(M))
+
+
+def _is_pd(A: np.ndarray) -> bool:
+    """:func:`is_positive_definite` of a validated symmetric array, which
+    is left unchanged."""
+    A = A.copy()
     m = A.shape[0]
     dmax = float(np.max(np.diag(A)))
     if dmax <= 0.0:
@@ -105,10 +111,15 @@ def log_likelihood(Sigma, S) -> float:
     if Sg.shape != Ss.shape:
         raise ShapeMismatch(
             f"Sigma has shape {Sg.shape} but S has shape {Ss.shape}")
-    if not is_positive_definite(Sg):
+    if not _is_pd(Sg):
         raise NotPD("Sigma is not positive definite")
-    if not is_positive_definite(Ss):
+    if not _is_pd(Ss):
         raise NotPD("S is not positive definite")
+    return _loglik(Sg, Ss)
+
+
+def _loglik(Sg: np.ndarray, Ss: np.ndarray) -> float:
+    """:func:`log_likelihood` of validated positive definite arrays."""
     L = np.linalg.cholesky(Sg)
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     return -logdet - float(np.trace(np.linalg.solve(Sg, Ss)))
@@ -127,8 +138,13 @@ def score_matrix(Sigma, S) -> np.ndarray:
     if Sg.shape != Ss.shape:
         raise ShapeMismatch(
             f"Sigma has shape {Sg.shape} but S has shape {Ss.shape}")
-    if not is_positive_definite(Sg):
+    if not _is_pd(Sg):
         raise NotPD("Sigma is not positive definite")
+    return _score(Sg, Ss)
+
+
+def _score(Sg: np.ndarray, Ss: np.ndarray) -> np.ndarray:
+    """:func:`score_matrix` of validated arrays."""
     K = np.linalg.inv(Sg)
     G = K @ Ss @ K - K
     return (G + G.T) / 2.0

@@ -1,12 +1,13 @@
 """Maximum likelihood solvers and critical point enumeration.
 
-Each model family gets the solver its geometry calls for: Newton
-iteration on the concentration coefficients for linear concentration
-models, the closed-form clique formula along a perfect elimination
-order for decomposable graphs, exact per-vertex regressions for DAGs,
-closed-form cubics for the bivariate and equicorrelation families, and
-seeded multistart root-finding on the tangential score equations for
-unrestricted correlation matrices.
+Each model family's ``critical_points`` method calls the solver its
+geometry calls for: Newton iteration on the concentration coefficients
+for linear concentration models, the closed-form clique formula along a
+perfect elimination order for decomposable graphs, exact per-vertex
+regressions for DAGs, closed-form cubics for the equicorrelation family
+(the bivariate family is its m = 2 case), and seeded multistart
+root-finding on the tangential score equations for unrestricted
+correlation matrices.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import check_symmetric, is_positive_definite, log_likelihood, \
-    pd_mask, score_matrix
+from .core import _is_pd, _loglik, _score, check_symmetric, \
+    is_positive_definite, pd_mask
 from .errors import (
     DegenerateLeadingCoefficient,
     InvalidModel,
@@ -31,21 +32,8 @@ from .errors import (
     ShapeMismatch,
 )
 from .graphs import Graph, adjacency, is_chordal
-from .models import (
-    BivariateCorrelation,
-    CiUnion,
-    DagModel,
-    Equicorrelation,
-    GraphModel,
-    LinearConcentration,
-    SemParams,
-    UnrestrictedCorrelation,
-    as_concentration,
-    equicorrelation_matrix,
-    sem_covariance,
-    sem_fit,
-    tangent_basis,
-)
+from .models import GraphModel, LinearConcentration, SemParams, \
+    _model_point, _symmetrize, as_concentration, sem_covariance, sem_fit
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +104,8 @@ def bivariate_stats(S) -> CubicCoeffs:
     A = check_symmetric(S)
     if A.shape != (2, 2):
         raise ShapeMismatch(f"expected a 2 x 2 matrix, got {A.shape}")
-    return CubicCoeffs(a=float((A[0, 0] + A[1, 1]) / 2.0), b=float(A[0, 1]))
+    a, b, _ = _symmetrize(A)
+    return CubicCoeffs(a=a, b=b)
 
 
 def equicorrelation_cubic(m: int, a: float, b: float) -> tuple[float, float, float, float]:
@@ -218,7 +207,7 @@ def mle_concentration(model: LinearConcentration, S, *,
     if A.shape[0] != m:
         raise ShapeMismatch(
             f"model dimension {m} does not match sample dimension {A.shape[0]}")
-    if not is_positive_definite(A):
+    if not _is_pd(A):
         raise NotPD("sample matrix is not positive definite")
 
     B = np.stack(model.basis)               # (d, m, m)
@@ -252,8 +241,7 @@ def mle_concentration(model: LinearConcentration, S, *,
         fitted = Bf @ Sigma.ravel()
         grad = fitted - target
         if np.all(np.abs(grad) < 1e-10 * (1.0 + np.abs(target))):
-            ll = log_likelihood(Sigma, A)
-            return CriticalPoint(sigma=Sigma, loglik=ll, source="unique")
+            return _critical_point(Sigma, A, "unique")
         # H_ij = tr(Sigma B_i Sigma B_j)
         P = Sigma @ B
         H = P.reshape(d, -1) @ P.transpose(0, 2, 1).reshape(d, -1).T
@@ -305,7 +293,7 @@ def mle_graph_decomposable(G: Graph, S) -> CriticalPoint:
     if A.shape[0] != m:
         raise ShapeMismatch(
             f"graph has {m} vertices, sample dimension is {A.shape[0]}")
-    if not is_positive_definite(A):
+    if not _is_pd(A):
         raise NotPD("sample matrix is not positive definite")
     chordal, order = is_chordal(G)
     if not chordal:
@@ -335,20 +323,16 @@ def _decomposable_point(G: Graph, A: np.ndarray, order) -> CriticalPoint:
                 K[idx] += w * np.linalg.inv(A[idx])
         Sigma = np.linalg.inv(K)
         Sigma = (Sigma + Sigma.T) / 2.0
-    return CriticalPoint(sigma=Sigma, loglik=log_likelihood(Sigma, A),
-                         source="unique")
+    return _critical_point(Sigma, A, "unique")
 
 
 def mle_dag(dag, S) -> tuple[SemParams, CriticalPoint]:
     """Exact MLE of a DAG model via per-vertex regressions."""
     A = check_symmetric(S)
-    if not is_positive_definite(A):
+    if not _is_pd(A):
         raise NotPD("sample matrix is not positive definite")
     params = sem_fit(dag, A)
-    Sigma = sem_covariance(dag, params)
-    point = CriticalPoint(sigma=Sigma, loglik=log_likelihood(Sigma, A),
-                          source="unique")
-    return params, point
+    return params, _critical_point(sem_covariance(dag, params), A, "unique")
 
 
 def criticality_residual(model, Sigma, S) -> float:
@@ -359,9 +343,19 @@ def criticality_residual(model, Sigma, S) -> float:
     means ``Sigma`` is a critical point of the likelihood of ``S``
     restricted to the model.
     """
-    sc = score_matrix(Sigma, S)
+    Sg = _model_point(model, Sigma)
+    Ss = check_symmetric(S)
+    if Sg.shape != Ss.shape:
+        raise ShapeMismatch(
+            f"Sigma has shape {Sg.shape} but S has shape {Ss.shape}")
+    return _residual(model, Sg, Ss)
+
+
+def _residual(model, Sg: np.ndarray, Ss: np.ndarray) -> float:
+    """:func:`criticality_residual` of validated matrices."""
+    sc = _score(Sg, Ss)
     worst = 0.0
-    for T in tangent_basis(model, Sigma):
+    for T in model.tangent_basis(Sg):
         nrm = float(np.linalg.norm(T))
         if nrm == 0.0:
             continue
@@ -369,14 +363,13 @@ def criticality_residual(model, Sigma, S) -> float:
     return worst
 
 
-def _equi_stats(A: np.ndarray) -> tuple[float, float]:
-    """Mean diagonal and mean off-diagonal entry."""
-    m = A.shape[0]
-    a = float(np.trace(A)) / m
-    if m == 1:
-        return a, 0.0
-    iu = np.triu_indices(m, 1)
-    return a, float(A[iu].mean())
+def _critical_point(Sigma: np.ndarray, A: np.ndarray,
+                    source: str) -> CriticalPoint:
+    """The critical point ``Sigma`` of the validated sample ``A``, with
+    its log-likelihood; :class:`NotPD` when ``Sigma`` fails the PD test."""
+    if not _is_pd(Sigma):
+        raise NotPD("Sigma is not positive definite")
+    return CriticalPoint(sigma=Sigma, loglik=_loglik(Sigma, A), source=source)
 
 
 class _CorrChart:
@@ -592,11 +585,8 @@ def _correlation_multistart(m: int, S: np.ndarray,
                 kept.append(row)
     else:
         kept = []
-    points = []
-    for Sigma in chart.matrices(np.array(kept).reshape(-1, chart.p)):
-        points.append(CriticalPoint(sigma=Sigma,
-                                    loglik=log_likelihood(Sigma, S),
-                                    source="multistart"))
+    points = [_critical_point(Sigma, S, "multistart")
+              for Sigma in chart.matrices(np.array(kept).reshape(-1, chart.p))]
     if not points:
         raise NoConvergence("multistart found no critical point")
     return points
@@ -612,74 +602,16 @@ def critical_points(model, S, opts: Optional[SolverOptions] = None
     """All real positive definite critical points of the likelihood of ``S``
     restricted to the model, sorted by descending log-likelihood.
 
-    Enumeration is exact for every family except
-    :class:`UnrestrictedCorrelation`, which uses the seeded multistart
-    search.  Graph models on chordal graphs use the closed-form
-    :func:`mle_graph_decomposable`, other graphs Newton's method.
+    Enumeration is exact for every family except those flagged
+    ``best_effort`` (:class:`UnrestrictedCorrelation`), which use the
+    seeded multistart search.  Graph models on chordal graphs use the
+    closed-form :func:`mle_graph_decomposable`, other graphs Newton's
+    method.
     """
-    opts = opts or SolverOptions()
     A = check_symmetric(S)
     if A.shape[0] != model.dim:
         raise ShapeMismatch(
             f"model dimension {model.dim} vs sample dimension {A.shape[0]}")
-    if not is_positive_definite(A):
+    if not _is_pd(A):
         raise NotPD("sample matrix is not positive definite")
-
-    if isinstance(model, GraphModel):
-        chordal, order = is_chordal(model.graph)
-        if chordal:
-            return [_decomposable_point(model.graph, A, order)]
-
-    if isinstance(model, (LinearConcentration, GraphModel)):
-        return [mle_concentration(model, A)]
-
-    if isinstance(model, DagModel):
-        return [mle_dag(model.dag, A)[1]]
-
-    if isinstance(model, BivariateCorrelation):
-        stats = bivariate_stats(A)
-        roots = cubic_roots_in_interval(
-            *equicorrelation_cubic(2, stats.a, stats.b), -1.0, 1.0)
-        pts = []
-        for r in roots:
-            Sigma = np.array([[1.0, r], [r, 1.0]])
-            pts.append(CriticalPoint(sigma=Sigma,
-                                     loglik=log_likelihood(Sigma, A),
-                                     source="cubic-root"))
-        return _sorted_points(pts)
-
-    if isinstance(model, Equicorrelation):
-        a, b = _equi_stats(A)
-        m = model.m
-        roots = cubic_roots_in_interval(
-            *equicorrelation_cubic(m, a, b), -1.0 / (m - 1), 1.0)
-        pts = []
-        for r in roots:
-            Sigma = equicorrelation_matrix(m, r)
-            pts.append(CriticalPoint(sigma=Sigma,
-                                     loglik=log_likelihood(Sigma, A),
-                                     source="cubic-root"))
-        return _sorted_points(pts)
-
-    if isinstance(model, UnrestrictedCorrelation):
-        return _sorted_points(_correlation_multistart(model.m, A, opts))
-
-    if isinstance(model, CiUnion):
-        one = np.array([[A[0, 0], 0.0, 0.0],
-                        [0.0, A[1, 1], A[1, 2]],
-                        [0.0, A[1, 2], A[2, 2]]])
-        two = np.array([[A[0, 0], A[0, 1], 0.0],
-                        [A[0, 1], A[1, 1], 0.0],
-                        [0.0, 0.0, A[2, 2]]])
-        pts = []
-        for Sigma in (one, two):
-            if is_positive_definite(Sigma):
-                pts.append(CriticalPoint(sigma=Sigma,
-                                         loglik=log_likelihood(Sigma, A),
-                                         source="closed-form"))
-        # the two planes meet in the diagonals; drop duplicates there
-        if len(pts) == 2 and float(np.abs(pts[0].sigma - pts[1].sigma).max()) <= 1e-12:
-            pts = pts[:1]
-        return _sorted_points(pts)
-
-    raise InvalidModel(f"unknown model {model!r}")
+    return model.critical_points(A, opts or SolverOptions())

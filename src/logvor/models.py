@@ -4,18 +4,21 @@ Every model fixes an ambient dimension ``m`` and describes a set of
 positive definite ``m x m`` covariance matrices: linear concentration
 models (the inverse covariance lies in a fixed span), undirected
 graphical models, DAG models, and several unit-diagonal correlation
-families.  The module knows how to test membership, produce tangent
-bases at smooth points, and evaluate the DAG parametrisations.
+families.  Each family is one subclass of :class:`Model`, registered by
+its JSON kind in :data:`FAMILIES`; the public functions here and in
+:mod:`logvor.mle` and :mod:`logvor.cells` validate their matrices once
+and then call the family's methods.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 import numpy as np
 
-from .core import check_symmetric, is_positive_definite
+from .core import _is_pd, _loglik, check_symmetric, sym_from_json, \
+    sym_to_json
 from .errors import (
     DimensionMismatch,
     InvalidModel,
@@ -26,7 +29,7 @@ from .errors import (
     SingularPoint,
 )
 from .graphs import Digraph, Graph, digraph_from_json, digraph_to_json, \
-    graph_from_json, graph_to_json
+    graph_from_json, graph_to_json, is_chordal
 
 #: Off-diagonal entries below this are treated as exact zeros when
 #: deciding which chart of a union model a point belongs to.
@@ -45,11 +48,58 @@ def _offdiag_unit(i: int, j: int, m: int) -> np.ndarray:
     return E
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_pairs(x) -> bool:
+    return isinstance(x, list) and all(
+        isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in x)
+
+
+def _json_field(obj: dict, name: str, what: str, ok, default=None):
+    """The field ``name`` of a model's JSON object; :class:`InvalidModel`
+    naming the field unless ``ok`` accepts its value."""
+    value = obj.get(name, default)
+    if not ok(value):
+        raise InvalidModel(f'{obj["kind"]} model JSON: "{name}" must be '
+                           f"{what}, got {value!r}")
+    return value
+
+
+class Model:
+    """A model family: a set of positive definite ``dim x dim`` matrices.
+
+    A family sets ``kind`` (its JSON tag), ``dim`` and the two flags, and
+    implements ``contains(A, tol)`` (does ``A`` satisfy the model
+    equations within ``tol``?), ``tangent_basis(A)`` at a model point,
+    ``critical_points(A, opts)`` of a sample, best first, and, where it
+    has fields, ``to_json`` and ``from_json``.  The methods take arrays
+    that the public functions have validated: symmetric, finite, of
+    dimension ``dim`` and positive definite.
+    """
+
+    kind: ClassVar[str]
+    #: Every sample has exactly one critical point, so the logarithmic
+    #: Voronoi cell of a point equals its log-normal spectrahedron.
+    degree_one: ClassVar[bool] = False
+    #: Critical points come from the heuristic multistart search.
+    best_effort: ClassVar[bool] = False
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "Model":
+        return cls()
+
+
 @dataclass(frozen=True, eq=False)
-class LinearConcentration:
+class LinearConcentration(Model):
     """Covariances whose inverse lies in the span of a fixed symmetric basis."""
 
     kind = "concentration"
+    degree_one = True
     basis: tuple[np.ndarray, ...]
 
     def __post_init__(self):
@@ -77,78 +127,214 @@ class LinearConcentration:
         object.__setattr__(model, "basis", tuple(basis))
         return model
 
+    def contains(self, A, tol):
+        K = np.linalg.inv(A)
+        scale = max(1.0, float(np.abs(K).max()))
+        stack = np.stack([B.ravel() for B in self.basis]).T
+        coeff, *_ = np.linalg.lstsq(stack, K.ravel(), rcond=None)
+        resid = float(np.abs(stack @ coeff - K.ravel()).max())
+        return resid <= tol * scale
+
+    def tangent_basis(self, A):
+        return [-(A @ K @ A) for K in self.basis]
+
+    def critical_points(self, A, opts):
+        from .mle import mle_concentration
+        return [mle_concentration(self, A)]
+
+    def to_json(self):
+        return {"kind": self.kind,
+                "basis": [sym_to_json(K) for K in self.basis]}
+
+    @classmethod
+    def from_json(cls, obj):
+        basis = _json_field(obj, "basis", "a list of symmetric matrices",
+                            lambda v: isinstance(v, list))
+        return cls(tuple(sym_from_json(b) for b in basis))
+
 
 @dataclass(frozen=True)
-class GraphModel:
+class GraphModel(Model):
     """Undirected graphical model: zeros of the concentration off the edges."""
 
     kind = "graph"
+    degree_one = True
     graph: Graph
 
     @property
     def dim(self) -> int:
         return self.graph.m
 
+    def contains(self, A, tol):
+        K = np.linalg.inv(A)
+        scale = max(1.0, float(np.abs(K).max()))
+        G = self.graph
+        off = [abs(K[i - 1, j - 1])
+               for i in range(1, G.m + 1) for j in range(i + 1, G.m + 1)
+               if not G.has_edge(i, j)]
+        return max(off, default=0.0) <= tol * scale
+
+    def tangent_basis(self, A):
+        return as_concentration(self).tangent_basis(A)
+
+    def critical_points(self, A, opts):
+        """The clique formula on chordal graphs, Newton's method on the
+        others."""
+        from .mle import _decomposable_point, mle_concentration
+        chordal, order = is_chordal(self.graph)
+        if chordal:
+            return [_decomposable_point(self.graph, A, order)]
+        return [mle_concentration(self, A)]
+
+    def to_json(self):
+        return {"kind": self.kind, **graph_to_json(self.graph)}
+
+    @classmethod
+    def from_json(cls, obj):
+        _json_field(obj, "m", "an integer", _is_int)
+        _json_field(obj, "edges", "a list of pairs [i, j]", _is_pairs, [])
+        return cls(graph_from_json(obj))
+
 
 @dataclass(frozen=True)
-class DagModel:
+class DagModel(Model):
     """Gaussian DAG model in its trek-rule / structural-equation form."""
 
     kind = "dag"
+    degree_one = True
     dag: Digraph
 
     @property
     def dim(self) -> int:
         return self.dag.m
 
+    def contains(self, A, tol):
+        scale = max(1.0, float(np.abs(A).max()))
+        fitted = sem_covariance(self.dag, _sem_fit(self.dag, A))
+        return float(np.abs(fitted - A).max()) <= tol * scale
+
+    def tangent_basis(self, A):
+        """Partial derivatives of the parametrisation at ``A``, in the
+        structural-equation chart (which spans the same space as the
+        trek-rule one)."""
+        m = self.dim
+        params = _sem_fit(self.dag, A)
+        M = np.linalg.inv(np.eye(m) - params.Lambda)
+        out = []
+        for k in range(m):
+            out.append(M.T @ _diag_unit(k, m) @ M)
+        for (u, v) in self.dag.sorted_arcs():
+            E = np.zeros((m, m))
+            E[u - 1, v - 1] = 1.0
+            C = A @ E @ M
+            out.append(C + C.T)
+        return out
+
+    def critical_points(self, A, opts):
+        from .mle import mle_dag
+        return [mle_dag(self.dag, A)[1]]
+
+    def to_json(self):
+        return {"kind": self.kind, **digraph_to_json(self.dag)}
+
+    @classmethod
+    def from_json(cls, obj):
+        _json_field(obj, "m", "an integer", _is_int)
+        _json_field(obj, "arcs", "a list of pairs [i, j]", _is_pairs, [])
+        return cls(digraph_from_json(obj))
+
 
 @dataclass(frozen=True)
-class BivariateCorrelation:
-    """2 x 2 correlation matrices (unit diagonal)."""
+class _UnitDiagonal(Model):
+    """Shared part of the correlation families on ``m x m`` matrices."""
 
-    kind = "bivariate-correlation"
-
-    @property
-    def dim(self) -> int:
-        return 2
-
-
-@dataclass(frozen=True)
-class Equicorrelation:
-    """Unit-diagonal matrices with one common off-diagonal value."""
-
-    kind = "equicorrelation"
     m: int
 
     def __post_init__(self):
         if int(self.m) != self.m or self.m < 2:
-            raise DimensionMismatch("equicorrelation needs m >= 2")
+            raise DimensionMismatch(f"{self.kind} model needs m >= 2")
         object.__setattr__(self, "m", int(self.m))
 
     @property
     def dim(self) -> int:
         return self.m
 
+    def contains(self, A, tol):
+        return float(np.abs(np.diag(A) - 1.0).max()) <= tol
+
+    def to_json(self):
+        return {"kind": self.kind, "m": self.m}
+
+    @classmethod
+    def from_json(cls, obj):
+        return cls(_json_field(obj, "m", "an integer", _is_int))
+
 
 @dataclass(frozen=True)
-class UnrestrictedCorrelation:
+class Equicorrelation(_UnitDiagonal):
+    """Unit-diagonal matrices with one common off-diagonal value.
+
+    The critical points are the equicorrelation matrices at the real
+    roots of a cubic in the symmetrised statistics of the sample.
+    """
+
+    kind = "equicorrelation"
+
+    def contains(self, A, tol):
+        if not super().contains(A, tol):
+            return False
+        off = A[np.triu_indices(self.m, 1)]
+        return float(np.abs(off - off.mean()).max()) <= tol
+
+    def tangent_basis(self, A):
+        return [np.ones((self.m, self.m)) - np.eye(self.m)]
+
+    def critical_points(self, A, opts):
+        from .mle import _critical_point, _sorted_points, \
+            cubic_roots_in_interval, equicorrelation_cubic
+        m = self.m
+        a, b, _ = _symmetrize(A)
+        roots = cubic_roots_in_interval(
+            *equicorrelation_cubic(m, a, b), -1.0 / (m - 1), 1.0)
+        return _sorted_points([
+            _critical_point(equicorrelation_matrix(m, r), A, "cubic-root")
+            for r in roots])
+
+
+@dataclass(frozen=True)
+class BivariateCorrelation(Equicorrelation):
+    """2 x 2 correlation matrices: :class:`Equicorrelation` with ``m = 2``,
+    under its own JSON kind."""
+
+    kind = "bivariate-correlation"
+    m: int = field(default=2, init=False)
+
+    def to_json(self):
+        return {"kind": self.kind}
+
+    @classmethod
+    def from_json(cls, obj):
+        return cls()
+
+
+@dataclass(frozen=True)
+class UnrestrictedCorrelation(_UnitDiagonal):
     """All positive definite unit-diagonal m x m matrices."""
 
     kind = "correlation"
-    m: int
+    best_effort = True
 
-    def __post_init__(self):
-        if int(self.m) != self.m or self.m < 2:
-            raise DimensionMismatch("correlation model needs m >= 2")
-        object.__setattr__(self, "m", int(self.m))
+    def tangent_basis(self, A):
+        return [_offdiag_unit(i, j, self.m)
+                for i in range(self.m) for j in range(i + 1, self.m)]
 
-    @property
-    def dim(self) -> int:
-        return self.m
+    def critical_points(self, A, opts):
+        from .mle import _correlation_multistart, _sorted_points
+        return _sorted_points(_correlation_multistart(self.m, A, opts))
 
 
 @dataclass(frozen=True)
-class CiUnion:
+class CiUnion(Model):
     """Union of two conditional-independence planes in 3 x 3 covariances.
 
     Component one fixes ``sigma_12 = sigma_13 = 0`` (free parameters at
@@ -164,9 +350,41 @@ class CiUnion:
     def dim(self) -> int:
         return 3
 
+    def contains(self, A, tol):
+        return (abs(A[0, 2]) <= tol
+                and min(abs(A[0, 1]), abs(A[1, 2])) <= tol)
 
-Model = (LinearConcentration | GraphModel | DagModel | BivariateCorrelation
-         | Equicorrelation | UnrestrictedCorrelation | CiUnion)
+    def tangent_basis(self, A):
+        """The chart of the component holding ``A``;
+        :class:`SingularPoint` where the components meet."""
+        in_one = abs(A[0, 1]) <= SINGULAR_TOL   # sigma_12 = 0
+        in_two = abs(A[1, 2]) <= SINGULAR_TOL   # sigma_23 = 0
+        if in_one and in_two:
+            raise SingularPoint(
+                "diagonal covariances are singular points of the union")
+        if in_one:
+            return [_diag_unit(0, 3), _diag_unit(1, 3),
+                    _offdiag_unit(1, 2, 3), _diag_unit(2, 3)]
+        if in_two:
+            return [_diag_unit(0, 3), _offdiag_unit(0, 1, 3),
+                    _diag_unit(1, 3), _diag_unit(2, 3)]
+        raise InvalidModel("Sigma lies in neither component of the union")
+
+    def critical_points(self, A, opts):
+        from .mle import CriticalPoint, _sorted_points
+        one = np.array([[A[0, 0], 0.0, 0.0],
+                        [0.0, A[1, 1], A[1, 2]],
+                        [0.0, A[1, 2], A[2, 2]]])
+        two = np.array([[A[0, 0], A[0, 1], 0.0],
+                        [A[0, 1], A[1, 1], 0.0],
+                        [0.0, 0.0, A[2, 2]]])
+        pts = [CriticalPoint(sigma=Sigma, loglik=_loglik(Sigma, A),
+                             source="closed-form")
+               for Sigma in (one, two) if _is_pd(Sigma)]
+        # the two planes meet in the diagonals; drop duplicates there
+        if len(pts) == 2 and float(np.abs(pts[0].sigma - pts[1].sigma).max()) <= 1e-12:
+            pts = pts[:1]
+        return _sorted_points(pts)
 
 
 @dataclass(frozen=True)
@@ -216,11 +434,16 @@ def as_concentration(model: GraphModel) -> LinearConcentration:
     return LinearConcentration._independent(concentration_basis(model.graph))
 
 
-def _check_model_matrix(model, Sigma) -> np.ndarray:
+def _model_point(model: Model, Sigma) -> np.ndarray:
+    """``Sigma`` validated as a candidate point of ``model``: symmetric,
+    finite, of the model's dimension (:class:`DimensionMismatch`) and
+    positive definite (:class:`NotPD`)."""
     A = check_symmetric(Sigma)
     if A.shape[0] != model.dim:
         raise DimensionMismatch(
             f"model has dimension {model.dim}, matrix has {A.shape[0]}")
+    if not _is_pd(A):
+        raise NotPD("Sigma is not positive definite")
     return A
 
 
@@ -229,52 +452,10 @@ def model_contains(model, Sigma, tol: float = 1e-8) -> bool:
 
     Residuals are compared against ``tol`` scaled by ``max(1, |.|)`` of
     the quantity being tested (concentration entries for inverse-based
-    families, covariance entries for the rest).
+    families, covariance entries for the DAG family); the
+    correlation and union families compare unscaled entries.
     """
-    A = _check_model_matrix(model, Sigma)
-
-    if isinstance(model, (LinearConcentration, GraphModel)):
-        if not is_positive_definite(A):
-            raise NotPD("Sigma is not positive definite")
-        K = np.linalg.inv(A)
-        scale = max(1.0, float(np.abs(K).max()))
-        if isinstance(model, GraphModel):
-            G = model.graph
-            off = [abs(K[i - 1, j - 1])
-                   for i in range(1, G.m + 1) for j in range(i + 1, G.m + 1)
-                   if not G.has_edge(i, j)]
-            return max(off, default=0.0) <= tol * scale
-        stack = np.stack([B.ravel() for B in model.basis]).T
-        coeff, *_ = np.linalg.lstsq(stack, K.ravel(), rcond=None)
-        resid = float(np.abs(stack @ coeff - K.ravel()).max())
-        return resid <= tol * scale
-
-    scale = max(1.0, float(np.abs(A).max()))
-
-    if isinstance(model, DagModel):
-        if not is_positive_definite(A):
-            raise NotPD("Sigma is not positive definite")
-        fitted = sem_covariance(model.dag, sem_fit(model.dag, A))
-        return float(np.abs(fitted - A).max()) <= tol * scale
-
-    if isinstance(model, BivariateCorrelation):
-        return float(np.abs(np.diag(A) - 1.0).max()) <= tol
-
-    if isinstance(model, Equicorrelation):
-        if float(np.abs(np.diag(A) - 1.0).max()) > tol:
-            return False
-        iu = np.triu_indices(model.m, 1)
-        off = A[iu]
-        return float(np.abs(off - off.mean()).max()) <= tol
-
-    if isinstance(model, UnrestrictedCorrelation):
-        return float(np.abs(np.diag(A) - 1.0).max()) <= tol
-
-    if isinstance(model, CiUnion):
-        return (abs(A[0, 2]) <= tol
-                and min(abs(A[0, 1]), abs(A[1, 2])) <= tol)
-
-    raise InvalidModel(f"unknown model {model!r}")
+    return model.contains(_model_point(model, Sigma), tol)
 
 
 def tangent_basis(model, Sigma) -> list[np.ndarray]:
@@ -287,54 +468,7 @@ def tangent_basis(model, Sigma) -> list[np.ndarray]:
     the correlation families the fixed coordinate directions.  At a
     singular point of a union model :class:`SingularPoint` is raised.
     """
-    A = _check_model_matrix(model, Sigma)
-    m = model.dim
-
-    if isinstance(model, (LinearConcentration, GraphModel)):
-        basis = (model.basis if isinstance(model, LinearConcentration)
-                 else concentration_basis(model.graph))
-        return [-(A @ K @ A) for K in basis]
-
-    if isinstance(model, DagModel):
-        if not is_positive_definite(A):
-            raise NotPD("Sigma is not positive definite")
-        params = sem_fit(model.dag, A)
-        M = np.linalg.inv(np.eye(m) - params.Lambda)
-        out = []
-        for k in range(m):
-            out.append(M.T @ _diag_unit(k, m) @ M)
-        for (u, v) in model.dag.sorted_arcs():
-            E = np.zeros((m, m))
-            E[u - 1, v - 1] = 1.0
-            C = A @ E @ M
-            out.append(C + C.T)
-        return out
-
-    if isinstance(model, BivariateCorrelation):
-        return [_offdiag_unit(0, 1, 2)]
-
-    if isinstance(model, Equicorrelation):
-        return [np.ones((m, m)) - np.eye(m)]
-
-    if isinstance(model, UnrestrictedCorrelation):
-        return [_offdiag_unit(i, j, m)
-                for i in range(m) for j in range(i + 1, m)]
-
-    if isinstance(model, CiUnion):
-        in_one = abs(A[0, 1]) <= SINGULAR_TOL   # sigma_12 = 0
-        in_two = abs(A[1, 2]) <= SINGULAR_TOL   # sigma_23 = 0
-        if in_one and in_two:
-            raise SingularPoint(
-                "diagonal covariances are singular points of the union")
-        if in_one:
-            return [_diag_unit(0, 3), _diag_unit(1, 3),
-                    _offdiag_unit(1, 2, 3), _diag_unit(2, 3)]
-        if in_two:
-            return [_diag_unit(0, 3), _offdiag_unit(0, 1, 3),
-                    _diag_unit(1, 3), _diag_unit(2, 3)]
-        raise InvalidModel("Sigma lies in neither component of the union")
-
-    raise InvalidModel(f"unknown model {model!r}")
+    return model.tangent_basis(_model_point(model, Sigma))
 
 
 def trek_covariance(dag: Digraph, params: DagParams) -> np.ndarray:
@@ -393,10 +527,15 @@ def sem_fit(dag: Digraph, S) -> SemParams:
     likelihood critical point.
     """
     A = check_symmetric(S)
-    m = dag.m
-    if A.shape[0] != m:
+    if A.shape[0] != dag.m:
         raise DimensionMismatch(
-            f"DAG has {m} vertices, matrix has dimension {A.shape[0]}")
+            f"DAG has {dag.m} vertices, matrix has dimension {A.shape[0]}")
+    return _sem_fit(dag, A)
+
+
+def _sem_fit(dag: Digraph, A: np.ndarray) -> SemParams:
+    """:func:`sem_fit` of a validated matrix of the DAG's dimension."""
+    m = dag.m
     Lambda = np.zeros((m, m))
     omega = np.zeros(m)
     for k in range(1, m + 1):
@@ -432,7 +571,7 @@ def dag_params_to_sem(dag: Digraph, params: DagParams) -> SemParams:
 
 
 def equicorrelation_matrix(m: int, x: float) -> np.ndarray:
-    """The matrix ``(1 - x) I + x J`` (unit diagonal, constant off-diagonal).
+    """The matrix ``(1 - x) I + x J``: diagonal exactly 1, off-diagonal ``x``.
 
     Positive definite exactly for ``-1/(m-1) < x < 1``; values outside
     that open interval raise :class:`OutOfRange`.
@@ -444,46 +583,54 @@ def equicorrelation_matrix(m: int, x: float) -> np.ndarray:
         raise OutOfRange(
             f"{x} outside the positive definite interval "
             f"({-1.0 / (m - 1)}, 1)")
-    return (1.0 - x) * np.eye(m) + x * np.ones((m, m))
+    M = np.full((m, m), x)
+    np.fill_diagonal(M, 1.0)
+    return M
+
+
+def symmetrize(S) -> tuple[float, float, np.ndarray]:
+    """Average over simultaneous row/column permutations.
+
+    Returns the mean diagonal value ``a``, the mean off-diagonal value
+    ``b`` and the averaged matrix ``a I + b (J - I)``, which is what a
+    full average over the symmetric group produces.  These are the
+    statistics of the equicorrelation critical cubic.
+    """
+    return _symmetrize(check_symmetric(S))
+
+
+def _symmetrize(A: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """:func:`symmetrize` of a validated matrix."""
+    m = A.shape[0]
+    a = float(np.trace(A)) / m
+    if m == 1:
+        b = 0.0
+    else:
+        iu = np.triu_indices(m, 1)
+        b = float(A[iu].mean())
+    Sbar = a * np.eye(m) + b * (np.ones((m, m)) - np.eye(m))
+    return a, b, Sbar
+
+
+#: The model families by JSON kind.
+FAMILIES = {cls.kind: cls for cls in (
+    LinearConcentration, GraphModel, DagModel, BivariateCorrelation,
+    Equicorrelation, UnrestrictedCorrelation, CiUnion)}
 
 
 def model_from_json(obj) -> Model:
-    """Decode a model description ``{"kind": ..., ...}``."""
-    from .core import sym_from_json
+    """Decode a model description ``{"kind": ..., ...}``.
 
+    A missing or ill-typed field raises :class:`InvalidModel` naming it.
+    """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InvalidModel('model JSON needs a "kind" field')
     kind = obj["kind"]
-    if kind == "concentration":
-        return LinearConcentration(
-            tuple(sym_from_json(b) for b in obj["basis"]))
-    if kind == "graph":
-        return GraphModel(graph_from_json(obj))
-    if kind == "dag":
-        return DagModel(digraph_from_json(obj))
-    if kind == "bivariate-correlation":
-        return BivariateCorrelation()
-    if kind == "equicorrelation":
-        return Equicorrelation(obj["m"])
-    if kind == "correlation":
-        return UnrestrictedCorrelation(obj["m"])
-    if kind == "ci-union":
-        return CiUnion()
-    raise InvalidModel(f"unknown model kind {kind!r}")
+    family = FAMILIES.get(kind) if isinstance(kind, str) else None
+    if family is None:
+        raise InvalidModel(f"unknown model kind {kind!r}")
+    return family.from_json(obj)
 
 
 def model_to_json(model) -> dict:
-    from .core import sym_to_json
-
-    if isinstance(model, LinearConcentration):
-        return {"kind": model.kind,
-                "basis": [sym_to_json(K) for K in model.basis]}
-    if isinstance(model, GraphModel):
-        return {"kind": model.kind, **graph_to_json(model.graph)}
-    if isinstance(model, DagModel):
-        return {"kind": model.kind, **digraph_to_json(model.dag)}
-    if isinstance(model, (Equicorrelation, UnrestrictedCorrelation)):
-        return {"kind": model.kind, "m": model.m}
-    if isinstance(model, (BivariateCorrelation, CiUnion)):
-        return {"kind": model.kind}
-    raise InvalidModel(f"unknown model {model!r}")
+    return model.to_json()

@@ -26,8 +26,9 @@ from .errors import NotOnSlice, NotPD, OutOfRange, PreconditionFailed, \
 from .graphs import Graph, find_reducible_decomposition, induced_subgraph
 from .mle import SolverOptions, CriticalPoint, _residual, \
     cubic_roots_in_interval, equicorrelation_cubic
-from .models import GraphModel, _model_point, _symmetrize, \
-    equicorrelation_matrix, symmetrize
+from .models import CiUnion, GraphModel, _model_point, _symmetrize, \
+    equicorrelation_matrix
+from .models import symmetrize  # noqa: F401  (public here too)
 
 IN_CELL = "InCell"
 IN_SPECTRAHEDRON_NOT_CELL = "InSpectrahedronNotCell"
@@ -124,9 +125,6 @@ def _spectrahedron_status(model, Sigma, S, tol: float):
     Ss = check_symmetric(S)
     if not _is_pd(Ss):
         return Sg, Ss, NOT_PD
-    if Ss.shape != Sg.shape:
-        raise ShapeMismatch(
-            f"Sigma has shape {Sg.shape} but S has shape {Ss.shape}")
     if not _residual(model, Sg, Ss) < tol:
         return Sg, Ss, NOT_IN_SPECTRAHEDRON
     return Sg, Ss, None
@@ -276,9 +274,9 @@ def ci_union_cell(Sigma, S, *, slice_tol: float = 1e-8) -> bool:
     if not _is_pd(Sg):
         raise NotPD("Sigma is not positive definite")
     scale = max(1.0, float(np.abs(Sg).max()))
-    s12, s13, s23 = Sg[0, 1], Sg[0, 2], Sg[1, 2]
-    if abs(s13) > slice_tol * scale:
-        raise NotOnSlice("Sigma is not a union-model point (Sigma_13 != 0)")
+    if not CiUnion().contains(Sg, slice_tol * scale):
+        raise NotOnSlice("Sigma is not a union-model point")
+    s12, s23 = Sg[0, 1], Sg[1, 2]
 
     def pinned(pairs) -> None:
         for (i, j) in pairs:
@@ -304,13 +302,10 @@ def ci_union_cell(Sigma, S, *, slice_tol: float = 1e-8) -> bool:
         bound = abs(s23) * np.sqrt(Sg[0, 0] / Sg[2, 2])
         return _is_pd(Ss) and abs(Ss[0, 1]) <= bound
 
-    if abs(s23) <= slice_tol * scale:
-        # component two: free entries S_13, S_23
-        pinned([(0, 0), (0, 1), (1, 1), (2, 2)])
-        bound = abs(s12) * np.sqrt(Sg[2, 2] / Sg[0, 0])
-        return _is_pd(Ss) and abs(Ss[1, 2]) <= bound
-
-    raise NotOnSlice("Sigma is not a union-model point")
+    # component two: free entries S_13, S_23
+    pinned([(0, 0), (0, 1), (1, 1), (2, 2)])
+    bound = abs(s12) * np.sqrt(Sg[2, 2] / Sg[0, 0])
+    return _is_pd(Ss) and abs(Ss[1, 2]) <= bound
 
 
 def compose_cell(G: Graph, Sigma, S1, S2, M) -> np.ndarray:

@@ -343,16 +343,15 @@ def criticality_residual(model, Sigma, S) -> float:
     means ``Sigma`` is a critical point of the likelihood of ``S``
     restricted to the model.
     """
-    Sg = _model_point(model, Sigma)
-    Ss = check_symmetric(S)
-    if Sg.shape != Ss.shape:
-        raise ShapeMismatch(
-            f"Sigma has shape {Sg.shape} but S has shape {Ss.shape}")
-    return _residual(model, Sg, Ss)
+    return _residual(model, _model_point(model, Sigma), check_symmetric(S))
 
 
 def _residual(model, Sg: np.ndarray, Ss: np.ndarray) -> float:
-    """:func:`criticality_residual` of validated matrices."""
+    """:func:`criticality_residual` of validated matrices, which must
+    have one shape (:class:`ShapeMismatch`)."""
+    if Sg.shape != Ss.shape:
+        raise ShapeMismatch(
+            f"Sigma has shape {Sg.shape} but S has shape {Ss.shape}")
     sc = _score(Sg, Ss)
     worst = 0.0
     for T in model.tangent_basis(Sg):

@@ -178,8 +178,6 @@ class GraphModel(Model):
         return as_concentration(self).tangent_basis(A)
 
     def critical_points(self, A, opts):
-        """The clique formula on chordal graphs, Newton's method on the
-        others."""
         from .mle import _decomposable_point, mle_concentration
         chordal, order = is_chordal(self.graph)
         if chordal:
@@ -214,9 +212,6 @@ class DagModel(Model):
         return float(np.abs(fitted - A).max()) <= tol * scale
 
     def tangent_basis(self, A):
-        """Partial derivatives of the parametrisation at ``A``, in the
-        structural-equation chart (which spans the same space as the
-        trek-rule one)."""
         m = self.dim
         params = _sem_fit(self.dag, A)
         M = np.linalg.inv(np.eye(m) - params.Lambda)
@@ -272,11 +267,7 @@ class _UnitDiagonal(Model):
 
 @dataclass(frozen=True)
 class Equicorrelation(_UnitDiagonal):
-    """Unit-diagonal matrices with one common off-diagonal value.
-
-    The critical points are the equicorrelation matrices at the real
-    roots of a cubic in the symmetrised statistics of the sample.
-    """
+    """Unit-diagonal matrices with one common off-diagonal value."""
 
     kind = "equicorrelation"
 
@@ -308,13 +299,9 @@ class BivariateCorrelation(Equicorrelation):
 
     kind = "bivariate-correlation"
     m: int = field(default=2, init=False)
-
-    def to_json(self):
-        return {"kind": self.kind}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls()
+    # the JSON of a family without fields: the kind alone
+    to_json = Model.to_json
+    from_json = classmethod(Model.from_json.__func__)
 
 
 @dataclass(frozen=True)
@@ -345,18 +332,13 @@ class CiUnion(Model):
     """
 
     kind = "ci-union"
-
-    @property
-    def dim(self) -> int:
-        return 3
+    dim = 3
 
     def contains(self, A, tol):
         return (abs(A[0, 2]) <= tol
                 and min(abs(A[0, 1]), abs(A[1, 2])) <= tol)
 
     def tangent_basis(self, A):
-        """The chart of the component holding ``A``;
-        :class:`SingularPoint` where the components meet."""
         in_one = abs(A[0, 1]) <= SINGULAR_TOL   # sigma_12 = 0
         in_two = abs(A[1, 2]) <= SINGULAR_TOL   # sigma_23 = 0
         if in_one and in_two:

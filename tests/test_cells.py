@@ -156,6 +156,53 @@ class TestInSpectrahedron:
         assert in_spectrahedron(GraphModel(path_graph), path_sigma, path_sigma)
 
 
+class TestSigmaOffTheModel:
+    """Sigma must be a point of the model; the sample S may be anything."""
+
+    MODEL = GraphModel(Graph(3, ((1, 2),)))
+    SIGMA = np.array([[2.0, 0.5, 0.3], [0.5, 2.0, 0.5], [0.3, 0.5, 2.0]])
+
+    def test_every_entry_point_refuses(self):
+        calls = [lambda: cell_membership(self.MODEL, self.SIGMA, self.SIGMA),
+                 lambda: in_spectrahedron(self.MODEL, self.SIGMA, self.SIGMA),
+                 lambda: lognormal_basis(self.MODEL, self.SIGMA),
+                 lambda: sample_spectrahedron(self.MODEL, self.SIGMA, 2)]
+        for call in calls:
+            with pytest.raises(PreconditionFailed):
+                call()
+
+    def test_model_point_is_accepted(self):
+        K = np.linalg.inv(self.SIGMA)
+        K[0, 2] = K[2, 0] = K[1, 2] = K[2, 1] = 0.0
+        Sigma = np.linalg.inv(K)
+        assert cell_membership(self.MODEL, Sigma, Sigma).status == IN_CELL
+
+
+class TestValidatedOnce:
+    def test_membership_checks_each_matrix_once(self, path_graph, path_sigma,
+                                                 monkeypatch):
+        """One symmetry check and one PD elimination for each of Sigma
+        and S; nothing downstream validates them again."""
+        import logvor
+        counts = {"check_symmetric": 0, "_is_pd": 0}
+        for name in counts:
+            original = getattr(logvor.core, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in (logvor.core, logvor.models, logvor.mle,
+                           logvor.cells):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        S = path_sigma.copy()
+        S[0, 2] = S[2, 0] = 0.5
+        verdict = cell_membership(GraphModel(path_graph), path_sigma, S)
+        assert verdict.status == IN_CELL
+        assert counts == {"check_symmetric": 2, "_is_pd": 2}
+
+
 class TestCellMembership:
     def test_degree_one_shortcut(self, path_graph, path_sigma):
         model = GraphModel(path_graph)

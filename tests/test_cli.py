@@ -174,6 +174,38 @@ class TestExitCodes:
         assert err.startswith("error: ") and field in err
         assert "array" not in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("model, dim, message", [
+        ({"kind": "correlation", "m": 3}, 2, "dimension"),
+        ({"kind": "equicorrelation", "m": 1}, 1, "m >= 2"),
+        ({"kind": "correlation", "m": "3"}, 3, '"m"'),
+        ({"kind": "dag", "m": 2, "arcs": [[2, 1]]}, 2, "labelling"),
+        ({"kind": "equicorrelation"}, 3, '"m"'),
+        ({"kind": "concentration", "basis": 5}, 2, '"basis"'),
+    ], ids=["sigma-dimension", "equicorrelation-m-1", "m-string",
+            "dag-arc-against-labels", "m-missing", "basis-not-a-list"])
+    def test_malformed_input_exits_two(self, tmp_path, capsys, model, dim,
+                                       message):
+        matrix = sym_to_json(np.eye(dim))
+        file = write_problem(tmp_path, {"model": model, "sigma": matrix,
+                                        "sample": matrix})
+        code, out, err = run_cli(capsys, ["membership", file])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+    def test_sigma_off_the_model_exits_two(self, tmp_path, capsys):
+        """Sigma is not in the graph model with the one edge 1-2."""
+        sigma = sym_to_json(np.array([[2.0, 0.5, 0.3], [0.5, 2.0, 0.5],
+                                      [0.3, 0.5, 2.0]]))
+        doc = {"model": {"kind": "graph", "m": 3, "edges": [[1, 2]]},
+               "sigma": sigma, "sample": sigma}
+        file = write_problem(tmp_path, doc)
+        for argv in (["membership", file], ["sample", file, "--count", "1"]):
+            code, out, err = run_cli(capsys, argv)
+            assert code == 2
+            assert out == ""
+            assert "not a point of the model" in err
+
     def test_solver_failure_exits_three(self, tmp_path, capsys, path_sigma):
         # a non-PD sigma makes the sampler fail outside the input layer
         bad = np.diag([1.0, 1.0, 1.0, -1.0])

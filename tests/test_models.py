@@ -30,11 +30,13 @@ from logvor import (
     model_to_json,
     sem_covariance,
     sem_fit,
+    critical_points,
     list_treks,
     tangent_basis,
     trek_covariance,
 )
 from logvor.core import random_pd
+from logvor.models import FAMILIES
 
 from conftest import random_correlation
 
@@ -327,18 +329,57 @@ class TestEquicorrelationMatrix:
             equicorrelation_matrix(3, 1.0)
 
 
+def one_model_per_kind(path_graph, collider_dag) -> dict:
+    return {model.kind: model for model in [
+        GraphModel(path_graph),
+        DagModel(collider_dag),
+        BivariateCorrelation(),
+        Equicorrelation(4),
+        UnrestrictedCorrelation(3),
+        CiUnion(),
+        as_concentration(GraphModel(path_graph)),
+    ]}
+
+
+class TestFamilyProtocol:
+    def test_every_kind_rejects_non_pd(self, path_graph, collider_dag):
+        """The PD test runs at the boundary, whatever the family."""
+        for kind, model in one_model_per_kind(path_graph,
+                                              collider_dag).items():
+            m = model.dim
+            bad = np.eye(m)
+            bad[m - 2, m - 1] = bad[m - 1, m - 2] = 2.0
+            with pytest.raises(NotPD):
+                model_contains(model, bad)
+            with pytest.raises(NotPD):
+                tangent_basis(model, bad)
+
+    def test_bivariate_is_equicorrelation_of_two(self):
+        model = BivariateCorrelation()
+        assert isinstance(model, Equicorrelation) and model.m == 2
+        assert model == BivariateCorrelation() != Equicorrelation(2)
+        S = np.array([[0.4, -0.05], [-0.05, 0.225]])
+        for got, want in zip(critical_points(model, S),
+                             critical_points(Equicorrelation(2), S),
+                             strict=True):
+            assert np.array_equal(got.sigma, want.sigma)
+            assert got.loglik == want.loglik
+
+    def test_flags(self, path_graph, collider_dag):
+        models = one_model_per_kind(path_graph, collider_dag)
+        assert {k for k, f in models.items() if f.degree_one} == \
+            {"concentration", "graph", "dag"}
+        assert {k for k, f in models.items() if f.best_effort} == \
+            {"correlation"}
+
+
 class TestModelSerialization:
     def test_round_trips(self, path_graph, collider_dag):
-        models = [
-            GraphModel(path_graph),
-            DagModel(collider_dag),
-            BivariateCorrelation(),
-            Equicorrelation(4),
-            UnrestrictedCorrelation(3),
-            CiUnion(),
-            as_concentration(GraphModel(path_graph)),
-        ]
-        for model in models:
+        models = one_model_per_kind(path_graph, collider_dag)
+        assert models.keys() == FAMILIES.keys()
+        for kind, family in FAMILIES.items():
+            model = models[kind]
+            assert type(model) is family
             back = model_from_json(model_to_json(model))
             assert back.kind == model.kind
             assert back.dim == model.dim
@@ -348,6 +389,27 @@ class TestModelSerialization:
             else:
                 assert back == model
 
+    def test_bivariate_kind_alias(self):
+        assert model_to_json(BivariateCorrelation()) == \
+            {"kind": "bivariate-correlation"}
+        assert model_from_json({"kind": "bivariate-correlation"}) == \
+            BivariateCorrelation()
+
     def test_unknown_kind(self):
         with pytest.raises(InvalidModel):
             model_from_json({"kind": "mystery"})
+
+    @pytest.mark.parametrize("obj, field", [
+        ({"kind": "equicorrelation"}, '"m"'),
+        ({"kind": "correlation", "m": "3"}, '"m"'),
+        ({"kind": "correlation", "m": True}, '"m"'),
+        ({"kind": "concentration"}, '"basis"'),
+        ({"kind": "concentration", "basis": 5}, '"basis"'),
+        ({"kind": "graph", "edges": []}, '"m"'),
+        ({"kind": "graph", "m": 3, "edges": 5}, '"edges"'),
+        ({"kind": "graph", "m": 3, "edges": [[1]]}, '"edges"'),
+        ({"kind": "dag", "m": 3, "arcs": [[1, "2"]]}, '"arcs"'),
+    ])
+    def test_missing_or_ill_typed_field(self, obj, field):
+        with pytest.raises(InvalidModel, match=field):
+            model_from_json(obj)

@@ -28,7 +28,7 @@ from .mle import SolverOptions, CriticalPoint, _residual, \
     cubic_roots_in_interval, equicorrelation_cubic
 from .models import CiUnion, GraphModel, _model_point, _symmetrize, \
     equicorrelation_matrix
-from .models import symmetrize  # noqa: F401  (public here too)
+from .models import symmetrize  # noqa: F401  (re-exported)
 
 IN_CELL = "InCell"
 IN_SPECTRAHEDRON_NOT_CELL = "InSpectrahedronNotCell"

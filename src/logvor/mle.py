@@ -177,6 +177,18 @@ def cubic_roots_in_interval(c3: float, c2: float, c1: float, c0: float,
     return dedup
 
 
+def _sample(S, m: int) -> np.ndarray:
+    """The sample ``S`` validated: symmetric, finite, of dimension ``m``
+    (:class:`ShapeMismatch`) and positive definite (:class:`NotPD`)."""
+    A = check_symmetric(S)
+    if A.shape[0] != m:
+        raise ShapeMismatch(
+            f"model dimension {m} does not match sample dimension {A.shape[0]}")
+    if not _is_pd(A):
+        raise NotPD("sample matrix is not positive definite")
+    return A
+
+
 def _logdet_chol(K) -> float:
     """log det of a PD matrix; raises np.linalg.LinAlgError when not PD."""
     L = np.linalg.cholesky(K)
@@ -202,13 +214,8 @@ def mle_concentration(model: LinearConcentration, S, *,
         model = as_concentration(model)
     if not isinstance(model, LinearConcentration):
         raise InvalidModel("mle_concentration needs a concentration model")
-    A = check_symmetric(S)
     m = model.dim
-    if A.shape[0] != m:
-        raise ShapeMismatch(
-            f"model dimension {m} does not match sample dimension {A.shape[0]}")
-    if not _is_pd(A):
-        raise NotPD("sample matrix is not positive definite")
+    A = _sample(S, m)
 
     B = np.stack(model.basis)               # (d, m, m)
     d = B.shape[0]
@@ -288,13 +295,7 @@ def mle_graph_decomposable(G: Graph, S) -> CriticalPoint:
     inverted once.  Complete graphs return the sample itself;
     non-chordal graphs raise :class:`NotChordal`.
     """
-    A = check_symmetric(S)
-    m = G.m
-    if A.shape[0] != m:
-        raise ShapeMismatch(
-            f"graph has {m} vertices, sample dimension is {A.shape[0]}")
-    if not _is_pd(A):
-        raise NotPD("sample matrix is not positive definite")
+    A = _sample(S, G.m)
     chordal, order = is_chordal(G)
     if not chordal:
         raise NotChordal("decomposable MLE needs a chordal graph")
@@ -607,10 +608,5 @@ def critical_points(model, S, opts: Optional[SolverOptions] = None
     closed-form :func:`mle_graph_decomposable`, other graphs Newton's
     method.
     """
-    A = check_symmetric(S)
-    if A.shape[0] != model.dim:
-        raise ShapeMismatch(
-            f"model dimension {model.dim} vs sample dimension {A.shape[0]}")
-    if not _is_pd(A):
-        raise NotPD("sample matrix is not positive definite")
-    return model.critical_points(A, opts or SolverOptions())
+    return model.critical_points(_sample(S, model.dim),
+                                 opts or SolverOptions())

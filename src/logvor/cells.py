@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import _is_pd, _loglik, check_symmetric, embed, \
-    is_positive_definite, log_likelihood, principal_submatrix
+from .core import _is_pd, _loglik, check_symmetric, embed, log_likelihood, \
+    principal_submatrix
 from .errors import NotOnSlice, NotPD, OutOfRange, PreconditionFailed, \
     SamplingExhausted, ShapeMismatch
 from .graphs import Graph, find_reducible_decomposition, induced_subgraph
@@ -87,11 +87,11 @@ def _sym_coords(m: int):
     return vec, unvec
 
 
-def _on_model(model, Sigma) -> np.ndarray:
-    """``Sigma`` validated as a point of ``model``: a model point that
-    fails the model equations raises :class:`PreconditionFailed`."""
-    A = _model_point(model, Sigma)
-    if not model.contains(A, 1e-8):
+def _on_model(model, A: np.ndarray) -> np.ndarray:
+    """The validated symmetric ``A`` as a point of ``model``: of its
+    dimension, positive definite, and satisfying the model equations
+    (:class:`PreconditionFailed` otherwise)."""
+    if not model.contains(_model_point(model, A), 1e-8):
         raise PreconditionFailed("Sigma is not a point of the model")
     return A
 
@@ -104,7 +104,7 @@ def lognormal_basis(model, Sigma) -> AffineSlice:
     basis) and returns ``Sigma`` plus an orthonormal basis of the
     solution space.  ``Sigma`` must be a point of the model.
     """
-    A = _on_model(model, Sigma)
+    A = _on_model(model, check_symmetric(Sigma))
     tangent = model.tangent_basis(A)
     K = np.linalg.inv(A)
     m = A.shape[0]
@@ -117,17 +117,15 @@ def lognormal_basis(model, Sigma) -> AffineSlice:
     return AffineSlice(base=A, directions=directions)
 
 
-def _spectrahedron_status(model, Sigma, S, tol: float):
-    """Validate ``Sigma`` (a point of the model) and ``S``, and place
-    ``S``: returns ``(Sigma, S, status)`` with status ``NOT_PD``,
-    ``NOT_IN_SPECTRAHEDRON``, or ``None`` inside the spectrahedron."""
-    Sg = _on_model(model, Sigma)
-    Ss = check_symmetric(S)
+def _spectrahedron_status(model, Sg, Ss, tol: float):
+    """Place the validated ``Ss`` against the spectrahedron of ``model``
+    at its point ``Sg``: ``NOT_PD``, ``NOT_IN_SPECTRAHEDRON``, or
+    ``None`` inside."""
     if not _is_pd(Ss):
-        return Sg, Ss, NOT_PD
+        return NOT_PD
     if not _residual(model, Sg, Ss) < tol:
-        return Sg, Ss, NOT_IN_SPECTRAHEDRON
-    return Sg, Ss, None
+        return NOT_IN_SPECTRAHEDRON
+    return None
 
 
 def in_spectrahedron(model, Sigma, S, tol: float = 1e-8) -> bool:
@@ -138,7 +136,8 @@ def in_spectrahedron(model, Sigma, S, tol: float = 1e-8) -> bool:
     (largest normalised component).  ``Sigma`` must be a point of the
     model.
     """
-    return _spectrahedron_status(model, Sigma, S, tol)[2] is None
+    Sg = _on_model(model, check_symmetric(Sigma))
+    return _spectrahedron_status(model, Sg, check_symmetric(S), tol) is None
 
 
 def cell_membership(model, Sigma, S, opts: Optional[SolverOptions] = None, *,
@@ -155,7 +154,9 @@ def cell_membership(model, Sigma, S, opts: Optional[SolverOptions] = None, *,
     as membership.  ``Sigma`` must be a nonsingular model point; one
     off the model raises :class:`PreconditionFailed`.
     """
-    Sg, Ss, status = _spectrahedron_status(model, Sigma, S, tol)
+    Sg = _on_model(model, check_symmetric(Sigma))
+    Ss = check_symmetric(S)
+    status = _spectrahedron_status(model, Sg, Ss, tol)
     if status is not None:
         return MembershipVerdict(status=status)
     if model.degree_one:
@@ -179,6 +180,14 @@ def cell_membership(model, Sigma, S, opts: Optional[SolverOptions] = None, *,
 
 def _slice_mismatch(value: float, expect: float, tol: float) -> bool:
     return abs(value - expect) > tol * (1.0 + abs(expect))
+
+
+def _equi_half_trace(m: int, c: float, b):
+    """The half-trace ``a`` that the log-normal slice of the m x m
+    equicorrelation point with off-diagonal ``c != 0`` ties to the mean
+    off-diagonal ``b`` of a sample; ``b`` may be an array."""
+    return (((m - 2) * c * c + (m - 1) * b * c * c - (m - 1) * c ** 3 + b + c)
+            / (c * c * m - 2.0 * c * c + 2.0 * c))
 
 
 def bivariate_cell(c: float, S, *, slice_tol: float = 1e-8) -> bool:
@@ -205,10 +214,15 @@ def bivariate_cell(c: float, S, *, slice_tol: float = 1e-8) -> bool:
         if abs(b) > slice_tol * (1.0 + a):
             raise NotOnSlice("slice of the diagonal point needs S_12 = 0")
         return a >= 0.5
-    a_expect = (b * c * c - c ** 3 + b + c) / (2.0 * c)
+    a_expect = _equi_half_trace(2, c, b)
     if _slice_mismatch(a, a_expect, slice_tol):
         raise NotOnSlice(
             f"half-trace {a} is off the slice value {a_expect}")
+    return _bivariate_side(c, b)
+
+
+def _bivariate_side(c: float, b):
+    """The bivariate cell on the slice of ``c != 0``: ``b`` has its sign."""
     return b >= 0.0 if c > 0.0 else b <= 0.0
 
 
@@ -239,9 +253,7 @@ def equicorrelation_cell(m: int, c: float, S, *,
             raise NotOnSlice("slice of the identity point needs mean "
                              "off-diagonal zero")
         return _is_pd(A) and a >= 0.5
-    denom = c * c * m - 2.0 * c * c + 2.0 * c
-    a_expect = ((m - 2) * c * c + (m - 1) * b * c * c
-                - (m - 1) * c ** 3 + b + c) / denom
+    a_expect = _equi_half_trace(m, c, b)
     if _slice_mismatch(a, a_expect, slice_tol):
         raise NotOnSlice(
             f"symmetrised half-trace {a} is off the slice value {a_expect}")
@@ -252,6 +264,17 @@ def equicorrelation_cell(m: int, c: float, S, *,
     best = max(log_likelihood(equicorrelation_matrix(m, r), Sbar)
                for r in roots)
     return ll_c >= best - 1e-9
+
+
+def _ci_union_strip(Sigma: np.ndarray, S):
+    """The strip condition of :func:`ci_union_cell` at the nonsingular
+    point ``Sigma``, for one 3 x 3 ``S`` or an ``(N, 3, 3)`` stack.
+    Component two is the mirror image of component one under reversing
+    the vertex order."""
+    if abs(Sigma[0, 1]) > abs(Sigma[1, 2]):
+        Sigma, S = Sigma[::-1, ::-1], S[..., ::-1, ::-1]
+    return np.abs(S[..., 0, 1]) <= (abs(Sigma[1, 2])
+                                    * np.sqrt(Sigma[0, 0] / Sigma[2, 2]))
 
 
 def ci_union_cell(Sigma, S, *, slice_tol: float = 1e-8) -> bool:
@@ -273,39 +296,40 @@ def ci_union_cell(Sigma, S, *, slice_tol: float = 1e-8) -> bool:
         raise ShapeMismatch("the union model lives on 3 x 3 matrices")
     if not _is_pd(Sg):
         raise NotPD("Sigma is not positive definite")
-    scale = max(1.0, float(np.abs(Sg).max()))
-    if not CiUnion().contains(Sg, slice_tol * scale):
+    tol = slice_tol * max(1.0, float(np.abs(Sg).max()))
+    if not CiUnion().contains(Sg, tol):
         raise NotOnSlice("Sigma is not a union-model point")
-    s12, s23 = Sg[0, 1], Sg[1, 2]
+    # the slice pins the diagonal and a nonzero Sigma_12 or Sigma_23
+    nonzero = [(i, j) for i, j in ((0, 1), (1, 2)) if abs(Sg[i, j]) > tol]
+    for (i, j) in sorted([(0, 0), (1, 1), (2, 2)] + nonzero):
+        if abs(Ss[i, j] - Sg[i, j]) > tol:
+            raise NotOnSlice(
+                f"S[{i + 1},{j + 1}] is not pinned to Sigma on the slice")
+    if abs(Sg[0, 1]) > tol or abs(Sg[1, 2]) > tol:
+        return _is_pd(Ss) and _ci_union_strip(Sg, Ss)
+    # singular (diagonal) point: x = S_12, y = S_13, z = S_23 free.
+    # The pair of conditions does not imply that S itself is positive
+    # definite (e.g. x = z = 0.9, y = 0 on the identity), so the
+    # ambient condition is checked separately.
+    x, y, z = Ss[0, 1], Ss[0, 2], Ss[1, 2]
+    d1, d2, d3 = Sg[0, 0], Sg[1, 1], Sg[2, 2]
+    M1 = np.array([[d1, x, y], [x, d2, 0.0], [y, 0.0, d3]])
+    M2 = np.array([[d1, 0.0, y], [0.0, d2, z], [y, z, d3]])
+    return _is_pd(Ss) and _is_pd(M1) and _is_pd(M2)
 
-    def pinned(pairs) -> None:
-        for (i, j) in pairs:
-            if abs(Ss[i, j] - Sg[i, j]) > slice_tol * scale:
-                raise NotOnSlice(
-                    f"S[{i + 1},{j + 1}] is not pinned to Sigma on the slice")
 
-    if abs(s12) <= slice_tol * scale and abs(s23) <= slice_tol * scale:
-        # singular (diagonal) point: x = S_12, y = S_13, z = S_23 free.
-        # The pair of conditions does not imply that S itself is positive
-        # definite (e.g. x = z = 0.9, y = 0 on the identity), so the
-        # ambient condition is checked separately.
-        pinned([(0, 0), (1, 1), (2, 2)])
-        x, y, z = Ss[0, 1], Ss[0, 2], Ss[1, 2]
-        d1, d2, d3 = Sg[0, 0], Sg[1, 1], Sg[2, 2]
-        M1 = np.array([[d1, x, y], [x, d2, 0.0], [y, 0.0, d3]])
-        M2 = np.array([[d1, 0.0, y], [0.0, d2, z], [y, z, d3]])
-        return _is_pd(Ss) and _is_pd(M1) and _is_pd(M2)
-
-    if abs(s12) <= slice_tol * scale:
-        # component one: free entries S_12, S_13
-        pinned([(0, 0), (1, 1), (1, 2), (2, 2)])
-        bound = abs(s23) * np.sqrt(Sg[0, 0] / Sg[2, 2])
-        return _is_pd(Ss) and abs(Ss[0, 1]) <= bound
-
-    # component two: free entries S_13, S_23
-    pinned([(0, 0), (0, 1), (1, 1), (2, 2)])
-    bound = abs(s12) * np.sqrt(Sg[2, 2] / Sg[0, 0])
-    return _is_pd(Ss) and abs(Ss[1, 2]) <= bound
+def _glue(dec, m: int, Sg, A1, A2) -> np.ndarray:
+    """``inv([inv(A1)] + [inv(A2)] - [inv(Sigma_TT)])``, symmetrised, on
+    the decomposition ``dec`` of an m-vertex graph; :class:`NotPD` when
+    the glued concentration is not positive definite."""
+    U, T, W = dec.U, dec.T, dec.W
+    L = embed(np.linalg.inv(A1), U, U, m) + embed(np.linalg.inv(A2), W, W, m)
+    if T:
+        L -= embed(np.linalg.inv(principal_submatrix(Sg, T)), T, T, m)
+    if not _is_pd((L + L.T) / 2.0):
+        raise NotPD("glued concentration is not positive definite")
+    S = np.linalg.inv(L)
+    return (S + S.T) / 2.0
 
 
 def compose_cell(G: Graph, Sigma, S1, S2, M) -> np.ndarray:
@@ -327,7 +351,7 @@ def compose_cell(G: Graph, Sigma, S1, S2, M) -> np.ndarray:
     dec = find_reducible_decomposition(G)
     if dec is None:
         raise PreconditionFailed("graph admits no clique-separator decomposition")
-    U, T, W = dec.U, dec.T, dec.W
+    U, W = dec.U, dec.W
 
     A1 = check_symmetric(S1)
     A2 = check_symmetric(S2)
@@ -335,28 +359,21 @@ def compose_cell(G: Graph, Sigma, S1, S2, M) -> np.ndarray:
     if A1.shape[0] != len(U) or A2.shape[0] != len(W) or Mk.shape[0] != m:
         raise ShapeMismatch("piece dimensions do not match the decomposition")
 
-    v1 = cell_membership(GraphModel(induced_subgraph(G, U)),
-                         principal_submatrix(Sg, U), A1)
-    if v1.status != IN_CELL:
-        raise PreconditionFailed(f"S1 is not in the U-side cell ({v1.status})")
-    v2 = cell_membership(GraphModel(induced_subgraph(G, W)),
-                         principal_submatrix(Sg, W), A2)
-    if v2.status != IN_CELL:
-        raise PreconditionFailed(f"S2 is not in the W-side cell ({v2.status})")
+    for name, side, block, piece in (("S1", "U", U, A1), ("S2", "W", W, A2)):
+        sub = GraphModel(induced_subgraph(G, block))
+        Sb = _on_model(sub, principal_submatrix(Sg, block))
+        status = _spectrahedron_status(sub, Sb, piece, 1e-8)
+        if status is not None:
+            raise PreconditionFailed(
+                f"{name} is not in the {side}-side cell ({status})")
     scale = max(1.0, float(np.abs(Mk).max()))
     for block in (U, W):
         if float(np.abs(principal_submatrix(Mk, block)).max()) > 1e-12 * scale:
             raise PreconditionFailed(
                 "M must vanish on the U x U and W x W blocks")
 
-    L = embed(np.linalg.inv(A1), U, U, m) + embed(np.linalg.inv(A2), W, W, m)
-    if T:
-        L -= embed(np.linalg.inv(principal_submatrix(Sg, T)), T, T, m)
-    if not is_positive_definite(L):
-        raise NotPD("glued concentration is not positive definite")
-    S = np.linalg.inv(L)
-    S = (S + S.T) / 2.0 + Mk
-    if not is_positive_definite(S):
+    S = _glue(dec, m, Sg, A1, A2) + Mk
+    if not _is_pd(S):
         raise NotPD("composed sample is not positive definite")
     return S
 
@@ -377,19 +394,13 @@ def project_cell(G: Graph, Sigma, S) -> tuple[np.ndarray, np.ndarray, np.ndarray
     dec = find_reducible_decomposition(G)
     if dec is None:
         raise PreconditionFailed("graph admits no clique-separator decomposition")
-    verdict = cell_membership(GraphModel(G), Sg, Ss)
-    if verdict.status != IN_CELL:
-        raise PreconditionFailed(
-            f"S is not in the cell of Sigma ({verdict.status})")
-    U, T, W = dec.U, dec.T, dec.W
-    A1 = principal_submatrix(Ss, U)
-    A2 = principal_submatrix(Ss, W)
-    L = embed(np.linalg.inv(A1), U, U, m) + embed(np.linalg.inv(A2), W, W, m)
-    if T:
-        L -= embed(np.linalg.inv(principal_submatrix(Sg, T)), T, T, m)
-    core = np.linalg.inv(L)
-    M = Ss - (core + core.T) / 2.0
-    return A1, A2, M
+    model = GraphModel(G)
+    status = _spectrahedron_status(model, _on_model(model, Sg), Ss, 1e-8)
+    if status is not None:
+        raise PreconditionFailed(f"S is not in the cell of Sigma ({status})")
+    A1 = principal_submatrix(Ss, dec.U)
+    A2 = principal_submatrix(Ss, dec.W)
+    return A1, A2, Ss - _glue(dec, m, Sg, A1, A2)
 
 
 def sample_spectrahedron(model, Sigma, count: int, seed: int = 0,
@@ -420,7 +431,7 @@ def sample_spectrahedron(model, Sigma, count: int, seed: int = 0,
                 coeff = rng.standard_normal(len(dirs)) * r
                 for c, D in zip(coeff, dirs):
                     S = S + c * D
-            if is_positive_definite(S):
+            if _is_pd(S):
                 out.append(S)
                 break
             r *= 0.5

@@ -22,9 +22,9 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .cells import cell_membership, sample_spectrahedron, verdict_to_json, \
-    IN_CELL
-from .core import is_positive_definite, sym_from_json, sym_to_json
+from .cells import IN_CELL, _bivariate_side, _ci_union_strip, \
+    _equi_half_trace, cell_membership, sample_spectrahedron, verdict_to_json
+from .core import pd_mask, sym_from_json, sym_to_json
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -47,11 +47,10 @@ _INPUT_ERRORS = (ShapeMismatch, IndexOutOfRange, InvalidModel, OutOfRange,
                  UnknownFigure, NotOnSlice, PreconditionFailed,
                  DimensionMismatch, NotTopological)
 
-_FIGURES = ("ci-union-t", "ci-union-s", "bivariate", "dag-slice",
-            "path-spectrahedron")
-
 #: Range of ``figure --grid``, points per axis; a scene has grid^2 rows.
 _GRID_RANGE = (2, 1001)
+#: Largest ``|z|`` that ``figure --z`` accepts.
+_Z_MAX = 1e6
 
 
 def _round15(x):
@@ -166,96 +165,48 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _figure_rows(name: str, grid: int, z: float):
-    """Yield (header, row iterator) for a named figure.
+def _stack(rows) -> np.ndarray:
+    """The ``(N, m, m)`` stack of the matrix literal ``rows``, whose
+    entries are numbers or length-N arrays."""
+    flat = np.broadcast_arrays(*[v for row in rows for v in row])
+    return np.stack(flat, axis=-1).reshape(-1, len(rows), len(rows))
 
-    Figures are fixed scenes over documented plot windows; each row is
-    (coordinates..., in_spectrahedron, in_cell).  The two 3-dimensional
-    scenes are sliced at a fixed third coordinate ``z``.
-    """
-    if name == "ci-union-t":
-        t1, t2, t3, t4 = 1.0, 2.0, 1.0, 3.0
-        bound = t3 * np.sqrt(t1 / t4)
-        xs = np.linspace(-1.5, 1.5, grid)
-        ys = np.linspace(-2.0, 2.0, grid)
 
-        def rows():
-            for x1 in xs:
-                for x2 in ys:
-                    S = np.array([[t1, x1, x2], [x1, t2, t3], [x2, t3, t4]])
-                    spec = is_positive_definite(S)
-                    cell = spec and abs(x1) <= bound
-                    yield (x1, x2, int(spec), int(cell))
+#: Model points of the two union-model scenes, one per component.
+_SIGMA_T = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 3.0]])
+_SIGMA_S = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 4.0]])
 
-        return ("x1", "x2", "in_spectrahedron", "in_cell"), rows()
-
-    if name == "ci-union-s":
-        s1, s2, s3, s4 = 2.0, 1.0, 3.0, 4.0
-        bound = s2 * np.sqrt(s4 / s1)
-        xs = np.linspace(-3.0, 3.0, grid)
-        ys = np.linspace(-4.0, 4.0, grid)
-
-        def rows():
-            for y1 in xs:
-                for y2 in ys:
-                    S = np.array([[s1, s2, y1], [s2, s3, y2], [y1, y2, s4]])
-                    spec = is_positive_definite(S)
-                    cell = spec and abs(y2) <= bound
-                    yield (y1, y2, int(spec), int(cell))
-
-        return ("y1", "y2", "in_spectrahedron", "in_cell"), rows()
-
-    if name == "bivariate":
-        c = 0.5
-        bs = np.linspace(-0.5, 2.0, grid)
-        ks = np.linspace(0.0, 4.0, grid)
-
-        def rows():
-            for b in bs:
-                a = (b * c * c - c ** 3 + b + c) / (2.0 * c)
-                for k in ks:
-                    S = np.array([[k, b], [b, 2.0 * a - k]])
-                    spec = is_positive_definite(S)
-                    cell = spec and b >= 0.0
-                    yield (b, k, int(spec), int(cell))
-
-        return ("b", "k", "in_spectrahedron", "in_cell"), rows()
-
-    if name == "dag-slice":
-        xs = np.linspace(-2.0, 2.0, grid)
-        ys = np.linspace(-2.5, 2.5, grid)
-
-        def rows():
-            for x in xs:
-                for y in ys:
-                    S = np.array([
-                        [1.0, 0.5, x, y],
-                        [0.5, 2.0, z, 2.0 + 0.5 * z],
-                        [x, z, 3.0, 1.5 + z],
-                        [y, 2.0 + 0.5 * z, 1.5 + z, 4.0 + z]])
-                    spec = is_positive_definite(S)
-                    yield (x, y, z, int(spec), int(spec))
-
-        return ("x", "y", "z", "in_spectrahedron", "in_cell"), rows()
-
-    if name == "path-spectrahedron":
-        xs = np.linspace(-8.0, 8.0, grid)
-        ys = np.linspace(-8.0, 8.0, grid)
-
-        def rows():
-            for x in xs:
-                for y in ys:
-                    S = np.array([
-                        [6.0, 1.0, x, y],
-                        [1.0, 7.0, 1.0, z],
-                        [x, 1.0, 8.0, 2.0],
-                        [y, z, 2.0, 9.0]])
-                    spec = is_positive_definite(S)
-                    yield (x, y, z, int(spec), int(spec))
-
-        return ("x", "y", "z", "in_spectrahedron", "in_cell"), rows()
-
-    raise UnknownFigure(f"unknown figure {name!r}; choose from {_FIGURES}")
+#: Figure scenes: coordinate columns (a third one, z, is the fixed
+#: slice), plot window, the scene matrices at one grid column x (a
+#: number) and ys (an array) as an (N, m, m) stack, and the cell rule on
+#: such a stack (None where the cell is the spectrahedron).
+_SCENES = {
+    "ci-union-t": (("x1", "x2"), ((-1.5, 1.5), (-2.0, 2.0)),
+                   lambda x1, x2, z: _stack([[1.0, x1, x2], [x1, 2.0, 1.0],
+                                             [x2, 1.0, 3.0]]),
+                   lambda S: _ci_union_strip(_SIGMA_T, S)),
+    "ci-union-s": (("y1", "y2"), ((-3.0, 3.0), (-4.0, 4.0)),
+                   lambda y1, y2, z: _stack([[2.0, 1.0, y1], [1.0, 3.0, y2],
+                                             [y1, y2, 4.0]]),
+                   lambda S: _ci_union_strip(_SIGMA_S, S)),
+    # correlation 1/2: the slice ties S_22 to b = S_12 and k = S_11
+    "bivariate": (("b", "k"), ((-0.5, 2.0), (0.0, 4.0)),
+                  lambda b, k, z: _stack(
+                      [[k, b], [b, 2.0 * _equi_half_trace(2, 0.5, b) - k]]),
+                  lambda S: _bivariate_side(0.5, S[:, 0, 1])),
+    "dag-slice": (("x", "y", "z"), ((-2.0, 2.0), (-2.5, 2.5)),
+                  lambda x, y, z: _stack([[1.0, 0.5, x, y],
+                                          [0.5, 2.0, z, 2.0 + 0.5 * z],
+                                          [x, z, 3.0, 1.5 + z],
+                                          [y, 2.0 + 0.5 * z, 1.5 + z, 4.0 + z]]),
+                  None),
+    "path-spectrahedron": (
+        ("x", "y", "z"), ((-8.0, 8.0), (-8.0, 8.0)),
+        lambda x, y, z: _stack([[6.0, 1.0, x, y], [1.0, 7.0, 1.0, z],
+                                [x, 1.0, 8.0, 2.0], [y, z, 2.0, 9.0]]),
+        None),
+}
+_FIGURES = tuple(_SCENES)
 
 
 def _cmd_figure(args) -> int:
@@ -263,16 +214,30 @@ def _cmd_figure(args) -> int:
     if not lo <= args.grid <= hi:
         raise OutOfRange(f"--grid must be between {lo} and {hi}, "
                          f"got {args.grid}")
-    header, rows = _figure_rows(args.name, args.grid, args.z)
+    if args.name not in _SCENES:
+        raise UnknownFigure(
+            f"unknown figure {args.name!r}; choose from {_FIGURES}")
+    if not (np.isfinite(args.z) and abs(args.z) <= _Z_MAX):
+        raise OutOfRange(f"--z must be finite with |z| <= {_Z_MAX:g}, "
+                         f"got {args.z}")
+    names, ((x0, x1), (y0, y1)), matrix, rule = _SCENES[args.name]
+    ys = np.linspace(y0, y1, args.grid)
+    ycol = [f"{y:.15g}" for y in ys]
+    zcol = [f"{args.z:.15g}"] if len(names) == 3 else []
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     fd, tmp_path = tempfile.mkstemp(dir=out_dir, suffix=".csv.tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([f"{v:.15g}" if isinstance(v, float) else v
-                                 for v in row])
+            writer.writerow(names + ("in_spectrahedron", "in_cell"))
+            # one grid column at a time keeps the stack at grid matrices
+            for x in np.linspace(x0, x1, args.grid):
+                S = matrix(x, ys, args.z)
+                spec = pd_mask(S)
+                cell = spec if rule is None else spec & rule(S)
+                xcol = [f"{x:.15g}"]
+                writer.writerows(xcol + [y] + zcol + [p, c] for y, p, c in zip(
+                    ycol, spec.astype(int).tolist(), cell.astype(int).tolist()))
         os.replace(tmp_path, args.out)     # single atomic publish
     except BaseException:
         if os.path.exists(tmp_path):
@@ -326,7 +291,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"points per axis, {_GRID_RANGE[0]} to "
                         f"{_GRID_RANGE[1]} (default 201)")
     p.add_argument("--z", type=float, default=0.0,
-                   help="fixed third coordinate of the 3-d scenes")
+                   help="fixed third coordinate of the 3-d scenes, "
+                        f"|z| <= {_Z_MAX:g}")
     p.set_defaults(func=_cmd_figure)
 
     return parser

@@ -344,7 +344,8 @@ def criticality_residual(model, Sigma, S) -> float:
     means ``Sigma`` is a critical point of the likelihood of ``S``
     restricted to the model.
     """
-    return _residual(model, _model_point(model, Sigma), check_symmetric(S))
+    Sg = _model_point(model, check_symmetric(Sigma))
+    return _residual(model, Sg, check_symmetric(S))
 
 
 def _residual(model, Sg: np.ndarray, Ss: np.ndarray) -> float:

@@ -416,11 +416,10 @@ def as_concentration(model: GraphModel) -> LinearConcentration:
     return LinearConcentration._independent(concentration_basis(model.graph))
 
 
-def _model_point(model: Model, Sigma) -> np.ndarray:
-    """``Sigma`` validated as a candidate point of ``model``: symmetric,
-    finite, of the model's dimension (:class:`DimensionMismatch`) and
-    positive definite (:class:`NotPD`)."""
-    A = check_symmetric(Sigma)
+def _model_point(model: Model, A: np.ndarray) -> np.ndarray:
+    """The validated symmetric ``A`` as a candidate point of ``model``:
+    of the model's dimension (:class:`DimensionMismatch`) and positive
+    definite (:class:`NotPD`)."""
     if A.shape[0] != model.dim:
         raise DimensionMismatch(
             f"model has dimension {model.dim}, matrix has {A.shape[0]}")
@@ -437,7 +436,7 @@ def model_contains(model, Sigma, tol: float = 1e-8) -> bool:
     families, covariance entries for the DAG family); the
     correlation and union families compare unscaled entries.
     """
-    return model.contains(_model_point(model, Sigma), tol)
+    return model.contains(_model_point(model, check_symmetric(Sigma)), tol)
 
 
 def tangent_basis(model, Sigma) -> list[np.ndarray]:
@@ -450,7 +449,7 @@ def tangent_basis(model, Sigma) -> list[np.ndarray]:
     the correlation families the fixed coordinate directions.  At a
     singular point of a union model :class:`SingularPoint` is raised.
     """
-    return model.tangent_basis(_model_point(model, Sigma))
+    return model.tangent_basis(_model_point(model, check_symmetric(Sigma)))
 
 
 def trek_covariance(dag: Digraph, params: DagParams) -> np.ndarray:

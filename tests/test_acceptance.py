@@ -288,6 +288,18 @@ def test_ci_union_strip_matches_direct_comparison_and_figure_boundary(
     assert any(-bound - 2.0 * step <= x1 < -bound for x1 in outside)
 
 
+def test_figure_scenes_within_budget(tmp_path):
+    """Every figure scene at the default grid of 201 points per axis is
+    written within one budget that a Python loop over the grid points
+    cannot meet."""
+    t0 = perf_counter()
+    for name in ("ci-union-t", "ci-union-s", "bivariate", "dag-slice",
+                 "path-spectrahedron"):
+        assert main(["figure", name, "--out", str(tmp_path / "f.csv"),
+                     "--grid", "201", "--z", "0.25"]) == 0
+    assert perf_counter() - t0 < 3.0
+
+
 def test_graph_and_dag_fits_scale_polynomially():
     """Two 14-cliques sharing four vertices are split and fitted, the
     trek rule on the complete DAG with m = 14 matches the structural

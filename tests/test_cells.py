@@ -179,10 +179,9 @@ class TestSigmaOffTheModel:
 
 
 class TestValidatedOnce:
-    def test_membership_checks_each_matrix_once(self, path_graph, path_sigma,
-                                                 monkeypatch):
-        """One symmetry check and one PD elimination for each of Sigma
-        and S; nothing downstream validates them again."""
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Calls of the symmetry check and of the PD elimination."""
         import logvor
         counts = {"check_symmetric": 0, "_is_pd": 0}
         for name in counts:
@@ -196,11 +195,42 @@ class TestValidatedOnce:
                            logvor.cells):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted)
+        return counts
+
+    def test_membership_checks_each_matrix_once(self, path_graph, path_sigma,
+                                                 counts):
+        """One symmetry check and one PD elimination for each of Sigma
+        and S; nothing downstream validates them again."""
         S = path_sigma.copy()
         S[0, 2] = S[2, 0] = 0.5
         verdict = cell_membership(GraphModel(path_graph), path_sigma, S)
         assert verdict.status == IN_CELL
         assert counts == {"check_symmetric": 2, "_is_pd": 2}
+
+    def test_compose_and_project_check_each_argument_once(
+            self, path_graph, path_sigma, counts):
+        """compose_cell: one symmetry check per matrix argument, and PD
+        eliminations for Sigma_UU, S1, Sigma_WW, S2, the glued
+        concentration and the result; project_cell: one symmetry check
+        each for Sigma and S, and PD eliminations for both and for the
+        glued concentration."""
+        S = sample_spectrahedron(GraphModel(path_graph), path_sigma, 1,
+                                 seed=3)[0]
+        pieces = project_cell(path_graph, path_sigma, S)
+        counts.update(check_symmetric=0, _is_pd=0)
+        compose_cell(path_graph, path_sigma, *pieces)
+        assert counts == {"check_symmetric": 4, "_is_pd": 6}
+        counts.update(check_symmetric=0, _is_pd=0)
+        project_cell(path_graph, path_sigma, S)
+        assert counts == {"check_symmetric": 2, "_is_pd": 3}
+
+    def test_sampler_checks_sigma_once(self, path_graph, path_sigma, counts):
+        """The proposals are built from validated arrays, so only Sigma
+        is checked for symmetry."""
+        samples = sample_spectrahedron(GraphModel(path_graph), path_sigma,
+                                       16, seed=3)
+        assert len(samples) == 16
+        assert counts["check_symmetric"] == 1
 
 
 class TestCellMembership:

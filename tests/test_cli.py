@@ -389,6 +389,50 @@ class TestFigure:
                        f"and {_GRID_RANGE[1]}, got {grid}\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("name", ["bivariate", "dag-slice"])
+    @pytest.mark.parametrize("z", ["nan", "inf", "-inf", "1e308"])
+    def test_z_out_of_range_exits_two(self, tmp_path, capsys, name, z):
+        code, _, err = run_cli(capsys, ["figure", name, "--out",
+                                        str(tmp_path / "z.csv"), f"--z={z}"])
+        assert code == 2
+        assert err.startswith("error: --z must be finite")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["ci-union-t", "ci-union-s", "bivariate"])
+    def test_cells_follow_the_scalar_rules(self, tmp_path, capsys, name):
+        """On every grid point in_cell is the verdict of ci_union_cell or
+        bivariate_cell and in_spectrahedron that of in_spectrahedron at
+        the scene's model point, so the scene matrices lie on its
+        log-normal slice."""
+        out = tmp_path / "f.csv"
+        code, _, _ = run_cli(capsys, ["figure", name, "--out", str(out),
+                                      "--grid", "41"])
+        assert code == 0
+        _, rows = self.read_rows(out)
+        assert len(rows) == 41 * 41
+        for u, v, spec, cell in rows:
+            u, v = float(u), float(v)
+            if name == "bivariate":      # b = u, k = v at correlation c
+                c = 0.5
+                model, Sigma = logvor.BivariateCorrelation(), \
+                    np.array([[1.0, c], [c, 1.0]])
+                a = (u * c * c - c ** 3 + u + c) / (2.0 * c)
+                S = np.array([[v, u], [u, 2.0 * a - v]])
+            elif name == "ci-union-t":
+                model, Sigma = logvor.CiUnion(), np.array(
+                    [[1.0, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 3.0]])
+                S = np.array([[1.0, u, v], [u, 2.0, 1.0], [v, 1.0, 3.0]])
+            else:
+                model, Sigma = logvor.CiUnion(), np.array(
+                    [[2.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 4.0]])
+                S = np.array([[2.0, 1.0, u], [1.0, 3.0, v], [u, v, 4.0]])
+            assert (spec == "1") == logvor.in_spectrahedron(model, Sigma, S)
+            if name == "bivariate":
+                expect = spec == "1" and logvor.bivariate_cell(0.5, S)
+            else:
+                expect = logvor.ci_union_cell(Sigma, S)
+            assert (cell == "1") == expect
+
     def test_no_temp_files_left_behind(self, tmp_path, capsys):
         out = tmp_path / "clean.csv"
         run_cli(capsys, ["figure", "bivariate", "--out", str(out),

@@ -38,8 +38,8 @@ from .errors import (
     UnknownFigure,
 )
 from .graphs import find_reducible_decomposition
-from .mle import SolverOptions, critical_points, criticality_residual, \
-    options_from_json
+from .mle import SolverOptions, _option_value, critical_points, \
+    criticality_residual, options_from_json
 from .models import GraphModel, model_from_json
 
 #: Errors that indicate malformed input rather than a failed computation.
@@ -89,16 +89,27 @@ def _get_matrix(problem: dict, field: str) -> np.ndarray:
 
 
 def _resolve_seed(flag_seed: Optional[int], problem: dict) -> int:
-    """Seed priority: command flag, problem options, LOGVOR_SEED, then 0."""
-    if flag_seed is not None:
-        return flag_seed
+    """Seed priority: command flag, problem options, LOGVOR_SEED, then 0.
+
+    The seed in force must be a non-negative integer; otherwise
+    :class:`OutOfRange` names its source (``--seed``, ``options.seed``
+    or ``LOGVOR_SEED``), or :class:`InvalidModel` an ``options.seed``
+    that is not a JSON integer.
+    """
     opts = problem.get("options")
-    if isinstance(opts, dict) and "seed" in opts:
-        return int(opts["seed"])
     env = os.environ.get("LOGVOR_SEED")
-    if env is not None:
-        return int(env)
-    return 0
+    if flag_seed is not None:
+        source, seed = "--seed", flag_seed
+    elif isinstance(opts, dict) and "seed" in opts:
+        source, seed = "options.seed", _option_value("seed", opts["seed"])
+    elif env is not None:
+        source, seed = "LOGVOR_SEED", env.strip()
+    else:
+        return 0
+    if not str(seed).isdecimal():           # also rejects a minus sign
+        raise OutOfRange(f"{source} must be a non-negative integer, "
+                         f"got {seed}")
+    return int(seed)
 
 
 def _solver_options(problem: dict, seed: int) -> SolverOptions:

@@ -12,6 +12,7 @@ correlation matrices.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -71,6 +72,8 @@ class SolverOptions:
     def __post_init__(self):
         if not self.starts >= 1:
             raise OutOfRange(f"starts must be at least 1, got {self.starts!r}")
+        if not self.seed >= 0:
+            raise OutOfRange(f"seed must be non-negative, got {self.seed!r}")
         if not self.max_iter >= 1:
             raise OutOfRange(
                 f"max_iter must be at least 1, got {self.max_iter!r}")
@@ -80,18 +83,41 @@ class SolverOptions:
 
 
 def options_from_json(obj) -> SolverOptions:
-    """Decode solver options, falling back to the defaults field by field."""
+    """Decode solver options, falling back to the defaults field by field.
+
+    Each value must have its field's JSON type (:func:`_option_value`),
+    and an unknown key raises :class:`InvalidModel` naming it; ranges are
+    checked by :class:`SolverOptions`.
+    """
     if obj is None:
         return SolverOptions()
     if not isinstance(obj, dict):
         raise InvalidModel("solver options must be a JSON object")
-    base = SolverOptions()
-    return SolverOptions(
-        starts=int(obj.get("starts", base.starts)),
-        seed=int(obj.get("seed", base.seed)),
-        tol=float(obj.get("tol", base.tol)),
-        max_iter=int(obj.get("max_iter", base.max_iter)),
-    )
+    return SolverOptions(**{name: _option_value(name, value)
+                            for name, value in obj.items()})
+
+
+def _option_value(name: str, value):
+    """The JSON value of the solver option ``name``: an integer for
+    ``starts``, ``seed`` and ``max_iter``, a number for ``tol`` (a
+    boolean is neither).  :class:`InvalidModel` names an unknown option
+    or the field of a wrong type; :class:`OutOfRange` a ``tol`` too
+    large for a float."""
+    if name not in ("starts", "seed", "tol", "max_iter"):
+        raise InvalidModel(f'unknown solver option "{name}"; expected '
+                           "starts, seed, tol or max_iter")
+    kinds, what = ((int, float), "a number") if name == "tol" \
+        else (int, "an integer")
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise InvalidModel(
+            f"options.{name} must be {what}, got {json.dumps(value)}")
+    if name != "tol":
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise OutOfRange("tol must be finite, got an integer too large "
+                         "for a float") from None
 
 
 def options_to_json(opts: SolverOptions) -> dict:
@@ -405,16 +431,24 @@ class _CorrChart:
         return M.reshape(len(M), self.m * self.m)[:, self.upper]
 
 
-#: Backtracking steps 2^-k (k = 0..29) of the multistart line search,
+#: Backtracking steps 2^-k (k = 0..14) of the multistart line search,
 #: grouped into the blocks that are tested together.  Nearly every row
 #: takes the full step, and a row that backtracks deep reaches its step
-#: in five batched evaluations instead of up to thirty sequential ones.
+#: in four batched evaluations instead of up to fifteen sequential ones.
+#: A row that needs a step below 2^-14 is dropped as stalled.  A row
+#: that keeps needing such steps covers under 0.3 % of its Newton step
+#: in the default 100 iterations, and each of them cost a full deep
+#: backtrack: at m = 4 to 6 the rows that stalled anyway caused 65 to
+#: 77 % of all candidate evaluations.  The few rows that would converge
+#: after a step that small are dropped with them.
 _STEP_BLOCKS = tuple(np.ldexp(1.0, -np.arange(lo, hi))
-                     for lo, hi in ((0, 1), (1, 3), (3, 7), (7, 15), (15, 30)))
+                     for lo, hi in ((0, 1), (1, 3), (3, 7), (7, 15)))
 
-#: Float entries per batched temporary of the multistart.  Jacobian
-#: gathers and candidate evaluations run in row chunks of this size, so
-#: memory stays flat however many starts are requested.
+#: Float entries per batched temporary of the Jacobian gathers and the
+#: line-search candidate evaluations, which run in row chunks of this
+#: size.  The starts themselves and the residuals at the top of each
+#: Newton iteration are (starts, m, m) arrays built unchunked, so memory
+#: still grows linearly with the number of starts.
 _CHUNK_ENTRIES = 1 << 15
 
 
@@ -495,13 +529,14 @@ def _line_search(x: np.ndarray, delta: np.ndarray, rnorm: np.ndarray,
                  residual_norm) -> tuple[np.ndarray, np.ndarray]:
     """Backtracking along each row's Newton step.
 
-    Row ``r`` takes the first ``t = 2^-k``, ``k = 0..29``, with
+    Row ``r`` takes the first ``t = 2^-k``, ``k = 0..14``, with
     ``residual_norm(x_r + t delta_r) <= (1 - 1e-4 t) rnorm_r``, exactly
-    as a loop that halves ``t`` would.  The steps are tested in the
-    blocks of ``_STEP_BLOCKS``: every row still searching evaluates all
-    steps of the next block in one batched call.  Returns the steps
-    taken (0 where none passed) and the new rows (unchanged where none
-    passed).
+    as a loop that halves ``t`` fifteen times would.  The steps are
+    tested in the blocks of ``_STEP_BLOCKS``: every row still searching
+    evaluates all steps of the next block in one batched call.  Returns
+    the steps taken (0 where none of at least 2^-14 passed) and the new
+    rows (unchanged where none passed).  The 2^-14 floor ends the search
+    for rows that crawl; see ``_STEP_BLOCKS``.
     """
     n, p = x.shape
     steps = np.zeros(n)
@@ -535,9 +570,14 @@ def _correlation_multistart(m: int, S: np.ndarray,
     solves with a few batched calls, then runs the blocked backtracking
     of :func:`_line_search`, in which a candidate must pass
     :func:`pd_mask` and reduce the largest residual.  Starts whose line
-    search fails are dropped; starts whose largest residual falls below
-    ``opts.tol`` within ``opts.max_iter`` iterations have converged.
-    Converged solutions are deduplicated at 1e-6 in parameter space.
+    search finds no step of at least 2^-14 are dropped as stalled (see
+    ``_STEP_BLOCKS``): nearly all of them would stall later anyway, and
+    backtracking deeper spent most of the search's evaluations on them.
+    Up to that step a start runs as under a deeper search, so the points
+    found are a subset of those a search down to 2^-29 finds.  Starts
+    whose largest residual falls below ``opts.tol`` within
+    ``opts.max_iter`` iterations have converged.  Converged solutions
+    are deduplicated at 1e-6 in parameter space.
     The search is exhaustive only heuristically: with the default 512
     starts it is stable on 3 x 3 problems, but for larger ``m`` some
     real critical points may be missed.

@@ -160,7 +160,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("options", [
         {"starts": 0}, {"starts": -5}, {"max_iter": 0}, {"tol": -1.0},
-        {"tol": float("nan")},
+        {"tol": float("nan")}, {"seed": -1}, {"tol": 10 ** 400},
     ])
     def test_out_of_range_options_exit_two(self, tmp_path, capsys,
                                            elliptope_s1, options):
@@ -173,6 +173,27 @@ class TestExitCodes:
         field = next(iter(options))
         assert err.startswith("error: ") and field in err
         assert "array" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("options", [
+        {"starts": 1.7}, {"starts": True}, {"starts": "abc"},
+        {"starts": None}, {"starts": 512.0}, {"seed": 1.5},
+        {"seed": "3"}, {"max_iter": 2.9}, {"tol": "1e-3"},
+        {"tol": False}, {"strats": 5},
+    ])
+    def test_malformed_options_exit_two(self, tmp_path, capsys,
+                                        elliptope_s1, options):
+        """Options of the wrong JSON type, and unknown options, are
+        rejected rather than converted or ignored."""
+        doc = {"model": {"kind": "correlation", "m": 3},
+               "sample": sym_to_json(elliptope_s1), "options": options}
+        file = write_problem(tmp_path, doc)
+        code, out, err = run_cli(capsys, ["critical-points", file])
+        assert code == 2
+        assert out == ""
+        field = next(iter(options))
+        assert err.startswith("error: ") and field in err
+        for text in ("int(", "float(", "literal", "Traceback", "array"):
+            assert text not in err
 
     @pytest.mark.parametrize("model, dim, message", [
         ({"kind": "correlation", "m": 3}, 2, "dimension"),
@@ -267,6 +288,33 @@ class TestSeedPriority:
         monkeypatch.delenv("LOGVOR_SEED", raising=False)
         file = write_problem(tmp_path, self.sample_doc(path_sigma))
         assert self.seed_of(capsys, ["sample", file, "--count", "1"]) == 0
+
+    @pytest.mark.parametrize("command", [["critical-points"],
+                                         ["sample", "--count", "1"]])
+    @pytest.mark.parametrize("flag, options, env, source", [
+        ("-1", None, None, "--seed"),
+        (None, {"seed": -1}, "3", "options.seed"),
+        (None, None, "-3", "LOGVOR_SEED"),
+        (None, None, "abc", "LOGVOR_SEED"),
+    ])
+    def test_invalid_seed_exits_two(self, tmp_path, capsys, path_sigma,
+                                    monkeypatch, command, flag, options,
+                                    env, source):
+        if env is None:
+            monkeypatch.delenv("LOGVOR_SEED", raising=False)
+        else:
+            monkeypatch.setenv("LOGVOR_SEED", env)
+        doc = self.sample_doc(path_sigma, sample=sym_to_json(path_sigma))
+        if options is not None:
+            doc["options"] = options
+        argv = [command[0], write_problem(tmp_path, doc)] + command[1:]
+        if flag is not None:
+            argv += ["--seed", flag]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {source} must be a non-negative")
+        assert "literal" not in err and "expected" not in err
 
 
 class TestSample:

@@ -419,11 +419,11 @@ def _box_corr(X, m):
     return Sig
 
 
-def _sequential_line_search(x, delta, rnorm, residual_norm):
+def _sequential_line_search(x, delta, rnorm, residual_norm, halvings=30):
     t = np.ones(len(x))
     xa = x.copy()
     accepted = np.zeros(len(x), dtype=bool)
-    for _ in range(30):
+    for _ in range(halvings):
         rem = np.where(~accepted)[0]
         if rem.size == 0:
             break
@@ -583,13 +583,56 @@ class TestBatchedMultistart:
         scaled = rng.standard_normal(x.shape) \
             * 10.0 ** rng.uniform(-3.0, 3.0, size=(len(x), 1))
         delta = np.where(rng.uniform(size=(len(x), 1)) < 0.5, newton, scaled)
-        t_seq, x_seq = _sequential_line_search(x, delta, rnorm, residual_norm)
+        t_seq, x_seq = _sequential_line_search(x, delta, rnorm, residual_norm,
+                                               halvings=15)
         t_blk, x_blk = _line_search(x, delta, rnorm, residual_norm)
         np.testing.assert_array_equal(t_blk, t_seq)
         np.testing.assert_array_equal(x_blk, x_seq)
-        k = np.full(len(x), 30)
+        k = np.full(len(x), 15)             # 15: no step passed
         k[t_seq > 0] = -np.log2(t_seq[t_seq > 0]).astype(int)
-        assert set(np.digitize(k, [1, 3, 7, 15, 30])) == {0, 1, 2, 3, 4, 5}
+        assert set(np.digitize(k, [1, 3, 7, 15])) == {0, 1, 2, 3, 4}
+
+    def test_line_search_stops_at_two_to_the_minus_fourteen(self):
+        """Row 0 passes only at t <= 2^-15 and takes no step; row 1
+        passes first at t = 2^-14 and takes it."""
+        x = np.zeros((2, 3))
+        delta = np.array([[1.0] * 3, [0.5] * 3])
+
+        def residual_norm(X):
+            return np.where(X[:, 0] <= 2.0 ** -15, 0.0, np.inf)
+
+        steps, x_new = _line_search(x, delta, np.ones(2), residual_norm)
+        np.testing.assert_array_equal(steps, [0.0, 2.0 ** -14])
+        np.testing.assert_array_equal(x_new, [[0.0] * 3, [2.0 ** -15] * 3])
+
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    def test_step_floor_against_the_deep_search(self, m, monkeypatch):
+        """The line search down to 2^-29, the schedule before the floor,
+        as the reference.  A start runs the same under both until it
+        needs a step below 2^-14, so every point found is one the deep
+        search finds; a point that only such a start reaches is lost.
+        On slice samples S = Sigma + Sigma D Sigma with D in (-0.4, 0.8)
+        none is; D in (-1, 0) gives samples with more critical points."""
+        deep = tuple(np.ldexp(1.0, -np.arange(lo, hi)) for lo, hi in
+                     ((0, 1), (1, 3), (3, 7), (7, 15), (15, 30)))
+        rng = np.random.default_rng(130 + m)
+        iu = np.triu_indices(m, 1)
+        model = UnrestrictedCorrelation(m)
+        for lo, hi in ((-0.4, 0.8), (-0.4, 0.8), (-1.0, 0.0)):
+            sigma = random_correlation(m, rng)
+            S = sigma + sigma @ np.diag(rng.uniform(lo, hi, m)) @ sigma
+            while not pd_mask(S[None])[0]:
+                S = sigma + sigma @ np.diag(rng.uniform(lo, hi, m)) @ sigma
+            floor = critical_points(model, S)
+            with monkeypatch.context() as mp:
+                mp.setattr("logvor.mle._STEP_BLOCKS", deep)
+                ref = critical_points(model, S)
+            for p in floor:
+                assert min(np.abs(p.sigma[iu] - q.sigma[iu]).max()
+                           for q in ref) < 1e-6
+            if hi > 0.0:
+                assert len(floor) == len(ref)
+                assert abs(floor[0].loglik - ref[0].loglik) <= 1e-10
 
 
 class TestSolverOptions:
@@ -610,7 +653,8 @@ class TestSolverOptions:
         assert options_from_json(None) == SolverOptions()
 
     @pytest.mark.parametrize("field, value", [
-        ("starts", 0), ("starts", -5), ("max_iter", 0), ("max_iter", -1),
+        ("starts", 0), ("starts", -5), ("seed", -1), ("max_iter", 0),
+        ("max_iter", -1),
         ("tol", 0.0), ("tol", -1.0), ("tol", float("nan")),
         ("tol", float("inf")),
     ])

@@ -25,7 +25,6 @@ from .cells import (
     lognormal_basis,
     project_cell,
     sample_spectrahedron,
-    symmetrize,
     verdict_to_json,
 )
 from .core import (
@@ -110,6 +109,7 @@ from .models import (
     model_to_json,
     sem_covariance,
     sem_fit,
+    symmetrize,
     tangent_basis,
     trek_covariance,
 )

@@ -19,21 +19,26 @@ from typing import Optional
 
 import numpy as np
 
-from .core import _is_pd, _loglik, check_symmetric, embed, log_likelihood, \
-    principal_submatrix
+from .core import _is_pd, _loglik, check_symmetric, embed, \
+    principal_submatrix, sym_to_json
 from .errors import NotOnSlice, NotPD, OutOfRange, PreconditionFailed, \
     SamplingExhausted, ShapeMismatch
 from .graphs import Graph, find_reducible_decomposition, induced_subgraph
-from .mle import SolverOptions, CriticalPoint, _residual, \
-    cubic_roots_in_interval, equicorrelation_cubic
-from .models import CiUnion, GraphModel, _model_point, _symmetrize, \
-    equicorrelation_matrix
-from .models import symmetrize  # noqa: F401  (re-exported)
+from .mle import SolverOptions, CriticalPoint, _residual
+from .models import MODEL_TOL, CiUnion, Equicorrelation, GraphModel, \
+    _model_point, _symmetrize, equicorrelation_matrix
 
 IN_CELL = "InCell"
 IN_SPECTRAHEDRON_NOT_CELL = "InSpectrahedronNotCell"
 NOT_IN_SPECTRAHEDRON = "NotInSpectrahedron"
 NOT_PD = "NotPD"
+
+#: Largest score component along the tangent space on the spectrahedron.
+CRITICAL_TOL = 1e-8
+#: Log-likelihood deficit to the best competitor that still counts as a tie.
+TIE_TOL = 1e-9
+#: Relative tolerance of the slice relations of the closed-form rules.
+SLICE_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +96,7 @@ def _on_model(model, A: np.ndarray) -> np.ndarray:
     """The validated symmetric ``A`` as a point of ``model``: of its
     dimension, positive definite, and satisfying the model equations
     (:class:`PreconditionFailed` otherwise)."""
-    if not model.contains(_model_point(model, A), 1e-8):
+    if not model.contains(_model_point(model, A), MODEL_TOL):
         raise PreconditionFailed("Sigma is not a point of the model")
     return A
 
@@ -128,7 +133,7 @@ def _spectrahedron_status(model, Sg, Ss, tol: float):
     return None
 
 
-def in_spectrahedron(model, Sigma, S, tol: float = 1e-8) -> bool:
+def in_spectrahedron(model, Sigma, S, tol: float = CRITICAL_TOL) -> bool:
     """Is ``S`` in the log-normal spectrahedron of the model at ``Sigma``?
 
     True when ``S`` is positive definite and the score of ``S`` at
@@ -140,23 +145,22 @@ def in_spectrahedron(model, Sigma, S, tol: float = 1e-8) -> bool:
     return _spectrahedron_status(model, Sg, check_symmetric(S), tol) is None
 
 
-def cell_membership(model, Sigma, S, opts: Optional[SolverOptions] = None, *,
-                    tol: float = 1e-8, tie_tol: float = 1e-9
+def cell_membership(model, Sigma, S, opts: Optional[SolverOptions] = None
                     ) -> MembershipVerdict:
     """Decide whether ``S`` lies in the logarithmic Voronoi cell of ``Sigma``.
 
     The sample is first tested for positive definiteness and
-    spectrahedron membership (at criticality tolerance ``tol``).  For
+    spectrahedron membership (at ``CRITICAL_TOL``).  For
     the ``degree_one`` families the cell equals the spectrahedron and
     the verdict is immediate.  Otherwise all critical points of ``S``
     on the model are enumerated and the log-likelihood of ``Sigma`` is
-    compared against the best competitor; ties within ``tie_tol`` count
+    compared against the best competitor; ties within ``TIE_TOL`` count
     as membership.  ``Sigma`` must be a nonsingular model point; one
     off the model raises :class:`PreconditionFailed`.
     """
     Sg = _on_model(model, check_symmetric(Sigma))
     Ss = check_symmetric(S)
-    status = _spectrahedron_status(model, Sg, Ss, tol)
+    status = _spectrahedron_status(model, Sg, Ss, CRITICAL_TOL)
     if status is not None:
         return MembershipVerdict(status=status)
     if model.degree_one:
@@ -171,15 +175,15 @@ def cell_membership(model, Sigma, S, opts: Optional[SolverOptions] = None, *,
         return MembershipVerdict(status=IN_CELL, best_effort=best_effort)
     best = others[0]          # points are sorted by descending log-likelihood
     margin = base_ll - best.loglik
-    if margin >= -tie_tol:
+    if margin >= -TIE_TOL:
         return MembershipVerdict(status=IN_CELL, margin=margin,
                                  best_effort=best_effort)
     return MembershipVerdict(status=IN_SPECTRAHEDRON_NOT_CELL, witness=best,
                              margin=margin, best_effort=best_effort)
 
 
-def _slice_mismatch(value: float, expect: float, tol: float) -> bool:
-    return abs(value - expect) > tol * (1.0 + abs(expect))
+def _slice_mismatch(value: float, expect: float) -> bool:
+    return abs(value - expect) > SLICE_TOL * (1.0 + abs(expect))
 
 
 def _equi_half_trace(m: int, c: float, b):
@@ -190,7 +194,7 @@ def _equi_half_trace(m: int, c: float, b):
             / (c * c * m - 2.0 * c * c + 2.0 * c))
 
 
-def bivariate_cell(c: float, S, *, slice_tol: float = 1e-8) -> bool:
+def bivariate_cell(c: float, S) -> bool:
     """Closed-form cell membership for the 2 x 2 correlation family.
 
     ``S`` must be positive definite and lie on the log-normal slice of
@@ -211,11 +215,11 @@ def bivariate_cell(c: float, S, *, slice_tol: float = 1e-8) -> bool:
     a = float((A[0, 0] + A[1, 1]) / 2.0)
     b = float(A[0, 1])
     if c == 0.0:
-        if abs(b) > slice_tol * (1.0 + a):
+        if abs(b) > SLICE_TOL * (1.0 + a):
             raise NotOnSlice("slice of the diagonal point needs S_12 = 0")
         return a >= 0.5
     a_expect = _equi_half_trace(2, c, b)
-    if _slice_mismatch(a, a_expect, slice_tol):
+    if _slice_mismatch(a, a_expect):
         raise NotOnSlice(
             f"half-trace {a} is off the slice value {a_expect}")
     return _bivariate_side(c, b)
@@ -226,15 +230,15 @@ def _bivariate_side(c: float, b):
     return b >= 0.0 if c > 0.0 else b <= 0.0
 
 
-def equicorrelation_cell(m: int, c: float, S, *,
-                         slice_tol: float = 1e-8) -> bool:
+def equicorrelation_cell(m: int, c: float, S) -> bool:
     """Cell membership for the equicorrelation family.
 
     The symmetrised statistics ``(a, b)`` of ``S`` must satisfy the
     slice relation of the value ``c`` (checked; :class:`NotOnSlice`
-    otherwise).  Membership then reduces to comparing log-likelihoods
-    over the real roots of the critical cubic; ``S`` itself must also
-    be positive definite.  For ``m = 2`` this reproduces
+    otherwise).  Membership then reduces to comparing the
+    log-likelihood of ``c`` with that of the best critical point of
+    the symmetrised sample, a root of the critical cubic; ``S`` itself
+    must also be positive definite.  For ``m = 2`` this reproduces
     :func:`bivariate_cell`.
     """
     if int(m) != m or m < 2:
@@ -249,21 +253,18 @@ def equicorrelation_cell(m: int, c: float, S, *,
             f"expected a {m} x {m} matrix, got {A.shape}")
     a, b, Sbar = _symmetrize(A)
     if c == 0.0:
-        if abs(b) > slice_tol * (1.0 + abs(a)):
+        if abs(b) > SLICE_TOL * (1.0 + abs(a)):
             raise NotOnSlice("slice of the identity point needs mean "
                              "off-diagonal zero")
         return _is_pd(A) and a >= 0.5
     a_expect = _equi_half_trace(m, c, b)
-    if _slice_mismatch(a, a_expect, slice_tol):
+    if _slice_mismatch(a, a_expect):
         raise NotOnSlice(
             f"symmetrised half-trace {a} is off the slice value {a_expect}")
     if not _is_pd(A):
         return False
-    roots = cubic_roots_in_interval(*equicorrelation_cubic(m, a, b), lo, 1.0)
-    ll_c = log_likelihood(equicorrelation_matrix(m, c), Sbar)
-    best = max(log_likelihood(equicorrelation_matrix(m, r), Sbar)
-               for r in roots)
-    return ll_c >= best - 1e-9
+    best = Equicorrelation(m).critical_points(Sbar, None)[0]
+    return _loglik(equicorrelation_matrix(m, c), Sbar) >= best.loglik - TIE_TOL
 
 
 def _ci_union_strip(Sigma: np.ndarray, S):
@@ -277,7 +278,7 @@ def _ci_union_strip(Sigma: np.ndarray, S):
                                     * np.sqrt(Sigma[0, 0] / Sigma[2, 2]))
 
 
-def ci_union_cell(Sigma, S, *, slice_tol: float = 1e-8) -> bool:
+def ci_union_cell(Sigma, S) -> bool:
     """Closed-form cell membership for the union of two CI planes.
 
     At a nonsingular model point the slice frees exactly two entries of
@@ -296,7 +297,7 @@ def ci_union_cell(Sigma, S, *, slice_tol: float = 1e-8) -> bool:
         raise ShapeMismatch("the union model lives on 3 x 3 matrices")
     if not _is_pd(Sg):
         raise NotPD("Sigma is not positive definite")
-    tol = slice_tol * max(1.0, float(np.abs(Sg).max()))
+    tol = SLICE_TOL * max(1.0, float(np.abs(Sg).max()))
     if not CiUnion().contains(Sg, tol):
         raise NotOnSlice("Sigma is not a union-model point")
     # the slice pins the diagonal and a nonzero Sigma_12 or Sigma_23
@@ -362,7 +363,7 @@ def compose_cell(G: Graph, Sigma, S1, S2, M) -> np.ndarray:
     for name, side, block, piece in (("S1", "U", U, A1), ("S2", "W", W, A2)):
         sub = GraphModel(induced_subgraph(G, block))
         Sb = _on_model(sub, principal_submatrix(Sg, block))
-        status = _spectrahedron_status(sub, Sb, piece, 1e-8)
+        status = _spectrahedron_status(sub, Sb, piece, CRITICAL_TOL)
         if status is not None:
             raise PreconditionFailed(
                 f"{name} is not in the {side}-side cell ({status})")
@@ -395,7 +396,8 @@ def project_cell(G: Graph, Sigma, S) -> tuple[np.ndarray, np.ndarray, np.ndarray
     if dec is None:
         raise PreconditionFailed("graph admits no clique-separator decomposition")
     model = GraphModel(G)
-    status = _spectrahedron_status(model, _on_model(model, Sg), Ss, 1e-8)
+    status = _spectrahedron_status(model, _on_model(model, Sg), Ss,
+                                   CRITICAL_TOL)
     if status is not None:
         raise PreconditionFailed(f"S is not in the cell of Sigma ({status})")
     A1 = principal_submatrix(Ss, dec.U)
@@ -443,8 +445,6 @@ def sample_spectrahedron(model, Sigma, count: int, seed: int = 0,
 
 def verdict_to_json(v: MembershipVerdict) -> dict:
     """Encode a membership verdict (status, margin, optional witness)."""
-    from .core import sym_to_json
-
     out: dict = {"status": v.status,
                  "margin": None if v.margin is None else float(v.margin)}
     if v.witness is not None:

@@ -38,8 +38,8 @@ from .errors import (
     UnknownFigure,
 )
 from .graphs import find_reducible_decomposition
-from .mle import SolverOptions, _option_value, critical_points, \
-    criticality_residual, options_from_json
+from .mle import SolverOptions, _option_value, _residual, critical_points, \
+    options_from_json
 from .models import GraphModel, model_from_json
 
 #: Errors that indicate malformed input rather than a failed computation.
@@ -119,10 +119,11 @@ def _solver_options(problem: dict, seed: int) -> SolverOptions:
 
 
 def _point_report(model, cp, sample) -> dict:
+    """The report of a critical point of the validated ``sample``."""
     return {"sigma": sym_to_json(cp.sigma),
             "loglik": float(cp.loglik),
             "source": cp.source,
-            "residual": float(criticality_residual(model, cp.sigma, sample))}
+            "residual": float(_residual(model, cp.sigma, sample))}
 
 
 def _cmd_points(args, all_points: bool) -> int:

@@ -14,7 +14,7 @@ All functions are pure and never mutate their arguments.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -23,13 +23,16 @@ from .errors import IndexOutOfRange, NotPD, ShapeMismatch
 #: Pivot tolerance of the positive-definiteness test, relative to the
 #: largest diagonal entry.
 PD_PIVOT_RTOL = 1e-12
+#: Asymmetry averaged away by :func:`check_symmetric`, relative to the
+#: largest entry (at least 1).
+SYMMETRY_RTOL = 1e-8
 
 
-def check_symmetric(M, *, rtol: float = 1e-8) -> np.ndarray:
+def check_symmetric(M) -> np.ndarray:
     """Validate and return a square, finite, symmetric float matrix.
 
-    Asymmetries up to ``rtol`` times the largest entry are averaged
-    away; anything larger raises :class:`ShapeMismatch`.
+    Asymmetries up to ``SYMMETRY_RTOL`` times the largest entry are
+    averaged away; anything larger raises :class:`ShapeMismatch`.
     """
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -39,7 +42,7 @@ def check_symmetric(M, *, rtol: float = 1e-8) -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise ShapeMismatch("matrix entries must be finite")
     scale = max(1.0, float(np.abs(A).max()))
-    if float(np.abs(A - A.T).max()) > rtol * scale:
+    if float(np.abs(A - A.T).max()) > SYMMETRY_RTOL * scale:
         raise ShapeMismatch("matrix is not symmetric")
     return (A + A.T) / 2.0
 
@@ -61,12 +64,12 @@ def _is_pd(A: np.ndarray) -> bool:
     A = A.copy()
     m = A.shape[0]
     dmax = float(np.max(np.diag(A)))
-    if dmax <= 0.0:
+    if not dmax > 0.0:                  # NaN fails every comparison
         return False
     thresh = PD_PIVOT_RTOL * dmax
     for k in range(m):
         piv = A[k, k]
-        if piv <= thresh:
+        if not piv > thresh:
             return False
         v = A[k + 1:, k]
         A[k + 1:, k + 1:] -= np.outer(v, v) / piv
@@ -106,6 +109,16 @@ def log_likelihood(Sigma, S) -> float:
 
     Both arguments must be positive definite matrices of the same size.
     """
+    Sg, Ss = _pair(Sigma, S)
+    if not _is_pd(Ss):
+        raise NotPD("S is not positive definite")
+    return _loglik(Sg, Ss)
+
+
+def _pair(Sigma, S) -> tuple[np.ndarray, np.ndarray]:
+    """``Sigma`` and ``S`` validated: symmetric, finite, of one shape
+    (:class:`ShapeMismatch`), and ``Sigma`` positive definite
+    (:class:`NotPD`)."""
     Sg = check_symmetric(Sigma)
     Ss = check_symmetric(S)
     if Sg.shape != Ss.shape:
@@ -113,16 +126,18 @@ def log_likelihood(Sigma, S) -> float:
             f"Sigma has shape {Sg.shape} but S has shape {Ss.shape}")
     if not _is_pd(Sg):
         raise NotPD("Sigma is not positive definite")
-    if not _is_pd(Ss):
-        raise NotPD("S is not positive definite")
-    return _loglik(Sg, Ss)
+    return Sg, Ss
 
 
 def _loglik(Sg: np.ndarray, Ss: np.ndarray) -> float:
     """:func:`log_likelihood` of validated positive definite arrays."""
-    L = np.linalg.cholesky(Sg)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return -logdet - float(np.trace(np.linalg.solve(Sg, Ss)))
+    return -_logdet(Sg) - float(np.trace(np.linalg.solve(Sg, Ss)))
+
+
+def _logdet(K: np.ndarray) -> float:
+    """log det of a PD matrix; raises np.linalg.LinAlgError when not PD."""
+    L = np.linalg.cholesky(K)
+    return 2.0 * float(np.sum(np.log(np.diag(L))))
 
 
 def score_matrix(Sigma, S) -> np.ndarray:
@@ -133,14 +148,7 @@ def score_matrix(Sigma, S) -> np.ndarray:
     ``D`` is ``tr(score_matrix(Sigma, S) @ D)``.  ``Sigma`` must be
     positive definite; ``S`` only has to be symmetric.
     """
-    Sg = check_symmetric(Sigma)
-    Ss = check_symmetric(S)
-    if Sg.shape != Ss.shape:
-        raise ShapeMismatch(
-            f"Sigma has shape {Sg.shape} but S has shape {Ss.shape}")
-    if not _is_pd(Sg):
-        raise NotPD("Sigma is not positive definite")
-    return _score(Sg, Ss)
+    return _score(*_pair(Sigma, S))
 
 
 def _score(Sg: np.ndarray, Ss: np.ndarray) -> np.ndarray:

@@ -22,6 +22,21 @@ def _check_vertex(v, m: int) -> int:
     return i
 
 
+def _vertex_pairs(m, pairs, what: str) -> list[tuple[int, int]]:
+    """The pairs of vertices in 1..m, checked in order along with the
+    vertex count; :class:`IndexOutOfRange` for a count below 1, a vertex
+    outside 1..m or a loop (``what`` names the pair in the message)."""
+    if int(m) != m or m < 1:
+        raise IndexOutOfRange(f"vertex count must be >= 1, got {m!r}")
+    out = []
+    for i, j in pairs:
+        i, j = _check_vertex(i, m), _check_vertex(j, m)
+        if i == j:
+            raise IndexOutOfRange(f"loop {what} ({i}, {j}) not allowed")
+        out.append((i, j))
+    return out
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 1..m.
@@ -34,18 +49,10 @@ class Graph:
     edges: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if int(self.m) != self.m or self.m < 1:
-            raise IndexOutOfRange(f"vertex count must be >= 1, got {self.m!r}")
-        norm = set()
-        for e in self.edges:
-            i, j = e
-            i = _check_vertex(i, self.m)
-            j = _check_vertex(j, self.m)
-            if i == j:
-                raise IndexOutOfRange(f"loop edge ({i}, {j}) not allowed")
-            norm.add((min(i, j), max(i, j)))
+        pairs = _vertex_pairs(self.m, self.edges, "edge")
         object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "edges", frozenset(norm))
+        object.__setattr__(self, "edges",
+                           frozenset((min(e), max(e)) for e in pairs))
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -58,20 +65,13 @@ class Graph:
         return (min(i, j), max(i, j)) in self.edges
 
     def neighbors(self, v: int) -> set[int]:
-        _check_vertex(v, self.m)
-        out = set()
-        for i, j in self.edges:
-            if i == v:
-                out.add(j)
-            elif j == v:
-                out.add(i)
-        return out
+        return adjacency(self)[_check_vertex(v, self.m)]
 
     def is_complete(self) -> bool:
         return len(self.edges) == self.m * (self.m - 1) // 2
 
     def to_networkx(self) -> "nx.Graph":
-        import networkx as nx   # deferred: only this and maximal_cliques need it
+        import networkx as nx   # deferred: an optional dependency
 
         g = nx.Graph()
         g.add_nodes_from(self.vertices)
@@ -92,21 +92,13 @@ class Digraph:
     arcs: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if int(self.m) != self.m or self.m < 1:
-            raise IndexOutOfRange(f"vertex count must be >= 1, got {self.m!r}")
-        norm = set()
-        for e in self.arcs:
-            i, j = e
-            i = _check_vertex(i, self.m)
-            j = _check_vertex(j, self.m)
-            if i == j:
-                raise IndexOutOfRange(f"loop arc ({i}, {j}) not allowed")
+        pairs = _vertex_pairs(self.m, self.arcs, "arc")
+        for i, j in pairs:
             if i > j:
                 raise NotTopological(
                     f"arc ({i}, {j}) runs against the vertex labelling")
-            norm.add((i, j))
         object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "arcs", frozenset(norm))
+        object.__setattr__(self, "arcs", frozenset(pairs))
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -143,10 +135,23 @@ def adjacency(G: Graph) -> dict[int, set[int]]:
 
 
 def maximal_cliques(G: Graph) -> list[tuple[int, ...]]:
-    """All maximal cliques, each sorted, listed lexicographically."""
-    import networkx as nx
-
-    cliques = [tuple(sorted(c)) for c in nx.find_cliques(G.to_networkx())]
+    """All maximal cliques, each sorted, listed lexicographically, by
+    Bron-Kerbosch search with pivoting (Tomita, Tanaka and Takahashi,
+    2006): the clique ``R`` grows by each candidate in ``P`` outside the
+    neighbourhood of the pivot, which has the most neighbours in ``P``."""
+    adj = adjacency(G)
+    cliques = []
+    stack = [((), set(G.vertices), set())]   # no recursion-depth limit
+    while stack:
+        R, P, X = stack.pop()
+        if not P and not X:
+            cliques.append(tuple(sorted(R)))
+            continue
+        pivot = max(P | X, key=lambda u: len(P & adj[u]))
+        for v in P - adj[pivot]:
+            stack.append((R + (v,), P & adj[v], X & adj[v]))
+            P = P - {v}
+            X = X | {v}
     return sorted(cliques)
 
 

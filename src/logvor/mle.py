@@ -15,13 +15,12 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import _is_pd, _loglik, _score, check_symmetric, \
-    is_positive_definite, pd_mask
+from .core import _is_pd, _logdet, _loglik, _score, check_symmetric, pd_mask
 from .errors import (
     DegenerateLeadingCoefficient,
     InvalidModel,
@@ -34,7 +33,10 @@ from .errors import (
 )
 from .graphs import Graph, adjacency, is_chordal
 from .models import GraphModel, LinearConcentration, SemParams, \
-    _model_point, _symmetrize, as_concentration, sem_covariance, sem_fit
+    _model_point, _sem_fit, _symmetrize, as_concentration, sem_covariance
+
+#: Newton steps that :func:`mle_concentration` takes before it gives up.
+NEWTON_MAX_ITER = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,8 +123,7 @@ def _option_value(name: str, value):
 
 
 def options_to_json(opts: SolverOptions) -> dict:
-    return {"starts": opts.starts, "seed": opts.seed,
-            "tol": opts.tol, "max_iter": opts.max_iter}
+    return asdict(opts)
 
 
 def bivariate_stats(S) -> CubicCoeffs:
@@ -215,14 +216,7 @@ def _sample(S, m: int) -> np.ndarray:
     return A
 
 
-def _logdet_chol(K) -> float:
-    """log det of a PD matrix; raises np.linalg.LinAlgError when not PD."""
-    L = np.linalg.cholesky(K)
-    return 2.0 * float(np.sum(np.log(np.diag(L))))
-
-
-def mle_concentration(model: LinearConcentration, S, *,
-                      max_iter: int = 200) -> CriticalPoint:
+def mle_concentration(model: LinearConcentration, S) -> CriticalPoint:
     """Newton MLE for a linear concentration model.
 
     Maximises ``log det K - tr(S K)`` over positive definite
@@ -234,15 +228,18 @@ def mle_concentration(model: LinearConcentration, S, *,
     resolution of the objective, feasible steps are accepted without a
     measured increase so the final Newton steps are not rejected as
     noise.  Converged when every fitted trace matches its sample trace
-    to 1e-10 relative accuracy.
+    to 1e-10 relative accuracy within ``NEWTON_MAX_ITER`` steps.
     """
     if isinstance(model, GraphModel):
         model = as_concentration(model)
     if not isinstance(model, LinearConcentration):
         raise InvalidModel("mle_concentration needs a concentration model")
-    m = model.dim
-    A = _sample(S, m)
+    return _concentration_point(model, _sample(S, model.dim))
 
+
+def _concentration_point(model, A: np.ndarray) -> CriticalPoint:
+    """:func:`mle_concentration` of a validated sample."""
+    m = model.dim
     B = np.stack(model.basis)               # (d, m, m)
     d = B.shape[0]
     Bf = B.reshape(d, -1)
@@ -254,10 +251,10 @@ def mle_concentration(model: LinearConcentration, S, *,
 
     lam = project(np.linalg.inv(A))
     K = np.tensordot(lam, B, 1)
-    if not is_positive_definite(K):
+    if not _is_pd(K):
         lam = project(np.eye(m))
         K = np.tensordot(lam, B, 1)
-        if not is_positive_definite(K):
+        if not _is_pd(K):
             raise NoInteriorPoint(
                 "no positive definite matrix found in the span")
         # rescale so the fitted trace against S matches its optimum value
@@ -265,10 +262,10 @@ def mle_concentration(model: LinearConcentration, S, *,
         K = np.tensordot(lam, B, 1)
 
     def phi(K):
-        return _logdet_chol(K) - float(np.vdot(A, K))
+        return _logdet(K) - float(np.vdot(A, K))
 
     val = phi(K)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         Sigma = np.linalg.inv(K)
         Sigma = (Sigma + Sigma.T) / 2.0
         fitted = Bf @ Sigma.ravel()
@@ -305,7 +302,8 @@ def mle_concentration(model: LinearConcentration, S, *,
             t *= 0.5
         else:
             raise NoConvergence("line search failed to make progress")
-    raise NoConvergence(f"no convergence after {max_iter} Newton steps")
+    raise NoConvergence(
+        f"no convergence after {NEWTON_MAX_ITER} Newton steps")
 
 
 def mle_graph_decomposable(G: Graph, S) -> CriticalPoint:
@@ -358,7 +356,7 @@ def mle_dag(dag, S) -> tuple[SemParams, CriticalPoint]:
     A = check_symmetric(S)
     if not _is_pd(A):
         raise NotPD("sample matrix is not positive definite")
-    params = sem_fit(dag, A)
+    params = _sem_fit(dag, A)
     return params, _critical_point(sem_covariance(dag, params), A, "unique")
 
 

@@ -34,6 +34,8 @@ from .graphs import Digraph, Graph, digraph_from_json, digraph_to_json, \
 #: Off-diagonal entries below this are treated as exact zeros when
 #: deciding which chart of a union model a point belongs to.
 SINGULAR_TOL = 1e-10
+#: Tolerance of the model equations, as tested by :func:`model_contains`.
+MODEL_TOL = 1e-8
 
 
 def _diag_unit(i: int, m: int) -> np.ndarray:
@@ -139,8 +141,8 @@ class LinearConcentration(Model):
         return [-(A @ K @ A) for K in self.basis]
 
     def critical_points(self, A, opts):
-        from .mle import mle_concentration
-        return [mle_concentration(self, A)]
+        from .mle import _concentration_point
+        return [_concentration_point(self, A)]
 
     def to_json(self):
         return {"kind": self.kind,
@@ -178,11 +180,11 @@ class GraphModel(Model):
         return as_concentration(self).tangent_basis(A)
 
     def critical_points(self, A, opts):
-        from .mle import _decomposable_point, mle_concentration
+        from .mle import _concentration_point, _decomposable_point
         chordal, order = is_chordal(self.graph)
         if chordal:
             return [_decomposable_point(self.graph, A, order)]
-        return [mle_concentration(self, A)]
+        return [_concentration_point(as_concentration(self), A)]
 
     def to_json(self):
         return {"kind": self.kind, **graph_to_json(self.graph)}
@@ -226,8 +228,9 @@ class DagModel(Model):
         return out
 
     def critical_points(self, A, opts):
-        from .mle import mle_dag
-        return [mle_dag(self.dag, A)[1]]
+        from .mle import _critical_point
+        fitted = sem_covariance(self.dag, _sem_fit(self.dag, A))
+        return [_critical_point(fitted, A, "unique")]
 
     def to_json(self):
         return {"kind": self.kind, **digraph_to_json(self.dag)}
@@ -428,15 +431,16 @@ def _model_point(model: Model, A: np.ndarray) -> np.ndarray:
     return A
 
 
-def model_contains(model, Sigma, tol: float = 1e-8) -> bool:
+def model_contains(model, Sigma) -> bool:
     """Does the positive definite matrix ``Sigma`` satisfy the model equations?
 
-    Residuals are compared against ``tol`` scaled by ``max(1, |.|)`` of
-    the quantity being tested (concentration entries for inverse-based
-    families, covariance entries for the DAG family); the
-    correlation and union families compare unscaled entries.
+    Residuals are compared against ``MODEL_TOL`` scaled by
+    ``max(1, |.|)`` of the quantity being tested (concentration entries
+    for inverse-based families, covariance entries for the DAG family);
+    the correlation and union families compare unscaled entries.
     """
-    return model.contains(_model_point(model, check_symmetric(Sigma)), tol)
+    return model.contains(_model_point(model, check_symmetric(Sigma)),
+                          MODEL_TOL)
 
 
 def tangent_basis(model, Sigma) -> list[np.ndarray]:
@@ -507,16 +511,16 @@ def sem_fit(dag: Digraph, S) -> SemParams:
     arbitrary positive definite matrix it computes the (unique) maximum
     likelihood critical point.
     """
-    A = check_symmetric(S)
-    if A.shape[0] != dag.m:
-        raise DimensionMismatch(
-            f"DAG has {dag.m} vertices, matrix has dimension {A.shape[0]}")
-    return _sem_fit(dag, A)
+    return _sem_fit(dag, check_symmetric(S))
 
 
 def _sem_fit(dag: Digraph, A: np.ndarray) -> SemParams:
-    """:func:`sem_fit` of a validated matrix of the DAG's dimension."""
+    """:func:`sem_fit` of a validated symmetric matrix, which must have
+    the DAG's dimension (:class:`DimensionMismatch`)."""
     m = dag.m
+    if A.shape[0] != m:
+        raise DimensionMismatch(
+            f"DAG has {m} vertices, matrix has dimension {A.shape[0]}")
     Lambda = np.zeros((m, m))
     omega = np.zeros(m)
     for k in range(1, m + 1):
@@ -546,9 +550,7 @@ def dag_params_to_sem(dag: Digraph, params: DagParams) -> SemParams:
     The arc weights carry over unchanged; the error variances are the
     Schur complements of the trek covariance against the parent blocks.
     """
-    Sigma = trek_covariance(dag, params)
-    fitted = sem_fit(dag, Sigma)
-    return fitted
+    return _sem_fit(dag, trek_covariance(dag, params))
 
 
 def equicorrelation_matrix(m: int, x: float) -> np.ndarray:

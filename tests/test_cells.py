@@ -17,6 +17,7 @@ from logvor import (
     Equicorrelation,
     GraphModel,
     Graph,
+    LinearConcentration,
     NotOnSlice,
     NotPD,
     OutOfRange,
@@ -27,6 +28,7 @@ from logvor import (
     cell_membership,
     ci_union_cell,
     compose_cell,
+    critical_points,
     equicorrelation_cell,
     equicorrelation_matrix,
     find_reducible_decomposition,
@@ -223,6 +225,56 @@ class TestValidatedOnce:
         counts.update(check_symmetric=0, _is_pd=0)
         project_cell(path_graph, path_sigma, S)
         assert counts == {"check_symmetric": 2, "_is_pd": 3}
+
+    @pytest.fixture
+    def public_calls(self, monkeypatch):
+        """Calls of the public functions that validate their arguments
+        again; no internal path makes them."""
+        import logvor
+        calls = []
+        for name in ("is_positive_definite", "log_likelihood", "sem_fit",
+                     "mle_dag", "mle_concentration"):
+            for module in (logvor.core, logvor.models, logvor.mle,
+                           logvor.cells):
+                if hasattr(module, name):
+                    original = getattr(module, name)
+
+                    def recorded(*args, _name=name, _original=original,
+                                 **kwargs):
+                        calls.append(_name)
+                        return _original(*args, **kwargs)
+
+                    monkeypatch.setattr(module, name, recorded)
+        return calls
+
+    @pytest.mark.parametrize("family, pd_tests", [
+        ("dag", 2), ("four-cycle", 3), ("concentration", 3)])
+    def test_critical_points_check_the_sample_once(
+            self, family, pd_tests, collider_dag, path_sigma, counts,
+            public_calls):
+        """One symmetry check and one PD elimination for S; then one PD
+        elimination for the fitted point, and for the Newton families
+        one for the starting concentration."""
+        cycle = Graph(4, ((1, 2), (2, 3), (3, 4), (1, 4)))
+        model = {"dag": DagModel(collider_dag),
+                 "four-cycle": GraphModel(cycle),
+                 "concentration": LinearConcentration(
+                     (np.eye(4), np.ones((4, 4)) - np.eye(4)))}[family]
+        counts.update(check_symmetric=0, _is_pd=0)
+        points = critical_points(model, path_sigma)
+        assert len(points) == 1 and points[0].source == "unique"
+        assert counts == {"check_symmetric": 1, "_is_pd": pd_tests}
+        assert public_calls == []
+
+    def test_equicorrelation_cell_checks_s_once(self, counts, public_calls):
+        """One symmetry check and one PD elimination for S, and one PD
+        elimination for the one critical point of the symmetrised
+        sample; the point c itself is not tested again."""
+        S = equicorrelation_slice_sample(3, 0.4, np.random.default_rng(7))
+        counts.update(check_symmetric=0, _is_pd=0)
+        assert equicorrelation_cell(3, 0.4, S)
+        assert counts == {"check_symmetric": 1, "_is_pd": 2}
+        assert public_calls == []
 
     def test_sampler_checks_sigma_once(self, path_graph, path_sigma, counts):
         """The proposals are built from validated arrays, so only Sigma

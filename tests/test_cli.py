@@ -59,16 +59,17 @@ class TestMle:
     def test_chordal_graphs_skip_newton(self, tmp_path, capsys, path_sigma,
                                         monkeypatch):
         """The path is chordal: its MLE comes from the clique formula.
-        The 4-cycle is not, and still runs Newton's method."""
+        The 4-cycle is not, and still runs Newton's method (its core,
+        on the sample validated once)."""
         import logvor.mle
-        newton = logvor.mle.mle_concentration
+        newton = logvor.mle._concentration_point
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args[0])
             return newton(*args, **kwargs)
 
-        monkeypatch.setattr(logvor.mle, "mle_concentration", counted)
+        monkeypatch.setattr(logvor.mle, "_concentration_point", counted)
         file = write_problem(tmp_path, path_problem(path_sigma))
         code, out, _ = run_cli(capsys, ["mle", file])
         assert code == 0 and json.loads(out)["points"][0]["residual"] < 1e-8
@@ -519,17 +520,26 @@ def source_tree_env():
 
 
 def test_cli_import_leaves_networkx_unloaded(tmp_path, path_sigma):
-    """networkx is imported only by the functions that need it; importing
-    the package and running the graph commands does not load it."""
-    file = write_problem(tmp_path, path_problem(path_sigma))
-    code = ("import sys; from logvor.cli import main; "
-            f"assert main(['decompose', {file!r}]) == 0; "
-            f"assert main(['mle', {file!r}]) == 0; "
-            "print('networkx' in sys.modules)")
+    """numpy is the only runtime dependency: with networkx blocked from
+    import, the package, the clique functions and every command run."""
+    problem = path_problem(path_sigma, sigma=sym_to_json(path_sigma))
+    file = write_problem(tmp_path, problem)
+    csv_out = str(tmp_path / "fig.csv")
+    commands = [["decompose", file], ["mle", file], ["critical-points", file],
+                ["membership", file], ["sample", file, "--count", "2"],
+                ["figure", "bivariate", "--out", csv_out, "--grid", "5"]]
+    code = ("import sys; sys.modules['networkx'] = None; "
+            "from logvor import Graph, find_reducible_decomposition, "
+            "maximal_cliques; from logvor.cli import main; "
+            "G = Graph(4, ((1, 2), (2, 3), (3, 4), (1, 3))); "
+            "assert maximal_cliques(G) == [(1, 2, 3), (3, 4)]; "
+            "assert find_reducible_decomposition(G).T == (3,); "
+            f"assert all(main(c) == 0 for c in {commands!r}); "
+            "print('ok')")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, env=source_tree_env())
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip().splitlines()[-1] == "False"
+    assert result.stdout.strip().splitlines()[-1] == "ok"
 
 
 class TestConsoleScript:

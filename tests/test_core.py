@@ -19,7 +19,7 @@ from logvor import (
     sym_from_json,
     sym_to_json,
 )
-from logvor.core import random_pd
+from logvor.core import _is_pd, random_pd
 
 
 class TestCheckSymmetric:
@@ -103,6 +103,8 @@ class TestPdMask:
         M[3, 2, 2] = -np.inf
         M[4, 0, 1] = M[4, 1, 0] = np.nan
         assert pd_mask(M).tolist() == [True, False, False, False, False]
+        # the unvalidated single-matrix test agrees: a NaN pivot fails
+        assert [_is_pd(X) for X in M] == pd_mask(M).tolist()
 
 
 class TestLogLikelihood:

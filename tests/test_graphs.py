@@ -99,6 +99,17 @@ class TestMaximalCliques:
                              if not any(c < d for d in complete))
             assert maximal_cliques(G) == maximal
 
+    def test_matches_networkx(self):
+        """networkx's find_cliques as the oracle, up to m = 15 and over
+        the whole range of edge densities."""
+        rng = np.random.default_rng(23)
+        for _ in range(400):
+            m = int(rng.integers(1, 16))
+            G = random_graph(m, rng, p=rng.uniform(0.05, 0.95))
+            expect = sorted(tuple(sorted(c))
+                            for c in nx.find_cliques(G.to_networkx()))
+            assert maximal_cliques(G) == expect
+
 
 class TestChordality:
     def test_examples(self, path_graph):

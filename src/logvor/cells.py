@@ -19,14 +19,14 @@ from typing import Optional
 
 import numpy as np
 
-from .core import _is_pd, _loglik, check_symmetric, embed, \
+from .core import _fits, _is_pd, _loglik, _matrix, check_symmetric, embed, \
     principal_submatrix, sym_to_json
 from .errors import NotOnSlice, NotPD, OutOfRange, PreconditionFailed, \
-    SamplingExhausted, ShapeMismatch
+    SamplingExhausted
 from .graphs import Graph, find_reducible_decomposition, induced_subgraph
 from .mle import SolverOptions, CriticalPoint, _residual
-from .models import MODEL_TOL, CiUnion, Equicorrelation, GraphModel, \
-    _model_point, _symmetrize, equicorrelation_matrix
+from .models import MODEL_TOL, SINGULAR_TOL, CiUnion, Equicorrelation, \
+    GraphModel, _symmetrize, equicorrelation_matrix
 
 IN_CELL = "InCell"
 IN_SPECTRAHEDRON_NOT_CELL = "InSpectrahedronNotCell"
@@ -96,7 +96,7 @@ def _on_model(model, A: np.ndarray) -> np.ndarray:
     """The validated symmetric ``A`` as a point of ``model``: of its
     dimension, positive definite, and satisfying the model equations
     (:class:`PreconditionFailed` otherwise)."""
-    if not model.contains(_model_point(model, A), MODEL_TOL):
+    if not model.contains(_fits(A, "Sigma", model.dim, pd=True), MODEL_TOL):
         raise PreconditionFailed("Sigma is not a point of the model")
     return A
 
@@ -142,7 +142,8 @@ def in_spectrahedron(model, Sigma, S, tol: float = CRITICAL_TOL) -> bool:
     model.
     """
     Sg = _on_model(model, check_symmetric(Sigma))
-    return _spectrahedron_status(model, Sg, check_symmetric(S), tol) is None
+    return _spectrahedron_status(model, Sg, _matrix(S, "S", model.dim),
+                                 tol) is None
 
 
 def cell_membership(model, Sigma, S, opts: Optional[SolverOptions] = None
@@ -159,7 +160,7 @@ def cell_membership(model, Sigma, S, opts: Optional[SolverOptions] = None
     off the model raises :class:`PreconditionFailed`.
     """
     Sg = _on_model(model, check_symmetric(Sigma))
-    Ss = check_symmetric(S)
+    Ss = _matrix(S, "S", model.dim)
     status = _spectrahedron_status(model, Sg, Ss, CRITICAL_TOL)
     if status is not None:
         return MembershipVerdict(status=status)
@@ -182,16 +183,28 @@ def cell_membership(model, Sigma, S, opts: Optional[SolverOptions] = None
                              margin=margin, best_effort=best_effort)
 
 
-def _slice_mismatch(value: float, expect: float) -> bool:
-    return abs(value - expect) > SLICE_TOL * (1.0 + abs(expect))
-
-
 def _equi_half_trace(m: int, c: float, b):
     """The half-trace ``a`` that the log-normal slice of the m x m
     equicorrelation point with off-diagonal ``c != 0`` ties to the mean
     off-diagonal ``b`` of a sample; ``b`` may be an array."""
     return (((m - 2) * c * c + (m - 1) * b * c * c - (m - 1) * c ** 3 + b + c)
             / (c * c * m - 2.0 * c * c + 2.0 * c))
+
+
+def _equi_slice(m: int, c: float, a: float, b: float) -> None:
+    """Raise unless ``c`` is in the positive definite interval
+    (:class:`OutOfRange`) and the sample statistics ``(a, b)`` are on the
+    slice of the m x m equicorrelation point ``c`` (:class:`NotOnSlice`)."""
+    lo = -1.0 / (m - 1)
+    if not lo < c < 1.0:
+        raise OutOfRange(f"{c} outside the positive definite interval ({lo}, 1)")
+    if c == 0.0:
+        if abs(b) > SLICE_TOL * (1.0 + abs(a)):
+            raise NotOnSlice("slice of c = 0 needs mean off-diagonal zero")
+        return
+    a_expect = _equi_half_trace(m, c, b)
+    if abs(a - a_expect) > SLICE_TOL * (1.0 + abs(a_expect)):
+        raise NotOnSlice(f"half-trace {a} is off the slice value {a_expect}")
 
 
 def bivariate_cell(c: float, S) -> bool:
@@ -205,24 +218,13 @@ def bivariate_cell(c: float, S) -> bool:
     diagonal point ``c = 0``.
     """
     c = float(c)
-    if not -1.0 < c < 1.0:
-        raise OutOfRange(f"{c} outside the open interval (-1, 1)")
-    A = check_symmetric(S)
-    if A.shape != (2, 2):
-        raise ShapeMismatch(f"expected a 2 x 2 matrix, got {A.shape}")
-    if not _is_pd(A):
-        raise NotOnSlice("S is not positive definite")
+    A = _matrix(S, "S", 2)
     a = float((A[0, 0] + A[1, 1]) / 2.0)
     b = float(A[0, 1])
-    if c == 0.0:
-        if abs(b) > SLICE_TOL * (1.0 + a):
-            raise NotOnSlice("slice of the diagonal point needs S_12 = 0")
-        return a >= 0.5
-    a_expect = _equi_half_trace(2, c, b)
-    if _slice_mismatch(a, a_expect):
-        raise NotOnSlice(
-            f"half-trace {a} is off the slice value {a_expect}")
-    return _bivariate_side(c, b)
+    _equi_slice(2, c, a, b)
+    if not _is_pd(A):
+        raise NotOnSlice("S is not positive definite")
+    return a >= 0.5 if c == 0.0 else _bivariate_side(c, b)
 
 
 def _bivariate_side(c: float, b):
@@ -241,30 +243,18 @@ def equicorrelation_cell(m: int, c: float, S) -> bool:
     must also be positive definite.  For ``m = 2`` this reproduces
     :func:`bivariate_cell`.
     """
-    if int(m) != m or m < 2:
-        raise ShapeMismatch("equicorrelation cell needs m >= 2")
+    model = Equicorrelation(m)
     c = float(c)
-    lo = -1.0 / (m - 1)
-    if not lo < c < 1.0:
-        raise OutOfRange(f"{c} outside the positive definite interval ({lo}, 1)")
-    A = check_symmetric(S)
-    if A.shape[0] != m:
-        raise ShapeMismatch(
-            f"expected a {m} x {m} matrix, got {A.shape}")
+    A = _matrix(S, "S", model.m)
     a, b, Sbar = _symmetrize(A)
-    if c == 0.0:
-        if abs(b) > SLICE_TOL * (1.0 + abs(a)):
-            raise NotOnSlice("slice of the identity point needs mean "
-                             "off-diagonal zero")
-        return _is_pd(A) and a >= 0.5
-    a_expect = _equi_half_trace(m, c, b)
-    if _slice_mismatch(a, a_expect):
-        raise NotOnSlice(
-            f"symmetrised half-trace {a} is off the slice value {a_expect}")
+    _equi_slice(model.m, c, a, b)
     if not _is_pd(A):
         return False
-    best = Equicorrelation(m).critical_points(Sbar, None)[0]
-    return _loglik(equicorrelation_matrix(m, c), Sbar) >= best.loglik - TIE_TOL
+    if c == 0.0:
+        return a >= 0.5
+    best = model.critical_points(Sbar, None)[0]
+    return _loglik(equicorrelation_matrix(model.m, c), Sbar) \
+        >= best.loglik - TIE_TOL
 
 
 def _ci_union_strip(Sigma: np.ndarray, S):
@@ -291,22 +281,19 @@ def ci_union_cell(Sigma, S) -> bool:
     along with the two matrices obtained by zeroing ``S_23``
     respectively ``S_12``.
     """
-    Sg = check_symmetric(Sigma)
-    Ss = check_symmetric(S)
-    if Sg.shape != (3, 3) or Ss.shape != (3, 3):
-        raise ShapeMismatch("the union model lives on 3 x 3 matrices")
-    if not _is_pd(Sg):
-        raise NotPD("Sigma is not positive definite")
+    Sg = _matrix(Sigma, "Sigma", 3, pd=True)
+    Ss = _matrix(S, "S", 3)
     tol = SLICE_TOL * max(1.0, float(np.abs(Sg).max()))
     if not CiUnion().contains(Sg, tol):
         raise NotOnSlice("Sigma is not a union-model point")
     # the slice pins the diagonal and a nonzero Sigma_12 or Sigma_23
-    nonzero = [(i, j) for i, j in ((0, 1), (1, 2)) if abs(Sg[i, j]) > tol]
+    nonzero = [(i, j) for i, j in ((0, 1), (1, 2))
+               if abs(Sg[i, j]) > SINGULAR_TOL]
     for (i, j) in sorted([(0, 0), (1, 1), (2, 2)] + nonzero):
         if abs(Ss[i, j] - Sg[i, j]) > tol:
             raise NotOnSlice(
                 f"S[{i + 1},{j + 1}] is not pinned to Sigma on the slice")
-    if abs(Sg[0, 1]) > tol or abs(Sg[1, 2]) > tol:
+    if nonzero:
         return _is_pd(Ss) and _ci_union_strip(Sg, Ss)
     # singular (diagonal) point: x = S_12, y = S_13, z = S_23 free.
     # The pair of conditions does not imply that S itself is positive
@@ -344,21 +331,15 @@ def compose_cell(G: Graph, Sigma, S1, S2, M) -> np.ndarray:
     pieces raise :class:`PreconditionFailed`; a result outside the
     positive definite cone raises :class:`NotPD`.
     """
-    Sg = check_symmetric(Sigma)
-    m = G.m
-    if Sg.shape[0] != m:
-        raise ShapeMismatch(
-            f"graph has {m} vertices, Sigma has dimension {Sg.shape[0]}")
+    Sg = _matrix(Sigma, "Sigma", G.m)
     dec = find_reducible_decomposition(G)
     if dec is None:
         raise PreconditionFailed("graph admits no clique-separator decomposition")
     U, W = dec.U, dec.W
 
-    A1 = check_symmetric(S1)
-    A2 = check_symmetric(S2)
-    Mk = check_symmetric(M)
-    if A1.shape[0] != len(U) or A2.shape[0] != len(W) or Mk.shape[0] != m:
-        raise ShapeMismatch("piece dimensions do not match the decomposition")
+    A1 = _matrix(S1, "S1", len(U))
+    A2 = _matrix(S2, "S2", len(W))
+    Mk = _matrix(M, "M", G.m)
 
     for name, side, block, piece in (("S1", "U", U, A1), ("S2", "W", W, A2)):
         sub = GraphModel(induced_subgraph(G, block))
@@ -373,7 +354,7 @@ def compose_cell(G: Graph, Sigma, S1, S2, M) -> np.ndarray:
             raise PreconditionFailed(
                 "M must vanish on the U x U and W x W blocks")
 
-    S = _glue(dec, m, Sg, A1, A2) + Mk
+    S = _glue(dec, G.m, Sg, A1, A2) + Mk
     if not _is_pd(S):
         raise NotPD("composed sample is not positive definite")
     return S
@@ -387,22 +368,18 @@ def project_cell(G: Graph, Sigma, S) -> tuple[np.ndarray, np.ndarray, np.ndarray
     :func:`compose_cell` reassembles ``S`` from the triple.  ``S`` must
     be in the cell of ``Sigma``.
     """
-    Sg = check_symmetric(Sigma)
-    Ss = check_symmetric(S)
-    m = G.m
-    if Sg.shape[0] != m or Ss.shape[0] != m:
-        raise ShapeMismatch("dimension mismatch with the graph")
+    model = GraphModel(G)
+    Sg = _on_model(model, check_symmetric(Sigma))
+    Ss = _matrix(S, "S", G.m)
     dec = find_reducible_decomposition(G)
     if dec is None:
         raise PreconditionFailed("graph admits no clique-separator decomposition")
-    model = GraphModel(G)
-    status = _spectrahedron_status(model, _on_model(model, Sg), Ss,
-                                   CRITICAL_TOL)
+    status = _spectrahedron_status(model, Sg, Ss, CRITICAL_TOL)
     if status is not None:
         raise PreconditionFailed(f"S is not in the cell of Sigma ({status})")
     A1 = principal_submatrix(Ss, dec.U)
     A2 = principal_submatrix(Ss, dec.W)
-    return A1, A2, Ss - _glue(dec, m, Sg, A1, A2)
+    return A1, A2, Ss - _glue(dec, G.m, Sg, A1, A2)
 
 
 def sample_spectrahedron(model, Sigma, count: int, seed: int = 0,

@@ -26,7 +26,6 @@ from .cells import IN_CELL, _bivariate_side, _ci_union_strip, \
     _equi_half_trace, cell_membership, sample_spectrahedron, verdict_to_json
 from .core import pd_mask, sym_from_json, sym_to_json
 from .errors import (
-    DimensionMismatch,
     IndexOutOfRange,
     InvalidModel,
     LogvorError,
@@ -44,8 +43,7 @@ from .models import GraphModel, model_from_json
 
 #: Errors that indicate malformed input rather than a failed computation.
 _INPUT_ERRORS = (ShapeMismatch, IndexOutOfRange, InvalidModel, OutOfRange,
-                 UnknownFigure, NotOnSlice, PreconditionFailed,
-                 DimensionMismatch, NotTopological)
+                 UnknownFigure, NotOnSlice, PreconditionFailed, NotTopological)
 
 #: Range of ``figure --grid``, points per axis; a scene has grid^2 rows.
 _GRID_RANGE = (2, 1001)

@@ -13,12 +13,14 @@ All functions are pure and never mutate their arguments.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NotPD, ShapeMismatch
+from .errors import DimensionMismatch, IndexOutOfRange, NotPD, \
+    ShapeMismatch
 
 #: Pivot tolerance of the positive-definiteness test, relative to the
 #: largest diagonal entry.
@@ -109,29 +111,42 @@ def log_likelihood(Sigma, S) -> float:
 
     Both arguments must be positive definite matrices of the same size.
     """
-    Sg, Ss = _pair(Sigma, S)
-    if not _is_pd(Ss):
-        raise NotPD("S is not positive definite")
-    return _loglik(Sg, Ss)
+    Sg = _matrix(Sigma, "Sigma", pd=True)
+    return _loglik(Sg, _matrix(S, "S", len(Sg), pd=True))
 
 
-def _pair(Sigma, S) -> tuple[np.ndarray, np.ndarray]:
-    """``Sigma`` and ``S`` validated: symmetric, finite, of one shape
-    (:class:`ShapeMismatch`), and ``Sigma`` positive definite
-    (:class:`NotPD`)."""
-    Sg = check_symmetric(Sigma)
-    Ss = check_symmetric(S)
-    if Sg.shape != Ss.shape:
-        raise ShapeMismatch(
-            f"Sigma has shape {Sg.shape} but S has shape {Ss.shape}")
-    if not _is_pd(Sg):
-        raise NotPD("Sigma is not positive definite")
-    return Sg, Ss
+def _matrix(M, name: str, dim: Optional[int] = None,
+            pd: bool = False) -> np.ndarray:
+    """:func:`_fits` of ``check_symmetric(M)``."""
+    return _fits(check_symmetric(M), name, dim, pd)
+
+
+def _fits(A: np.ndarray, name: str, dim: Optional[int] = None,
+          pd: bool = False) -> np.ndarray:
+    """The validated argument ``name``, of dimension ``dim`` or else
+    :class:`DimensionMismatch`, and if ``pd`` PD or else :class:`NotPD`."""
+    if dim is not None and len(A) != dim:
+        raise DimensionMismatch(
+            f"{name} has dimension {len(A)}, expected {dim}")
+    if pd and not _is_pd(A):
+        raise NotPD(f"{name} is not positive definite")
+    return A
 
 
 def _loglik(Sg: np.ndarray, Ss: np.ndarray) -> float:
     """:func:`log_likelihood` of validated positive definite arrays."""
-    return -_logdet(Sg) - float(np.trace(np.linalg.solve(Sg, Ss)))
+    _, Sk, Tk = _unit_scale(Sg, Ss)     # the trace is scale-free
+    return -_logdet(Sg) - float(np.trace(np.linalg.solve(Sk, Tk)))
+
+
+def _unit_scale(A: np.ndarray, *others: np.ndarray) -> tuple:
+    """The least ``k >= 0`` with a diagonal entry of ``2^k A`` at least
+    1/2, then ``A`` and ``others`` times ``2^k``.  Scaling by ``2^k`` is
+    exact: homogeneous solves and fits keep every bit."""
+    k = max(0, -math.frexp(float(A.diagonal().max()))[1])
+    if k:
+        A, *others = (np.ldexp(M, k) for M in (A, *others))
+    return (k, A, *others)
 
 
 def _logdet(K: np.ndarray) -> float:
@@ -148,7 +163,8 @@ def score_matrix(Sigma, S) -> np.ndarray:
     ``D`` is ``tr(score_matrix(Sigma, S) @ D)``.  ``Sigma`` must be
     positive definite; ``S`` only has to be symmetric.
     """
-    return _score(*_pair(Sigma, S))
+    Sg = _matrix(Sigma, "Sigma", pd=True)
+    return _score(Sg, _matrix(S, "S", len(Sg)))
 
 
 def _score(Sg: np.ndarray, Ss: np.ndarray) -> np.ndarray:

@@ -17,8 +17,8 @@ class IndexOutOfRange(LogvorError):
     """A 1-based index refers to entries outside the matrix or graph."""
 
 
-class DimensionMismatch(LogvorError):
-    """Model dimension and matrix dimension disagree."""
+class DimensionMismatch(ShapeMismatch):
+    """A matrix argument has the wrong dimension."""
 
 
 class InvalidModel(LogvorError):

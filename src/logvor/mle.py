@@ -20,20 +20,19 @@ from typing import Optional
 
 import numpy as np
 
-from .core import _is_pd, _logdet, _loglik, _score, check_symmetric, pd_mask
+from .core import _fits, _is_pd, _logdet, _loglik, _matrix, _score, \
+    _unit_scale, pd_mask
 from .errors import (
     DegenerateLeadingCoefficient,
     InvalidModel,
     NoConvergence,
     NoInteriorPoint,
     NotChordal,
-    NotPD,
     OutOfRange,
-    ShapeMismatch,
 )
 from .graphs import Graph, adjacency, is_chordal
-from .models import GraphModel, LinearConcentration, SemParams, \
-    _model_point, _sem_fit, _symmetrize, as_concentration, sem_covariance
+from .models import Equicorrelation, GraphModel, LinearConcentration, \
+    SemParams, _sem_fit, _symmetrize, as_concentration, sem_covariance
 
 #: Newton steps that :func:`mle_concentration` takes before it gives up.
 NEWTON_MAX_ITER = 200
@@ -128,10 +127,7 @@ def options_to_json(opts: SolverOptions) -> dict:
 
 def bivariate_stats(S) -> CubicCoeffs:
     """Half-trace and off-diagonal entry of a 2 x 2 symmetric matrix."""
-    A = check_symmetric(S)
-    if A.shape != (2, 2):
-        raise ShapeMismatch(f"expected a 2 x 2 matrix, got {A.shape}")
-    a, b, _ = _symmetrize(A)
+    a, b, _ = _symmetrize(_matrix(S, "S", 2))
     return CubicCoeffs(a=a, b=b)
 
 
@@ -146,8 +142,7 @@ def equicorrelation_cubic(m: int, a: float, b: float) -> tuple[float, float, flo
     in the positive definite interval.  For ``m = 2`` this is the
     bivariate critical cubic ``x^3 - b x^2 - (1-2a) x - b``.
     """
-    if int(m) != m or m < 2:
-        raise ShapeMismatch("equicorrelation cubic needs m >= 2")
+    m = Equicorrelation(m).m            # checks m >= 2
     return (float(m - 1),
             float((m - 2) * (a - 1.0) - (m - 1) * b),
             float(2.0 * a - 1.0),
@@ -204,18 +199,6 @@ def cubic_roots_in_interval(c3: float, c2: float, c1: float, c0: float,
     return dedup
 
 
-def _sample(S, m: int) -> np.ndarray:
-    """The sample ``S`` validated: symmetric, finite, of dimension ``m``
-    (:class:`ShapeMismatch`) and positive definite (:class:`NotPD`)."""
-    A = check_symmetric(S)
-    if A.shape[0] != m:
-        raise ShapeMismatch(
-            f"model dimension {m} does not match sample dimension {A.shape[0]}")
-    if not _is_pd(A):
-        raise NotPD("sample matrix is not positive definite")
-    return A
-
-
 def mle_concentration(model: LinearConcentration, S) -> CriticalPoint:
     """Newton MLE for a linear concentration model.
 
@@ -234,11 +217,13 @@ def mle_concentration(model: LinearConcentration, S) -> CriticalPoint:
         model = as_concentration(model)
     if not isinstance(model, LinearConcentration):
         raise InvalidModel("mle_concentration needs a concentration model")
-    return _concentration_point(model, _sample(S, model.dim))
+    return _concentration_point(model, _matrix(S, "S", model.dim, pd=True))
 
 
-def _concentration_point(model, A: np.ndarray) -> CriticalPoint:
-    """:func:`mle_concentration` of a validated sample."""
+def _concentration_point(model, S: np.ndarray) -> CriticalPoint:
+    """:func:`mle_concentration` of a validated sample, fitted at the scale
+    of :func:`_unit_scale`, where the stopping test is relative."""
+    k, A = _unit_scale(S)
     m = model.dim
     B = np.stack(model.basis)               # (d, m, m)
     d = B.shape[0]
@@ -271,7 +256,7 @@ def _concentration_point(model, A: np.ndarray) -> CriticalPoint:
         fitted = Bf @ Sigma.ravel()
         grad = fitted - target
         if np.all(np.abs(grad) < 1e-10 * (1.0 + np.abs(target))):
-            return _critical_point(Sigma, A, "unique")
+            return _critical_point(np.ldexp(Sigma, -k), S, "unique")
         # H_ij = tr(Sigma B_i Sigma B_j)
         P = Sigma @ B
         H = P.reshape(d, -1) @ P.transpose(0, 2, 1).reshape(d, -1).T
@@ -319,7 +304,7 @@ def mle_graph_decomposable(G: Graph, S) -> CriticalPoint:
     inverted once.  Complete graphs return the sample itself;
     non-chordal graphs raise :class:`NotChordal`.
     """
-    A = _sample(S, G.m)
+    A = _matrix(S, "S", G.m, pd=True)
     chordal, order = is_chordal(G)
     if not chordal:
         raise NotChordal("decomposable MLE needs a chordal graph")
@@ -328,7 +313,7 @@ def mle_graph_decomposable(G: Graph, S) -> CriticalPoint:
 
 def _decomposable_point(G: Graph, A: np.ndarray, order) -> CriticalPoint:
     """:func:`mle_graph_decomposable` on a validated sample and a perfect
-    elimination order of ``G``."""
+    elimination order of ``G``, at the scale of :func:`_unit_scale`."""
     m = G.m
     if G.is_complete():
         Sigma = A.copy()
@@ -342,20 +327,19 @@ def _decomposable_point(G: Graph, A: np.ndarray, order) -> CriticalPoint:
             if pa:
                 weight[pa] -= 1
         K = np.zeros((m, m))
+        k, B = _unit_scale(A)
         for block, w in weight.items():
             if w:
                 idx = np.ix_([v - 1 for v in block], [v - 1 for v in block])
-                K[idx] += w * np.linalg.inv(A[idx])
-        Sigma = np.linalg.inv(K)
+                K[idx] += w * np.linalg.inv(B[idx])
+        Sigma = np.ldexp(np.linalg.inv(K), -k)
         Sigma = (Sigma + Sigma.T) / 2.0
     return _critical_point(Sigma, A, "unique")
 
 
 def mle_dag(dag, S) -> tuple[SemParams, CriticalPoint]:
     """Exact MLE of a DAG model via per-vertex regressions."""
-    A = check_symmetric(S)
-    if not _is_pd(A):
-        raise NotPD("sample matrix is not positive definite")
+    A = _matrix(S, "S", dag.m, pd=True)
     params = _sem_fit(dag, A)
     return params, _critical_point(sem_covariance(dag, params), A, "unique")
 
@@ -368,16 +352,14 @@ def criticality_residual(model, Sigma, S) -> float:
     means ``Sigma`` is a critical point of the likelihood of ``S``
     restricted to the model.
     """
-    Sg = _model_point(model, check_symmetric(Sigma))
-    return _residual(model, Sg, check_symmetric(S))
+    return _residual(model, _matrix(Sigma, "Sigma", model.dim, pd=True),
+                     _matrix(S, "S", model.dim))
 
 
 def _residual(model, Sg: np.ndarray, Ss: np.ndarray) -> float:
-    """:func:`criticality_residual` of validated matrices, which must
-    have one shape (:class:`ShapeMismatch`)."""
-    if Sg.shape != Ss.shape:
-        raise ShapeMismatch(
-            f"Sigma has shape {Sg.shape} but S has shape {Ss.shape}")
+    """:func:`criticality_residual` of validated matrices, taken for the
+    scale-invariant degree-one families at :func:`_unit_scale`."""
+    k, Sg, Ss = _unit_scale(Sg, Ss) if model.degree_one else (0, Sg, Ss)
     sc = _score(Sg, Ss)
     worst = 0.0
     for T in model.tangent_basis(Sg):
@@ -385,16 +367,15 @@ def _residual(model, Sg: np.ndarray, Ss: np.ndarray) -> float:
         if nrm == 0.0:
             continue
         worst = max(worst, abs(float(np.sum(sc * T))) / nrm)
-    return worst
+    return math.ldexp(worst, k)
 
 
 def _critical_point(Sigma: np.ndarray, A: np.ndarray,
                     source: str) -> CriticalPoint:
     """The critical point ``Sigma`` of the validated sample ``A``, with
     its log-likelihood; :class:`NotPD` when ``Sigma`` fails the PD test."""
-    if not _is_pd(Sigma):
-        raise NotPD("Sigma is not positive definite")
-    return CriticalPoint(sigma=Sigma, loglik=_loglik(Sigma, A), source=source)
+    return CriticalPoint(sigma=_fits(Sigma, "Sigma", pd=True),
+                         loglik=_loglik(Sigma, A), source=source)
 
 
 class _CorrChart:
@@ -647,5 +628,5 @@ def critical_points(model, S, opts: Optional[SolverOptions] = None
     closed-form :func:`mle_graph_decomposable`, other graphs Newton's
     method.
     """
-    return model.critical_points(_sample(S, model.dim),
+    return model.critical_points(_matrix(S, "S", model.dim, pd=True),
                                  opts or SolverOptions())

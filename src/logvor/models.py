@@ -17,12 +17,11 @@ from typing import ClassVar, Mapping
 
 import numpy as np
 
-from .core import _is_pd, _loglik, check_symmetric, sym_from_json, \
-    sym_to_json
+from .core import _is_pd, _loglik, _matrix, _unit_scale, \
+    check_symmetric, sym_from_json, sym_to_json
 from .errors import (
     DimensionMismatch,
     InvalidModel,
-    NotPD,
     OutOfRange,
     ShapeMismatch,
     SingularParents,
@@ -419,18 +418,6 @@ def as_concentration(model: GraphModel) -> LinearConcentration:
     return LinearConcentration._independent(concentration_basis(model.graph))
 
 
-def _model_point(model: Model, A: np.ndarray) -> np.ndarray:
-    """The validated symmetric ``A`` as a candidate point of ``model``:
-    of the model's dimension (:class:`DimensionMismatch`) and positive
-    definite (:class:`NotPD`)."""
-    if A.shape[0] != model.dim:
-        raise DimensionMismatch(
-            f"model has dimension {model.dim}, matrix has {A.shape[0]}")
-    if not _is_pd(A):
-        raise NotPD("Sigma is not positive definite")
-    return A
-
-
 def model_contains(model, Sigma) -> bool:
     """Does the positive definite matrix ``Sigma`` satisfy the model equations?
 
@@ -439,7 +426,7 @@ def model_contains(model, Sigma) -> bool:
     for inverse-based families, covariance entries for the DAG family);
     the correlation and union families compare unscaled entries.
     """
-    return model.contains(_model_point(model, check_symmetric(Sigma)),
+    return model.contains(_matrix(Sigma, "Sigma", model.dim, pd=True),
                           MODEL_TOL)
 
 
@@ -453,7 +440,7 @@ def tangent_basis(model, Sigma) -> list[np.ndarray]:
     the correlation families the fixed coordinate directions.  At a
     singular point of a union model :class:`SingularPoint` is raised.
     """
-    return model.tangent_basis(_model_point(model, check_symmetric(Sigma)))
+    return model.tangent_basis(_matrix(Sigma, "Sigma", model.dim, pd=True))
 
 
 def trek_covariance(dag: Digraph, params: DagParams) -> np.ndarray:
@@ -511,16 +498,14 @@ def sem_fit(dag: Digraph, S) -> SemParams:
     arbitrary positive definite matrix it computes the (unique) maximum
     likelihood critical point.
     """
-    return _sem_fit(dag, check_symmetric(S))
+    return _sem_fit(dag, _matrix(S, "S", dag.m))
 
 
-def _sem_fit(dag: Digraph, A: np.ndarray) -> SemParams:
-    """:func:`sem_fit` of a validated symmetric matrix, which must have
-    the DAG's dimension (:class:`DimensionMismatch`)."""
+def _sem_fit(dag: Digraph, S: np.ndarray) -> SemParams:
+    """:func:`sem_fit` of a validated symmetric matrix of the DAG's
+    dimension, at the exact scale of :func:`_unit_scale`."""
     m = dag.m
-    if A.shape[0] != m:
-        raise DimensionMismatch(
-            f"DAG has {m} vertices, matrix has dimension {A.shape[0]}")
+    e, A = _unit_scale(S)
     Lambda = np.zeros((m, m))
     omega = np.zeros(m)
     for k in range(1, m + 1):
@@ -541,7 +526,7 @@ def _sem_fit(dag: Digraph, A: np.ndarray) -> SemParams:
         if omega[k - 1] <= 0:
             raise SingularParents(
                 f"regression at vertex {k} leaves no positive residual variance")
-    return SemParams(omega=omega, Lambda=Lambda)
+    return SemParams(omega=np.ldexp(omega, -e), Lambda=Lambda)
 
 
 def dag_params_to_sem(dag: Digraph, params: DagParams) -> SemParams:
@@ -559,8 +544,7 @@ def equicorrelation_matrix(m: int, x: float) -> np.ndarray:
     Positive definite exactly for ``-1/(m-1) < x < 1``; values outside
     that open interval raise :class:`OutOfRange`.
     """
-    if int(m) != m or m < 2:
-        raise DimensionMismatch("equicorrelation needs m >= 2")
+    m = Equicorrelation(m).m            # checks m >= 2
     x = float(x)
     if not -1.0 / (m - 1) < x < 1.0:
         raise OutOfRange(

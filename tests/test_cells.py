@@ -14,6 +14,7 @@ from logvor import (
     BivariateCorrelation,
     CiUnion,
     DagModel,
+    DimensionMismatch,
     Equicorrelation,
     GraphModel,
     Graph,
@@ -22,14 +23,18 @@ from logvor import (
     NotPD,
     OutOfRange,
     PreconditionFailed,
+    ShapeMismatch,
     SingularPoint,
     UnrestrictedCorrelation,
     bivariate_cell,
+    bivariate_stats,
     cell_membership,
     ci_union_cell,
     compose_cell,
     critical_points,
+    criticality_residual,
     equicorrelation_cell,
+    equicorrelation_cubic,
     equicorrelation_matrix,
     find_reducible_decomposition,
     in_spectrahedron,
@@ -38,10 +43,16 @@ from logvor import (
     log_likelihood,
     lognormal_basis,
     mle_concentration,
+    mle_dag,
+    mle_graph_decomposable,
+    model_contains,
     principal_submatrix,
     project_cell,
     sample_spectrahedron,
+    score_matrix,
+    sem_fit,
     symmetrize,
+    tangent_basis,
     verdict_to_json,
 )
 from logvor.core import random_pd
@@ -285,6 +296,61 @@ class TestValidatedOnce:
         assert counts["check_symmetric"] == 1
 
 
+#: Symmetric, not positive definite, and of the wrong dimension for every
+#: call below: each must say DimensionMismatch rather than NotPD.
+BAD = -np.eye(3)
+
+#: Every public function with a matrix argument, given ``BAD`` for one
+#: of them; the fixtures are the path graph, its point path_sigma and
+#: the collider DAG.
+WRONG_DIMENSION = {
+    "critical_points": lambda G, Sg, D: critical_points(GraphModel(G), BAD),
+    "mle_concentration": lambda G, Sg, D: mle_concentration(GraphModel(G),
+                                                            BAD),
+    "mle_graph_decomposable": lambda G, Sg, D: mle_graph_decomposable(G, BAD),
+    "mle_dag": lambda G, Sg, D: mle_dag(D, BAD),
+    "sem_fit": lambda G, Sg, D: sem_fit(D, BAD),
+    "criticality_residual-Sigma":
+        lambda G, Sg, D: criticality_residual(GraphModel(G), BAD, Sg),
+    "criticality_residual-S":
+        lambda G, Sg, D: criticality_residual(GraphModel(G), Sg, BAD),
+    "model_contains": lambda G, Sg, D: model_contains(GraphModel(G), BAD),
+    "tangent_basis": lambda G, Sg, D: tangent_basis(GraphModel(G), BAD),
+    "lognormal_basis": lambda G, Sg, D: lognormal_basis(GraphModel(G), BAD),
+    "sample_spectrahedron":
+        lambda G, Sg, D: sample_spectrahedron(GraphModel(G), BAD, 1),
+    "in_spectrahedron":
+        lambda G, Sg, D: in_spectrahedron(GraphModel(G), Sg, BAD),
+    "cell_membership":
+        lambda G, Sg, D: cell_membership(GraphModel(G), Sg, BAD),
+    "log_likelihood": lambda G, Sg, D: log_likelihood(Sg, BAD),
+    "score_matrix": lambda G, Sg, D: score_matrix(Sg, BAD),
+    "bivariate_stats": lambda G, Sg, D: bivariate_stats(BAD),
+    "bivariate_cell": lambda G, Sg, D: bivariate_cell(0.5, BAD),
+    "equicorrelation_cell": lambda G, Sg, D: equicorrelation_cell(4, 0.3, BAD),
+    "equicorrelation_cell-m-1":
+        lambda G, Sg, D: equicorrelation_cell(1, 0.0, np.eye(1)),
+    "equicorrelation_cubic-m-1":
+        lambda G, Sg, D: equicorrelation_cubic(1, 0.5, 0.0),
+    "ci_union_cell-Sigma": lambda G, Sg, D: ci_union_cell(-np.eye(2), BAD),
+    "ci_union_cell-S": lambda G, Sg, D: ci_union_cell(np.eye(3), -np.eye(2)),
+    "compose_cell": lambda G, Sg, D: compose_cell(G, Sg, BAD, BAD,
+                                                  np.zeros((4, 4))),
+    "project_cell": lambda G, Sg, D: project_cell(G, Sg, BAD),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_DIMENSION.values(),
+                         ids=WRONG_DIMENSION.keys())
+def test_wrong_dimension_raises_dimension_mismatch(call, path_graph,
+                                                   path_sigma, collider_dag):
+    """Every entry point checks each matrix argument's dimension before
+    anything else about it, with one error type, a ShapeMismatch."""
+    assert issubclass(DimensionMismatch, ShapeMismatch)
+    with pytest.raises(DimensionMismatch):
+        call(path_graph, path_sigma, collider_dag)
+
+
 class TestCellMembership:
     def test_degree_one_shortcut(self, path_graph, path_sigma):
         model = GraphModel(path_graph)
@@ -516,6 +582,22 @@ class TestCiUnionCell:
         S[1, 1] = 5.0          # t2 must stay pinned
         with pytest.raises(NotOnSlice):
             ci_union_cell(Sigma, S)
+
+    @pytest.mark.parametrize("tiny", [2e-10, 5e-9])
+    @pytest.mark.parametrize("pinned, free", [((0, 1), (1, 2)),
+                                              ((1, 2), (0, 1))])
+    def test_agrees_with_membership_at_small_couplings(self, tiny, pinned,
+                                                       free):
+        """Sigma_12 (or Sigma_23) just above SINGULAR_TOL makes Sigma a
+        nonsingular point for both rules, so the closed form and the
+        enumeration in cell_membership give the same verdict."""
+        Sigma = np.diag([1.0, 2.0, 3.0])
+        Sigma[pinned] = Sigma[pinned[::-1]] = tiny
+        for value in (0.0, 0.5):
+            S = Sigma.copy()
+            S[free] = S[free[::-1]] = value
+            verdict = cell_membership(CiUnion(), Sigma, S)
+            assert ci_union_cell(Sigma, S) == (verdict.status == IN_CELL)
 
     def test_non_model_sigma_raises(self):
         bad = np.array([[1.0, 0.5, 0.0], [0.5, 2.0, 0.5], [0.0, 0.5, 3.0]])

@@ -81,6 +81,28 @@ class TestMle:
         code, _, _ = run_cli(capsys, ["mle", file])
         assert code == 0 and len(calls) == 1
 
+    @pytest.mark.parametrize("model", [
+        {"kind": "graph", "m": 4, "edges": [[1, 2], [2, 3], [3, 4], [1, 4]]},
+        PATH_MODEL,
+        {"kind": "dag", "m": 3, "arcs": [[1, 2], [2, 3]]},
+    ], ids=["four-cycle", "path", "dag"])
+    def test_subnormal_sample_is_fitted(self, tmp_path, capsys, model):
+        """S = 1e-310 I is its own MLE; the report is valid JSON (no NaN)
+        with a finite log-likelihood, and numpy warns of nothing."""
+        m = model["m"]
+        sample = sym_to_json(1e-310 * np.eye(m))
+        file = write_problem(tmp_path, {"model": model, "sample": sample})
+        code, out, err = run_cli(capsys, ["mle", file])
+        assert (code, err) == (0, "")
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        point = json.loads(out, parse_constant=reject)["points"][0]
+        assert point["sigma"] == sample
+        assert point["loglik"] == pytest.approx(
+            -m * (math.log(1e-310) + 1.0), rel=1e-12)
+
     def test_all_flag_lists_every_point(self, tmp_path, capsys, elliptope_s1):
         doc = {"model": {"kind": "correlation", "m": 3},
                "sample": sym_to_json(elliptope_s1),
@@ -196,20 +218,26 @@ class TestExitCodes:
         for text in ("int(", "float(", "literal", "Traceback", "array"):
             assert text not in err
 
-    @pytest.mark.parametrize("model, dim, message", [
-        ({"kind": "correlation", "m": 3}, 2, "dimension"),
-        ({"kind": "equicorrelation", "m": 1}, 1, "m >= 2"),
-        ({"kind": "correlation", "m": "3"}, 3, '"m"'),
-        ({"kind": "dag", "m": 2, "arcs": [[2, 1]]}, 2, "labelling"),
-        ({"kind": "equicorrelation"}, 3, '"m"'),
-        ({"kind": "concentration", "basis": 5}, 2, '"basis"'),
-    ], ids=["sigma-dimension", "equicorrelation-m-1", "m-string",
-            "dag-arc-against-labels", "m-missing", "basis-not-a-list"])
+    @pytest.mark.parametrize("model, dim, sample, message", [
+        ({"kind": "correlation", "m": 3}, 2, None, "dimension"),
+        # a non-PD sample of the wrong dimension is malformed, not NotPD
+        (PATH_MODEL, 4, -np.eye(3), "dimension"),
+        ({"kind": "equicorrelation", "m": 1}, 1, None, "m >= 2"),
+        ({"kind": "correlation", "m": "3"}, 3, None, '"m"'),
+        ({"kind": "dag", "m": 2, "arcs": [[2, 1]]}, 2, None, "labelling"),
+        ({"kind": "equicorrelation"}, 3, None, '"m"'),
+        ({"kind": "concentration", "basis": 5}, 2, None, '"basis"'),
+    ], ids=["sigma-dimension", "sample-dimension", "equicorrelation-m-1",
+            "m-string", "dag-arc-against-labels", "m-missing",
+            "basis-not-a-list"])
     def test_malformed_input_exits_two(self, tmp_path, capsys, model, dim,
-                                       message):
-        matrix = sym_to_json(np.eye(dim))
-        file = write_problem(tmp_path, {"model": model, "sigma": matrix,
-                                        "sample": matrix})
+                                       sample, message):
+        """Sigma is the identity of dimension ``dim``; the sample is
+        ``sample``, or that identity too."""
+        sigma = sym_to_json(np.eye(dim))
+        file = write_problem(tmp_path, {
+            "model": model, "sigma": sigma,
+            "sample": sigma if sample is None else sym_to_json(sample)})
         code, out, err = run_cli(capsys, ["membership", file])
         assert code == 2
         assert out == ""

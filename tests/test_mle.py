@@ -1,5 +1,7 @@
 """Estimators and critical-point enumeration for every model family."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -360,6 +362,30 @@ class TestCriticalPoints:
     def test_rejects_non_pd(self):
         with pytest.raises(NotPD):
             critical_points(BivariateCorrelation(), np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("scale", [2.0 ** -30, 1e-200, 1e-310])
+    @pytest.mark.parametrize("family", ["four-cycle", "path", "dag",
+                                        "concentration"])
+    def test_degree_one_fits_are_scale_equivariant(self, family, scale,
+                                                    path_graph,
+                                                    collider_dag):
+        """The MLE of t S is t times that of S, with log-likelihood
+        shifted by -m log t, down to subnormal t S; numpy warns of
+        nothing on the way."""
+        model = {"four-cycle": GraphModel(Graph(4, ((1, 2), (2, 3), (3, 4),
+                                                    (1, 4)))),
+                 "path": GraphModel(path_graph),
+                 "dag": DagModel(collider_dag),
+                 "concentration": LinearConcentration(
+                     (np.eye(4), np.ones((4, 4)) - np.eye(4)))}[family]
+        S = random_pd(4, np.random.default_rng(54))
+        ref = critical_points(model, S)[0]
+        got = critical_points(model, scale * S)[0]
+        # Newton stops at 1e-10 relative; subnormal entries lose bits
+        np.testing.assert_allclose(got.sigma / scale, ref.sigma, rtol=1e-8,
+                                   atol=1e-8 * np.abs(ref.sigma).max())
+        assert got.loglik == pytest.approx(ref.loglik - 4 * math.log(scale),
+                                           rel=1e-12)
 
 
 class TestElliptopeMultistart:

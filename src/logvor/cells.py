@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import _fits, _is_pd, _loglik, _matrix, check_symmetric, embed, \
-    principal_submatrix, sym_to_json
+from .core import _fits, _is_pd, _loglik, _matrix, _unit_scale, \
+    check_symmetric, embed, pd_mask, principal_submatrix, sym_to_json
 from .errors import NotOnSlice, NotPD, OutOfRange, PreconditionFailed, \
     SamplingExhausted
 from .graphs import Graph, find_reducible_decomposition, induced_subgraph
@@ -107,11 +107,13 @@ def lognormal_basis(model, Sigma) -> AffineSlice:
     Solves the linear system ``tr(K D K T_k) = 0`` over symmetric
     directions ``D`` (with ``K = Sigma^{-1}`` and ``T_k`` the tangent
     basis) and returns ``Sigma`` plus an orthonormal basis of the
-    solution space.  ``Sigma`` must be a point of the model.
+    solution space.  ``Sigma`` must be a point of the model; the system
+    is solved at the scale of :func:`_unit_scale`.
     """
     A = _on_model(model, check_symmetric(Sigma))
-    tangent = model.tangent_basis(A)
-    K = np.linalg.inv(A)
+    B = _unit_scale(A)[1]
+    tangent = model.tangent_basis(B)
+    K = np.linalg.inv(B)
     m = A.shape[0]
     vec, unvec = _sym_coords(m)
     rows = np.stack([vec(K @ T @ K) for T in tangent])
@@ -389,7 +391,11 @@ def sample_spectrahedron(model, Sigma, count: int, seed: int = 0,
     Proposals are Gaussian steps along the slice directions with the
     given ``radius`` (default: half the smallest eigenvalue of
     ``Sigma``); a rejected (non-PD) proposal halves the radius for that
-    sample and redraws.  Deterministic for a fixed seed.
+    sample and redraws, up to 200 proposals per sample.  Deterministic
+    for a fixed seed.  Proposals are built and tested as a stack, with
+    one :func:`pd_mask` call per batch; a batch ends at its first
+    rejection, so the random stream and the samples are those of
+    testing one proposal at a time.
     """
     if count < 0:
         raise OutOfRange("count must be nonnegative")
@@ -402,21 +408,29 @@ def sample_spectrahedron(model, Sigma, count: int, seed: int = 0,
     rng = np.random.default_rng(seed)
     dirs = slice_.directions
     out: list[np.ndarray] = []
-    for _ in range(count):
-        r = float(radius)
-        for _ in range(200):
-            S = base.copy()
-            if dirs:
-                coeff = rng.standard_normal(len(dirs)) * r
-                for c, D in zip(coeff, dirs):
-                    S = S + c * D
-            if _is_pd(S):
-                out.append(S)
-                break
-            r *= 0.5
-        else:
+    r, tries = float(radius), 0     # radius and proposals of the next sample
+    while len(out) < count:
+        if tries == 200:
             raise SamplingExhausted(
                 "proposal radius underflowed before finding a PD sample")
+        # draw only normals that will be used: one row per sample still
+        # wanted, and no more rows than the next sample has proposals left
+        Z = rng.standard_normal((min(count - len(out), 200 - tries),
+                                 len(dirs)))
+        while len(Z):
+            coeff = Z * float(radius)
+            coeff[0] = Z[0] * r
+            S = np.repeat(base[None], len(Z), axis=0)
+            for i, D in enumerate(dirs):
+                S += coeff[:, i, None, None] * D
+            ok = pd_mask(S)
+            j = len(Z) if ok.all() else int(ok.argmin())
+            out.extend(S[:j])
+            if j:
+                r, tries = float(radius), 0
+            if j < len(Z):              # retry with the next normals
+                r, tries = r * 0.5, tries + 1
+            Z = Z[j + 1:]
     return out
 
 

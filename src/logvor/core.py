@@ -28,6 +28,10 @@ PD_PIVOT_RTOL = 1e-12
 #: Asymmetry averaged away by :func:`check_symmetric`, relative to the
 #: largest entry (at least 1).
 SYMMETRY_RTOL = 1e-8
+#: Largest diagonal entry from which the PD tests and :func:`_unit_scale`
+#: scale a matrix down by a power of two, so products of entries stay
+#: finite.
+_HUGE = 2.0 ** 500
 
 
 def check_symmetric(M) -> np.ndarray:
@@ -63,18 +67,21 @@ def is_positive_definite(M) -> bool:
 def _is_pd(A: np.ndarray) -> bool:
     """:func:`is_positive_definite` of a validated symmetric array, which
     is left unchanged."""
-    A = A.copy()
-    m = A.shape[0]
-    dmax = float(np.max(np.diag(A)))
+    dmax = float(A.diagonal().max())
     if not dmax > 0.0:                  # NaN fails every comparison
         return False
+    if dmax >= _HUGE:
+        e = math.frexp(dmax)[1]
+        A, dmax = np.ldexp(A, -e), math.ldexp(dmax, -e)
+    else:
+        A = A.copy()
     thresh = PD_PIVOT_RTOL * dmax
-    for k in range(m):
+    for k in range(A.shape[0]):
         piv = A[k, k]
         if not piv > thresh:
             return False
         v = A[k + 1:, k]
-        A[k + 1:, k + 1:] -= np.outer(v, v) / piv
+        A[k + 1:, k + 1:] -= v[:, None] * v / piv
     return True
 
 
@@ -92,6 +99,11 @@ def pd_mask(M) -> np.ndarray:
     m = A.shape[-1]
     eye = np.eye(m)
     dmax = np.diagonal(A, axis1=1, axis2=2).max(axis=1)
+    huge = dmax >= _HUGE
+    if huge.any():
+        e = np.frexp(dmax[huge])[1]
+        A[huge] = np.ldexp(A[huge], -e[:, None, None])
+        dmax[huge] = np.ldexp(dmax[huge], -e)
     ok = np.isfinite(A).all(axis=(1, 2)) & (dmax > 0.0)
     A[~ok] = eye
     thresh = PD_PIVOT_RTOL * dmax
@@ -140,10 +152,13 @@ def _loglik(Sg: np.ndarray, Ss: np.ndarray) -> float:
 
 
 def _unit_scale(A: np.ndarray, *others: np.ndarray) -> tuple:
-    """The least ``k >= 0`` with a diagonal entry of ``2^k A`` at least
-    1/2, then ``A`` and ``others`` times ``2^k``.  Scaling by ``2^k`` is
-    exact: homogeneous solves and fits keep every bit."""
-    k = max(0, -math.frexp(float(A.diagonal().max()))[1])
+    """The ``k`` that puts the largest diagonal entry of ``2^k A`` in
+    [1/2, 1) when it is below 1/2 or at least ``_HUGE``, else 0, then
+    ``A`` and ``others`` times ``2^k``.  Scaling by ``2^k`` is exact:
+    homogeneous solves and fits keep every bit."""
+    dmax = float(A.diagonal().max())
+    e = math.frexp(dmax)[1]
+    k = -e if e < 0 or dmax >= _HUGE else 0
     if k:
         A, *others = (np.ldexp(M, k) for M in (A, *others))
     return (k, A, *others)

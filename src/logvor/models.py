@@ -129,7 +129,7 @@ class LinearConcentration(Model):
         return model
 
     def contains(self, A, tol):
-        K = np.linalg.inv(A)
+        K = np.linalg.inv(_unit_scale(A)[1])
         scale = max(1.0, float(np.abs(K).max()))
         stack = np.stack([B.ravel() for B in self.basis]).T
         coeff, *_ = np.linalg.lstsq(stack, K.ravel(), rcond=None)
@@ -167,7 +167,7 @@ class GraphModel(Model):
         return self.graph.m
 
     def contains(self, A, tol):
-        K = np.linalg.inv(A)
+        K = np.linalg.inv(_unit_scale(A)[1])
         scale = max(1.0, float(np.abs(K).max()))
         G = self.graph
         off = [abs(K[i - 1, j - 1])

@@ -23,6 +23,7 @@ from logvor import (
     NotPD,
     OutOfRange,
     PreconditionFailed,
+    SamplingExhausted,
     ShapeMismatch,
     SingularPoint,
     UnrestrictedCorrelation,
@@ -55,7 +56,22 @@ from logvor import (
     tangent_basis,
     verdict_to_json,
 )
-from logvor.core import random_pd
+from logvor.core import _is_pd, random_pd
+
+
+@pytest.fixture
+def pd_mask_batches(monkeypatch):
+    """The number of matrices in each pd_mask call of the cells module."""
+    import logvor.cells
+    batches = []
+    original = logvor.cells.pd_mask
+
+    def recorded(M):
+        batches.append(len(M))
+        return original(M)
+
+    monkeypatch.setattr(logvor.cells, "pd_mask", recorded)
+    return batches
 
 
 def bivariate_slice_sample(c, rng):
@@ -286,6 +302,16 @@ class TestValidatedOnce:
         assert equicorrelation_cell(3, 0.4, S)
         assert counts == {"check_symmetric": 1, "_is_pd": 2}
         assert public_calls == []
+
+    def test_sampler_tests_a_batch_at_once(self, path_graph, path_sigma,
+                                           counts, pd_mask_batches):
+        """A 16-sample draw without rejections makes one pd_mask call for
+        all its proposals and one PD elimination, for Sigma."""
+        samples = sample_spectrahedron(GraphModel(path_graph), path_sigma,
+                                       16, seed=3)
+        assert len(samples) == 16
+        assert pd_mask_batches == [16]
+        assert counts["_is_pd"] == 1
 
     def test_sampler_checks_sigma_once(self, path_graph, path_sigma, counts):
         """The proposals are built from validated arrays, so only Sigma
@@ -729,6 +755,151 @@ class TestSampling:
     def test_negative_count_rejected(self, path_graph, path_sigma):
         with pytest.raises(OutOfRange):
             sample_spectrahedron(GraphModel(path_graph), path_sigma, -1)
+
+
+def sequential_sample(model, Sigma, count, seed=0, radius=None):
+    """Reference sampler: one proposal at a time, each tested with the
+    single-matrix PD test.  sample_spectrahedron must match it bit for
+    bit."""
+    slice_ = lognormal_basis(model, Sigma)
+    base = slice_.base
+    if radius is None:
+        radius = 0.5 * float(np.linalg.eigvalsh(base)[0])
+    rng = np.random.default_rng(seed)
+    dirs = slice_.directions
+    out = []
+    for _ in range(count):
+        r = float(radius)
+        for _ in range(200):
+            S = base.copy()
+            if dirs:
+                coeff = rng.standard_normal(len(dirs)) * r
+                for c, D in zip(coeff, dirs):
+                    S = S + c * D
+            if _is_pd(S):
+                out.append(S)
+                break
+            r *= 0.5
+        else:
+            raise SamplingExhausted("the sequential sampler exhausted")
+    return out
+
+
+@pytest.fixture
+def sampler_families(path_graph, path_sigma, collider_dag, collider_sigma,
+                     elliptope_sigma):
+    """One model point of every family in the suite."""
+    J = np.ones((4, 4)) - np.eye(4)
+    return {
+        "path": (GraphModel(path_graph), path_sigma),
+        "dag": (DagModel(collider_dag), collider_sigma),
+        "concentration": (LinearConcentration((np.eye(4), J)),
+                          np.linalg.inv(2.0 * np.eye(4) + 0.3 * J)),
+        "bivariate": (BivariateCorrelation(),
+                      np.array([[1.0, 0.5], [0.5, 1.0]])),
+        "equicorrelation": (Equicorrelation(4),
+                            equicorrelation_matrix(4, 0.3)),
+        "correlation": (UnrestrictedCorrelation(3), elliptope_sigma),
+        "ci-union": (CiUnion(), np.array([[2.0, 0.5, 0.0], [0.5, 1.5, 0.0],
+                                          [0.0, 0.0, 1.8]])),
+    }
+
+
+@pytest.fixture
+def generators(monkeypatch):
+    """Every generator made by np.random.default_rng, in order."""
+    made = []
+    original = np.random.default_rng
+
+    def recording(*args, **kwargs):
+        made.append(original(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    return made
+
+
+FAMILY_NAMES = ["path", "dag", "concentration", "bivariate",
+                "equicorrelation", "correlation", "ci-union"]
+
+
+class TestBatchedSampler:
+    """The batched sampler returns the sequential sampler's arrays, bit
+    for bit, and leaves the random stream where it leaves it."""
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_equals_sequential_sampler(self, name, sampler_families,
+                                       generators):
+        model, Sigma = sampler_families[name]
+        for seed, count, radius in itertools.product(
+                (0, 5, 77), (0, 1, 16), (None, 2.0, 10.0)):
+            expect = sequential_sample(model, Sigma, count, seed, radius)
+            got = sample_spectrahedron(model, Sigma, count, seed, radius)
+            assert len(got) == len(expect) == count
+            for A, B in zip(got, expect):
+                np.testing.assert_array_equal(A, B)
+            before, after = generators[-2:]
+            assert after.bit_generator.state == before.bit_generator.state
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_exhaustion_after_the_same_draws(self, name, sampler_families,
+                                             generators):
+        """At radius 1e62 every proposal of five of the families fails
+        (200 halvings leave the radius far above the slice's width), and
+        both samplers raise with the same normals drawn; the other two
+        families draw the same samples."""
+        model, Sigma = sampler_families[name]
+        outcomes = []
+        for sampler in (sequential_sample, sample_spectrahedron):
+            try:
+                outcomes.append(sampler(model, Sigma, 16, 3, 1e62))
+            except SamplingExhausted:
+                outcomes.append(None)
+        assert generators[0].bit_generator.state \
+            == generators[1].bit_generator.state
+        expect, got = outcomes
+        if name in ("bivariate", "correlation"):
+            assert len(got) == len(expect) == 16
+            for A, B in zip(got, expect):
+                np.testing.assert_array_equal(A, B)
+        else:
+            assert expect is None and got is None
+
+    def test_rejections_are_retried_at_half_radius(self, path_graph,
+                                                   path_sigma,
+                                                   pd_mask_batches):
+        """At radius 10 the path model rejects proposals, and each batch
+        after a rejection starts with the rejected sample's retry."""
+        model = GraphModel(path_graph)
+        got = sample_spectrahedron(model, path_sigma, 16, 5, 10.0)
+        assert len(pd_mask_batches) > 1 and pd_mask_batches[0] == 16
+        expect = sequential_sample(model, path_sigma, 16, 5, 10.0)
+        for A, B in zip(got, expect):
+            np.testing.assert_array_equal(A, B)
+
+
+class TestScaledModelPoints:
+    """Model points far from unit scale are tested, sliced and sampled
+    at the exact scale of _unit_scale."""
+
+    @pytest.mark.parametrize("t", [1e-310, 1e160])
+    def test_path_model_at_scale(self, path_graph, t):
+        model = GraphModel(path_graph)
+        Sigma = t * np.eye(4)
+        assert model_contains(model, Sigma)
+        assert cell_membership(model, Sigma, Sigma).status == IN_CELL
+        assert in_spectrahedron(model, Sigma, Sigma)
+        assert lognormal_basis(model, Sigma).dimension == 3
+        samples = sample_spectrahedron(model, Sigma, 4, seed=1)
+        assert len(samples) == 4
+        assert all(is_positive_definite(S) for S in samples)
+
+    @pytest.mark.parametrize("t", [1e-310, 1e160])
+    def test_concentration_model_contains(self, t):
+        J = np.ones((3, 3)) - np.eye(3)
+        model = LinearConcentration((np.eye(3), J))
+        assert model_contains(model, t * np.linalg.inv(2.0 * np.eye(3) + J))
+        assert not model_contains(model, t * np.diag([1.0, 2.0, 3.0]))
 
 
 class TestVerdictJson:

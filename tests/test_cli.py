@@ -103,6 +103,29 @@ class TestMle:
         assert point["loglik"] == pytest.approx(
             -m * (math.log(1e-310) + 1.0), rel=1e-12)
 
+    @pytest.mark.parametrize("model", [
+        {"kind": "graph", "m": 4, "edges": [[1, 2], [2, 3], [3, 4], [1, 4]]},
+        PATH_MODEL,
+        {"kind": "dag", "m": 4, "arcs": [[1, 2], [2, 4], [3, 4]]},
+    ], ids=["four-cycle", "path", "dag"])
+    def test_huge_sample_is_fitted(self, tmp_path, capsys, model,
+                                   path_sigma):
+        """MLE(t S) = t MLE(S) at t = 1e160, beyond the square root of
+        the largest double, and numpy warns of nothing."""
+        t = 1e160
+        points = []
+        for scale in (1.0, t):
+            sample = sym_to_json(scale * path_sigma)
+            file = write_problem(tmp_path, {"model": model, "sample": sample})
+            code, out, err = run_cli(capsys, ["mle", file])
+            assert (code, err) == (0, "")
+            points.append(json.loads(out)["points"][0])
+        plain, huge = points
+        np.testing.assert_allclose(np.array(huge["sigma"]["upper"]) / t,
+                                   plain["sigma"]["upper"], rtol=1e-12)
+        assert huge["loglik"] == pytest.approx(
+            plain["loglik"] - 4 * math.log(t), rel=1e-12)
+
     def test_all_flag_lists_every_point(self, tmp_path, capsys, elliptope_s1):
         doc = {"model": {"kind": "correlation", "m": 3},
                "sample": sym_to_json(elliptope_s1),

@@ -96,6 +96,42 @@ class TestPdMask:
             assert pd_mask(M).tolist() == [is_positive_definite(X) for X in M]
             np.testing.assert_array_equal(M, before)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [2.0 ** 1000, 2.0 ** -1000, 1e160,
+                                       1e-160, 1e300, 1e-300])
+    def test_agrees_at_extreme_scales(self, scale):
+        """The two tests agree, without a numpy warning, on the stacks of
+        test_agrees_with_single_matrix_test scaled far from 1; at 2^1000
+        the scale is exact and every verdict is the unscaled one."""
+        rng = np.random.default_rng(13)
+        for m in range(1, 8):
+            mats = []
+            for _ in range(20):
+                A = rng.standard_normal((m, m))
+                A = A @ A.T + 0.1 * np.eye(m)
+                B = rng.uniform(-1.0, 1.0, size=(m, m))
+                lam, V = np.linalg.eigh(A)
+                lam[0] = rng.choice([-1.0, 1.0]) * lam[-1] \
+                    * 10.0 ** rng.uniform(-14.0, -10.0)
+                N = (V * lam) @ V.T
+                mats += [A, (B + B.T) / 2.0, (N + N.T) / 2.0]
+            M = np.array(mats)
+            verdicts = pd_mask(scale * M).tolist()
+            assert verdicts == [_is_pd(X) for X in scale * M]
+            assert verdicts == [is_positive_definite(X) for X in scale * M]
+            if scale == 2.0 ** 1000:
+                assert verdicts == pd_mask(M).tolist()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_pd_matrix_is_pd(self):
+        A = np.array([[2.0, 0.5, 0.3], [0.5, 2.0, 0.5], [0.3, 0.5, 2.0]])
+        for scale in (1e160, 1e300, 2.0 ** 1000):
+            assert is_positive_definite(scale * A)
+            assert not is_positive_definite(scale * (A + 2.0 * np.fliplr(
+                np.eye(3))))
+            assert pd_mask(np.stack([scale * A, -scale * A])).tolist() \
+                == [True, False]
+
     def test_non_finite_rows_are_not_pd(self):
         M = np.stack([np.eye(3)] * 5)
         M[1, 0, 0] = np.nan

@@ -363,15 +363,16 @@ class TestCriticalPoints:
         with pytest.raises(NotPD):
             critical_points(BivariateCorrelation(), np.diag([1.0, -1.0]))
 
-    @pytest.mark.parametrize("scale", [2.0 ** -30, 1e-200, 1e-310])
+    @pytest.mark.parametrize("scale", [2.0 ** -30, 1e-200, 1e-310,
+                                       1e160, 1e300])
     @pytest.mark.parametrize("family", ["four-cycle", "path", "dag",
                                         "concentration"])
     def test_degree_one_fits_are_scale_equivariant(self, family, scale,
                                                     path_graph,
                                                     collider_dag):
         """The MLE of t S is t times that of S, with log-likelihood
-        shifted by -m log t, down to subnormal t S; numpy warns of
-        nothing on the way."""
+        shifted by -m log t, from subnormal t S up to t S near 1e300;
+        numpy warns of nothing on the way."""
         model = {"four-cycle": GraphModel(Graph(4, ((1, 2), (2, 3), (3, 4),
                                                     (1, 4)))),
                  "path": GraphModel(path_graph),

@@ -72,14 +72,11 @@ from .graphs import (
     is_chordal,
     list_treks,
     maximal_cliques,
-    topological_order,
 )
 from .mle import (
     CriticalPoint,
-    CubicCoeffs,
     SolverOptions,
     bivariate_discriminant,
-    bivariate_stats,
     critical_points,
     criticality_residual,
     cubic_roots_in_interval,
@@ -88,7 +85,6 @@ from .mle import (
     mle_dag,
     mle_graph_decomposable,
     options_from_json,
-    options_to_json,
 )
 from .models import (
     BivariateCorrelation,
@@ -102,11 +98,9 @@ from .models import (
     UnrestrictedCorrelation,
     as_concentration,
     concentration_basis,
-    dag_params_to_sem,
     equicorrelation_matrix,
     model_contains,
     model_from_json,
-    model_to_json,
     sem_covariance,
     sem_fit,
     symmetrize,

@@ -14,6 +14,7 @@ critical points (best effort).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -127,9 +128,18 @@ def lognormal_basis(model, Sigma) -> AffineSlice:
 def _spectrahedron_status(model, Sg, Ss, tol: float):
     """Place the validated ``Ss`` against the spectrahedron of ``model``
     at its point ``Sg``: ``NOT_PD``, ``NOT_IN_SPECTRAHEDRON``, or
-    ``None`` inside."""
+    ``None`` inside.  A ``degree_one`` family's residual scales as 1/t
+    with (t Sg, t Ss), so it is compared at the power-of-two scale that
+    puts the largest diagonal entry of ``Sg`` in [1/2, 1).  No diagonal
+    entry of a slice point exceeds m^2 times the largest of ``Sg``, so a
+    sample 2^64 times larger is off the slice, before any overflow."""
     if not _is_pd(Ss):
         return NOT_PD
+    if model.degree_one:
+        e = math.frexp(float(Sg.diagonal().max()))[1]
+        if math.frexp(float(Ss.diagonal().max()))[1] > e + 64:
+            return NOT_IN_SPECTRAHEDRON
+        Sg, Ss = np.ldexp(Sg, -e), np.ldexp(Ss, -e)
     if not _residual(model, Sg, Ss) < tol:
         return NOT_IN_SPECTRAHEDRON
     return None

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
 import tempfile
-from typing import Optional
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .errors import (
     UnknownFigure,
 )
 from .graphs import find_reducible_decomposition
-from .mle import SolverOptions, _option_value, _residual, critical_points, \
+from .mle import SolverOptions, _residual, critical_points, \
     options_from_json
 from .models import GraphModel, model_from_json
 
@@ -86,20 +86,19 @@ def _get_matrix(problem: dict, field: str) -> np.ndarray:
     return sym_from_json(problem[field])
 
 
-def _resolve_seed(flag_seed: Optional[int], problem: dict) -> int:
+def _resolve_seed(args, problem: dict, opts: SolverOptions) -> int:
     """Seed priority: command flag, problem options, LOGVOR_SEED, then 0.
 
-    The seed in force must be a non-negative integer; otherwise
-    :class:`OutOfRange` names its source (``--seed``, ``options.seed``
-    or ``LOGVOR_SEED``), or :class:`InvalidModel` an ``options.seed``
-    that is not a JSON integer.
+    ``opts`` are the problem's decoded options, whose seed is checked.
+    A seed from the flag or the environment must be a non-negative
+    integer; otherwise :class:`OutOfRange` names its source (``--seed``
+    or ``LOGVOR_SEED``).
     """
-    opts = problem.get("options")
     env = os.environ.get("LOGVOR_SEED")
-    if flag_seed is not None:
-        source, seed = "--seed", flag_seed
-    elif isinstance(opts, dict) and "seed" in opts:
-        source, seed = "options.seed", _option_value("seed", opts["seed"])
+    if args.seed is not None:
+        source, seed = "--seed", args.seed
+    elif "seed" in (problem.get("options") or {}):
+        return opts.seed
     elif env is not None:
         source, seed = "LOGVOR_SEED", env.strip()
     else:
@@ -110,10 +109,10 @@ def _resolve_seed(flag_seed: Optional[int], problem: dict) -> int:
     return int(seed)
 
 
-def _solver_options(problem: dict, seed: int) -> SolverOptions:
+def _solver_options(args, problem: dict) -> SolverOptions:
+    """The problem's ``options``, decoded once, with the seed in force."""
     opts = options_from_json(problem.get("options"))
-    return SolverOptions(starts=opts.starts, seed=seed, tol=opts.tol,
-                         max_iter=opts.max_iter)
+    return dataclasses.replace(opts, seed=_resolve_seed(args, problem, opts))
 
 
 def _point_report(model, cp, sample) -> dict:
@@ -128,8 +127,7 @@ def _cmd_points(args, all_points: bool) -> int:
     problem = _load_problem(args.file)
     model = _get_model(problem)
     sample = _get_matrix(problem, "sample")
-    opts = _solver_options(problem, _resolve_seed(args.seed, problem))
-    points = critical_points(model, sample, opts)
+    points = critical_points(model, sample, _solver_options(args, problem))
     if not all_points:
         points = points[:1]
     report = {"points": [_point_report(model, cp, sample) for cp in points]}
@@ -144,8 +142,8 @@ def _cmd_membership(args) -> int:
     model = _get_model(problem)
     sigma = _get_matrix(problem, "sigma")
     sample = _get_matrix(problem, "sample")
-    opts = _solver_options(problem, _resolve_seed(args.seed, problem))
-    verdict = cell_membership(model, sigma, sample, opts)
+    verdict = cell_membership(model, sigma, sample,
+                              _solver_options(args, problem))
     _emit(verdict_to_json(verdict))
     return 0 if verdict.status == IN_CELL else 1
 
@@ -154,7 +152,7 @@ def _cmd_sample(args) -> int:
     problem = _load_problem(args.file)
     model = _get_model(problem)
     sigma = _get_matrix(problem, "sigma")
-    seed = _resolve_seed(args.seed, problem)
+    seed = _solver_options(args, problem).seed
     samples = sample_spectrahedron(model, sigma, args.count, seed=seed,
                                   radius=args.radius)
     _emit({"seed": seed, "samples": [sym_to_json(S) for S in samples]})
@@ -312,10 +310,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError, OSError, KeyError, TypeError, ValueError) as exc:
+    except _INPUT_ERRORS + (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LogvorError as exc:

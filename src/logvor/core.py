@@ -30,7 +30,7 @@ PD_PIVOT_RTOL = 1e-12
 SYMMETRY_RTOL = 1e-8
 #: Largest diagonal entry from which the PD tests and :func:`_unit_scale`
 #: scale a matrix down by a power of two, so products of entries stay
-#: finite.
+#: finite; the PD tests also scale one below ``1 / _HUGE`` up.
 _HUGE = 2.0 ** 500
 
 
@@ -59,7 +59,8 @@ def is_positive_definite(M) -> bool:
     Runs an in-place Cholesky-style elimination and returns ``False`` as
     soon as a pivot drops to or below ``PD_PIVOT_RTOL`` times the
     largest diagonal entry of the input.  Semidefinite boundary matrices
-    are therefore classified as not positive definite.
+    are therefore classified as not positive definite; so is, before any
+    elimination, a matrix with an |a_ij| above its largest diagonal entry.
     """
     return _is_pd(check_symmetric(M))
 
@@ -68,9 +69,9 @@ def _is_pd(A: np.ndarray) -> bool:
     """:func:`is_positive_definite` of a validated symmetric array, which
     is left unchanged."""
     dmax = float(A.diagonal().max())
-    if not dmax > 0.0:                  # NaN fails every comparison
+    if not (dmax > 0.0 and float(np.abs(A).max()) <= dmax):   # NaN fails
         return False
-    if dmax >= _HUGE:
+    if not 1.0 / _HUGE <= dmax < _HUGE:
         e = math.frexp(dmax)[1]
         A, dmax = np.ldexp(A, -e), math.ldexp(dmax, -e)
     else:
@@ -90,8 +91,9 @@ def pd_mask(M) -> np.ndarray:
 
     Row ``n`` is ``True`` exactly when :func:`is_positive_definite`
     accepts ``M[n]``: the same elimination and ``PD_PIVOT_RTOL`` pivot
-    rule, run on all matrices at once.  Rows with a non-finite entry
-    are ``False``.  The input is trusted to be symmetric and is not
+    rule, run on all matrices at once.  Rows with a non-finite entry,
+    or with an entry larger in magnitude than their largest diagonal
+    entry, are ``False``.  The input is trusted to be symmetric and is not
     validated; a row is reset to the identity as soon as it fails, so
     no pivot of a rejected row is ever divided by.
     """
@@ -99,12 +101,12 @@ def pd_mask(M) -> np.ndarray:
     m = A.shape[-1]
     eye = np.eye(m)
     dmax = np.diagonal(A, axis1=1, axis2=2).max(axis=1)
-    huge = dmax >= _HUGE
-    if huge.any():
-        e = np.frexp(dmax[huge])[1]
-        A[huge] = np.ldexp(A[huge], -e[:, None, None])
-        dmax[huge] = np.ldexp(dmax[huge], -e)
-    ok = np.isfinite(A).all(axis=(1, 2)) & (dmax > 0.0)
+    far = (dmax < 1.0 / _HUGE) | (dmax >= _HUGE)
+    if far.any():
+        e = np.frexp(dmax[far])[1]
+        A[far] = np.ldexp(A[far], -e[:, None, None])
+        dmax[far] = np.ldexp(dmax[far], -e)
+    ok = (np.abs(A).max(axis=(1, 2)) <= dmax) & (0.0 < dmax) & (dmax < np.inf)
     A[~ok] = eye
     thresh = PD_PIVOT_RTOL * dmax
     for k in range(m):
@@ -291,10 +293,3 @@ def sym_to_json(M) -> dict:
     upper = [float(A[i, j]) for i in range(m) for j in range(i, m)]
     return {"dim": m, "upper": upper}
 
-
-def random_pd(m: int, rng: np.random.Generator, *, scale: float = 1.0) -> np.ndarray:
-    """Random positive definite matrix (uniform symmetric part shifted PD)."""
-    A = rng.uniform(-1.0, 1.0, size=(m, m)) * scale
-    A = (A + A.T) / 2.0
-    lam = float(np.linalg.eigvalsh(A)[0])
-    return A + (abs(lam) + 0.5 * scale) * np.eye(m)

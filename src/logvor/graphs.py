@@ -64,19 +64,8 @@ class Graph:
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
 
-    def neighbors(self, v: int) -> set[int]:
-        return adjacency(self)[_check_vertex(v, self.m)]
-
     def is_complete(self) -> bool:
         return len(self.edges) == self.m * (self.m - 1) // 2
-
-    def to_networkx(self) -> "nx.Graph":
-        import networkx as nx   # deferred: an optional dependency
-
-        g = nx.Graph()
-        g.add_nodes_from(self.vertices)
-        g.add_edges_from(self.edges)
-        return g
 
 
 @dataclass(frozen=True)
@@ -314,12 +303,6 @@ def list_treks(dag: Digraph, i: int, j: int) -> list[Trek]:
                     treks.append(Trek(top=t, up=up, down=down))
     treks.sort()
     return treks
-
-
-def topological_order(dag: Digraph) -> tuple[int, ...]:
-    """The identity order 1..m, which :class:`Digraph` guarantees is
-    topological (its constructor rejects arcs against the labelling)."""
-    return dag.vertices
 
 
 def graph_from_json(obj) -> Graph:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .graphs import Graph, adjacency, is_chordal
 from .models import Equicorrelation, GraphModel, LinearConcentration, \
-    SemParams, _sem_fit, _symmetrize, as_concentration, sem_covariance
+    SemParams, _sem_fit, as_concentration, sem_covariance
 
 #: Newton steps that :func:`mle_concentration` takes before it gives up.
 NEWTON_MAX_ITER = 200
@@ -54,14 +54,6 @@ class CriticalPoint:
 
 
 @dataclass(frozen=True)
-class CubicCoeffs:
-    """Sufficient statistics of a 2 x 2 sample: half-trace and off-diagonal."""
-
-    a: float
-    b: float
-
-
-@dataclass(frozen=True)
 class SolverOptions:
     """Options of the multistart search (and seeds elsewhere)."""
 
@@ -74,7 +66,8 @@ class SolverOptions:
         if not self.starts >= 1:
             raise OutOfRange(f"starts must be at least 1, got {self.starts!r}")
         if not self.seed >= 0:
-            raise OutOfRange(f"seed must be non-negative, got {self.seed!r}")
+            raise OutOfRange(
+                f"seed must be a non-negative integer, got {self.seed!r}")
         if not self.max_iter >= 1:
             raise OutOfRange(
                 f"max_iter must be at least 1, got {self.max_iter!r}")
@@ -88,14 +81,18 @@ def options_from_json(obj) -> SolverOptions:
 
     Each value must have its field's JSON type (:func:`_option_value`),
     and an unknown key raises :class:`InvalidModel` naming it; ranges are
-    checked by :class:`SolverOptions`.
+    checked by :class:`SolverOptions`.  Every error names the field as
+    ``options.<field>``.
     """
     if obj is None:
         return SolverOptions()
     if not isinstance(obj, dict):
         raise InvalidModel("solver options must be a JSON object")
-    return SolverOptions(**{name: _option_value(name, value)
-                            for name, value in obj.items()})
+    try:
+        return SolverOptions(**{name: _option_value(name, value)
+                                for name, value in obj.items()})
+    except OutOfRange as exc:
+        raise OutOfRange(f"options.{exc}") from None
 
 
 def _option_value(name: str, value):
@@ -119,16 +116,6 @@ def _option_value(name: str, value):
     except OverflowError:
         raise OutOfRange("tol must be finite, got an integer too large "
                          "for a float") from None
-
-
-def options_to_json(opts: SolverOptions) -> dict:
-    return asdict(opts)
-
-
-def bivariate_stats(S) -> CubicCoeffs:
-    """Half-trace and off-diagonal entry of a 2 x 2 symmetric matrix."""
-    a, b, _ = _symmetrize(_matrix(S, "S", 2))
-    return CubicCoeffs(a=a, b=b)
 
 
 def equicorrelation_cubic(m: int, a: float, b: float) -> tuple[float, float, float, float]:

@@ -529,15 +529,6 @@ def _sem_fit(dag: Digraph, S: np.ndarray) -> SemParams:
     return SemParams(omega=np.ldexp(omega, -e), Lambda=Lambda)
 
 
-def dag_params_to_sem(dag: Digraph, params: DagParams) -> SemParams:
-    """Convert trek-rule parameters to structural-equation parameters.
-
-    The arc weights carry over unchanged; the error variances are the
-    Schur complements of the trek covariance against the parent blocks.
-    """
-    return _sem_fit(dag, trek_covariance(dag, params))
-
-
 def equicorrelation_matrix(m: int, x: float) -> np.ndarray:
     """The matrix ``(1 - x) I + x J``: diagonal exactly 1, off-diagonal ``x``.
 
@@ -597,7 +588,3 @@ def model_from_json(obj) -> Model:
     if family is None:
         raise InvalidModel(f"unknown model kind {kind!r}")
     return family.from_json(obj)
-
-
-def model_to_json(model) -> dict:
-    return model.to_json()

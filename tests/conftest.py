@@ -83,3 +83,11 @@ def random_correlation(m: int, rng: np.random.Generator) -> np.ndarray:
         C = A @ A.T
         if np.linalg.eigvalsh(C)[0] > 1e-3:
             return C
+
+
+def random_pd(m: int, rng: np.random.Generator, *, scale: float = 1.0) -> np.ndarray:
+    """Random positive definite matrix (uniform symmetric part shifted PD)."""
+    A = rng.uniform(-1.0, 1.0, size=(m, m)) * scale
+    A = (A + A.T) / 2.0
+    lam = float(np.linalg.eigvalsh(A)[0])
+    return A + (abs(lam) + 0.5 * scale) * np.eye(m)

@@ -34,7 +34,6 @@ from logvor import (
     compose_cell,
     critical_points,
     cubic_roots_in_interval,
-    dag_params_to_sem,
     equicorrelation_cubic,
     equicorrelation_matrix,
     find_reducible_decomposition,
@@ -56,7 +55,8 @@ from logvor import (
     trek_covariance,
 )
 from logvor.cli import main
-from logvor.core import random_pd
+
+from conftest import random_pd
 
 _MODULE_T0 = perf_counter()
 
@@ -232,8 +232,7 @@ def test_dag_mle_is_unique_and_slice_is_three_dimensional(
     slice at that point has dimension 3."""
     t0 = perf_counter()
     Sigma = trek_covariance(collider_dag, collider_params)
-    sem = sem_covariance(collider_dag,
-                         dag_params_to_sem(collider_dag, collider_params))
+    sem = sem_covariance(collider_dag, sem_fit(collider_dag, Sigma))
     assert float(np.abs(Sigma - sem).max()) < 1e-12
     np.testing.assert_allclose(Sigma, collider_sigma, rtol=0, atol=1e-12)
 

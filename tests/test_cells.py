@@ -28,7 +28,6 @@ from logvor import (
     SingularPoint,
     UnrestrictedCorrelation,
     bivariate_cell,
-    bivariate_stats,
     cell_membership,
     ci_union_cell,
     compose_cell,
@@ -56,7 +55,9 @@ from logvor import (
     tangent_basis,
     verdict_to_json,
 )
-from logvor.core import _is_pd, random_pd
+from logvor.core import _is_pd
+
+from conftest import random_pd
 
 
 @pytest.fixture
@@ -351,7 +352,6 @@ WRONG_DIMENSION = {
         lambda G, Sg, D: cell_membership(GraphModel(G), Sg, BAD),
     "log_likelihood": lambda G, Sg, D: log_likelihood(Sg, BAD),
     "score_matrix": lambda G, Sg, D: score_matrix(Sg, BAD),
-    "bivariate_stats": lambda G, Sg, D: bivariate_stats(BAD),
     "bivariate_cell": lambda G, Sg, D: bivariate_cell(0.5, BAD),
     "equicorrelation_cell": lambda G, Sg, D: equicorrelation_cell(4, 0.3, BAD),
     "equicorrelation_cell-m-1":
@@ -900,6 +900,39 @@ class TestScaledModelPoints:
         model = LinearConcentration((np.eye(3), J))
         assert model_contains(model, t * np.linalg.inv(2.0 * np.eye(3) + J))
         assert not model_contains(model, t * np.diag([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("t", [1e-300, 1e-9, 1e6, 1e8, 2.0 ** 300])
+    @pytest.mark.parametrize("family", ["path", "dag", "concentration"])
+    def test_verdicts_do_not_depend_on_units(self, family, t, path_graph,
+                                             path_sigma, collider_dag,
+                                             collider_sigma):
+        """At the point t Sigma, the sample t (Sigma + D) with D along the
+        slice is in the cell, and the sample that moves the pinned entry
+        S_12 by 0.3 t is off the slice, as at t = 1; so is 1e300 Sigma,
+        although scaling it with t Sigma overflows at small t."""
+        def sym(i, j, m):
+            E = np.zeros((m, m))
+            E[i, j] = E[j, i] = 1.0
+            return E
+
+        J = np.ones((3, 3)) - np.eye(3)
+        model, Sigma, D = {
+            "path": (GraphModel(path_graph), path_sigma, 0.3 * sym(0, 2, 4)),
+            "dag": (DagModel(collider_dag), collider_sigma,
+                    0.3 * sym(0, 3, 4)),
+            "concentration": (LinearConcentration((np.eye(3), J)),
+                              np.linalg.inv(2.0 * np.eye(3) + J),
+                              0.1 * (sym(0, 1, 3) - sym(0, 2, 3))),
+        }[family]
+        off = Sigma + 0.3 * sym(0, 1, len(Sigma))
+        assert cell_membership(model, t * Sigma, t * (Sigma + D)).status \
+            == IN_CELL
+        assert in_spectrahedron(model, t * Sigma, t * (Sigma + D))
+        assert cell_membership(model, t * Sigma, t * off).status \
+            == NOT_IN_SPECTRAHEDRON
+        assert not in_spectrahedron(model, t * Sigma, t * off)
+        assert cell_membership(model, t * Sigma, 1e300 * Sigma).status \
+            == NOT_IN_SPECTRAHEDRON
 
 
 class TestVerdictJson:

@@ -174,6 +174,20 @@ class TestMembership:
                                                             abs=1e-9)
 
 
+    def test_sample_with_huge_entries_is_not_pd(self, tmp_path, capsys):
+        """An off-diagonal entry far above the diagonal is rejected as
+        NotPD before the PD test's elimination could overflow."""
+        doc = {"model": {"kind": "bivariate-correlation"},
+               "sigma": sym_to_json(np.array([[1.0, 0.5], [0.5, 1.0]])),
+               "sample": sym_to_json(np.array([[1.0, 1e200],
+                                               [1e200, 1.0]]))}
+        code, out, err = run_cli(capsys, ["membership",
+                                          write_problem(tmp_path, doc)])
+        assert code == 1
+        assert err == ""
+        assert json.loads(out)["status"] == "NotPD"
+
+
 class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, ["mle", "/nonexistent/problem.json"])
@@ -204,21 +218,30 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, ["mle", file])
         assert code == 2
 
+    @staticmethod
+    def options_doc(sample, options):
+        """A correlation problem with the identity as sigma, for the
+        commands that read options."""
+        return {"model": {"kind": "correlation", "m": 3},
+                "sigma": sym_to_json(np.eye(3)),
+                "sample": sym_to_json(sample), "options": options}
+
     @pytest.mark.parametrize("options", [
         {"starts": 0}, {"starts": -5}, {"max_iter": 0}, {"tol": -1.0},
         {"tol": float("nan")}, {"seed": -1}, {"tol": 10 ** 400},
     ])
     def test_out_of_range_options_exit_two(self, tmp_path, capsys,
                                            elliptope_s1, options):
-        doc = {"model": {"kind": "correlation", "m": 3},
-               "sample": sym_to_json(elliptope_s1), "options": options}
-        file = write_problem(tmp_path, doc)
-        code, out, err = run_cli(capsys, ["critical-points", file])
-        assert code == 2
-        assert out == ""
+        file = write_problem(tmp_path, self.options_doc(elliptope_s1,
+                                                        options))
         field = next(iter(options))
-        assert err.startswith("error: ") and field in err
-        assert "array" not in err and "Traceback" not in err
+        for argv in (["critical-points", file],
+                     ["sample", file, "--count", "1"]):
+            code, out, err = run_cli(capsys, argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and field in err
+            assert "array" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize("options", [
         {"starts": 1.7}, {"starts": True}, {"starts": "abc"},
@@ -230,16 +253,17 @@ class TestExitCodes:
                                         elliptope_s1, options):
         """Options of the wrong JSON type, and unknown options, are
         rejected rather than converted or ignored."""
-        doc = {"model": {"kind": "correlation", "m": 3},
-               "sample": sym_to_json(elliptope_s1), "options": options}
-        file = write_problem(tmp_path, doc)
-        code, out, err = run_cli(capsys, ["critical-points", file])
-        assert code == 2
-        assert out == ""
+        file = write_problem(tmp_path, self.options_doc(elliptope_s1,
+                                                        options))
         field = next(iter(options))
-        assert err.startswith("error: ") and field in err
-        for text in ("int(", "float(", "literal", "Traceback", "array"):
-            assert text not in err
+        for argv in (["critical-points", file],
+                     ["sample", file, "--count", "1"]):
+            code, out, err = run_cli(capsys, argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and field in err
+            for text in ("int(", "float(", "literal", "Traceback", "array"):
+                assert text not in err
 
     @pytest.mark.parametrize("model, dim, sample, message", [
         ({"kind": "correlation", "m": 3}, 2, None, "dimension"),

@@ -19,7 +19,9 @@ from logvor import (
     sym_from_json,
     sym_to_json,
 )
-from logvor.core import _is_pd, random_pd
+from logvor.core import _is_pd
+
+from conftest import random_pd
 
 
 class TestCheckSymmetric:
@@ -98,11 +100,12 @@ class TestPdMask:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [2.0 ** 1000, 2.0 ** -1000, 1e160,
-                                       1e-160, 1e300, 1e-300])
+                                       1e-160, 1e300, 1e-300, 2.0 ** -537])
     def test_agrees_at_extreme_scales(self, scale):
         """The two tests agree, without a numpy warning, on the stacks of
-        test_agrees_with_single_matrix_test scaled far from 1; at 2^1000
-        the scale is exact and every verdict is the unscaled one."""
+        test_agrees_with_single_matrix_test scaled far from 1; at a power
+        of two the scale is exact and every verdict is the unscaled one
+        (near 2^-537 the products of entries would underflow)."""
         rng = np.random.default_rng(13)
         for m in range(1, 8):
             mats = []
@@ -119,7 +122,7 @@ class TestPdMask:
             verdicts = pd_mask(scale * M).tolist()
             assert verdicts == [_is_pd(X) for X in scale * M]
             assert verdicts == [is_positive_definite(X) for X in scale * M]
-            if scale == 2.0 ** 1000:
+            if scale in (2.0 ** 1000, 2.0 ** -1000, 2.0 ** -537):
                 assert verdicts == pd_mask(M).tolist()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -131,6 +134,17 @@ class TestPdMask:
                 np.eye(3))))
             assert pd_mask(np.stack([scale * A, -scale * A])).tolist() \
                 == [True, False]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_entry_above_the_diagonal_is_not_pd(self):
+        """No PD matrix has an entry larger in magnitude than its largest
+        diagonal entry; such a matrix is rejected before an elimination
+        that would overflow."""
+        A = np.array([[1.0, 1e200], [1e200, 1.0]])
+        assert not is_positive_definite(A)
+        assert not _is_pd(A)
+        assert pd_mask(np.stack([A, -A, np.eye(2)])).tolist() \
+            == [False, False, True]
 
     def test_non_finite_rows_are_not_pd(self):
         M = np.stack([np.eye(3)] * 5)

@@ -1,5 +1,6 @@
 """Estimators and critical-point enumeration for every model family."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,6 @@ from logvor import (
     SolverOptions,
     UnrestrictedCorrelation,
     bivariate_discriminant,
-    bivariate_stats,
     critical_points,
     criticality_residual,
     cubic_roots_in_interval,
@@ -32,13 +32,13 @@ from logvor import (
     mle_dag,
     mle_graph_decomposable,
     options_from_json,
-    options_to_json,
+    symmetrize,
 )
-from logvor.core import pd_mask, random_pd
+from logvor.core import pd_mask
 from logvor.mle import _CorrChart, _corr_residuals, _line_search, \
     _newton_directions, _onion_starts
 
-from conftest import random_correlation
+from conftest import random_correlation, random_pd
 
 # the three real elliptope critical points, as (sigma_12, sigma_23, sigma_13)
 ELLIPTOPE_TRIPLES = [
@@ -109,8 +109,8 @@ class TestCubicRoots:
 
 class TestBivariateCubic:
     def test_stats(self):
-        stats = bivariate_stats(np.array([[3.0, 0.5], [0.5, 1.0]]))
-        assert stats.a == 2.0 and stats.b == 0.5
+        a, b, _ = symmetrize(np.array([[3.0, 0.5], [0.5, 1.0]]))
+        assert a == 2.0 and b == 0.5
 
     def test_cubic_for_m_two(self):
         # x^3 - b x^2 - (1 - 2a) x - b at a = 3/8, b = 0  ->  x^3 - x/4
@@ -670,7 +670,7 @@ class TestSolverOptions:
 
     def test_json_round_trip(self):
         opts = SolverOptions(starts=64, seed=5, tol=1e-10, max_iter=40)
-        assert options_from_json(options_to_json(opts)) == opts
+        assert options_from_json(dataclasses.asdict(opts)) == opts
 
     def test_partial_document_fills_defaults(self):
         opts = options_from_json({"seed": 3})

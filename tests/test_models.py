@@ -23,11 +23,9 @@ from logvor import (
     UnrestrictedCorrelation,
     as_concentration,
     concentration_basis,
-    dag_params_to_sem,
     equicorrelation_matrix,
     model_contains,
     model_from_json,
-    model_to_json,
     sem_covariance,
     sem_fit,
     critical_points,
@@ -35,10 +33,9 @@ from logvor import (
     tangent_basis,
     trek_covariance,
 )
-from logvor.core import random_pd
 from logvor.models import FAMILIES
 
-from conftest import random_correlation
+from conftest import random_correlation, random_pd
 
 
 def random_dag(m, rng, p=0.5):
@@ -246,7 +243,7 @@ class TestTrekRule:
             if not is_positive_definite(trek):
                 continue
             checked += 1
-            sem = sem_covariance(dag, dag_params_to_sem(dag, params))
+            sem = sem_covariance(dag, sem_fit(dag, trek))
             np.testing.assert_allclose(trek, sem, rtol=1e-10, atol=1e-12)
         assert checked >= 100
 
@@ -293,7 +290,8 @@ class TestSemFit:
     def test_inverts_parametrisation(self, collider_dag, collider_params,
                                      collider_sigma):
         fitted = sem_fit(collider_dag, collider_sigma)
-        expect = dag_params_to_sem(collider_dag, collider_params)
+        expect = sem_fit(collider_dag,
+                         trek_covariance(collider_dag, collider_params))
         np.testing.assert_allclose(fitted.omega, expect.omega, rtol=1e-12)
         np.testing.assert_allclose(fitted.Lambda, expect.Lambda, rtol=1e-12,
                                    atol=1e-14)
@@ -380,7 +378,7 @@ class TestModelSerialization:
         for kind, family in FAMILIES.items():
             model = models[kind]
             assert type(model) is family
-            back = model_from_json(model_to_json(model))
+            back = model_from_json(model.to_json())
             assert back.kind == model.kind
             assert back.dim == model.dim
             if isinstance(model, LinearConcentration):
@@ -390,7 +388,7 @@ class TestModelSerialization:
                 assert back == model
 
     def test_bivariate_kind_alias(self):
-        assert model_to_json(BivariateCorrelation()) == \
+        assert BivariateCorrelation().to_json() == \
             {"kind": "bivariate-correlation"}
         assert model_from_json({"kind": "bivariate-correlation"}) == \
             BivariateCorrelation()

@@ -96,7 +96,6 @@ from .models import (
     LinearConcentration,
     SemParams,
     UnrestrictedCorrelation,
-    as_concentration,
     concentration_basis,
     equicorrelation_matrix,
     model_contains,

@@ -86,33 +86,17 @@ def _get_matrix(problem: dict, field: str) -> np.ndarray:
     return sym_from_json(problem[field])
 
 
-def _resolve_seed(args, problem: dict, opts: SolverOptions) -> int:
-    """Seed priority: command flag, problem options, LOGVOR_SEED, then 0.
-
-    ``opts`` are the problem's decoded options, whose seed is checked.
-    A seed from the flag or the environment must be a non-negative
-    integer; otherwise :class:`OutOfRange` names its source (``--seed``
-    or ``LOGVOR_SEED``).
-    """
-    env = os.environ.get("LOGVOR_SEED")
-    if args.seed is not None:
-        source, seed = "--seed", args.seed
-    elif "seed" in (problem.get("options") or {}):
-        return opts.seed
-    elif env is not None:
-        source, seed = "LOGVOR_SEED", env.strip()
-    else:
-        return 0
-    if not str(seed).isdecimal():           # also rejects a minus sign
-        raise OutOfRange(f"{source} must be a non-negative integer, "
-                         f"got {seed}")
-    return int(seed)
-
-
 def _solver_options(args, problem: dict) -> SolverOptions:
-    """The problem's ``options``, decoded once, with the seed in force."""
+    """The problem's ``options``, decoded once, with the seed in force:
+    the ``--seed`` flag, else ``options.seed``, else 0.  A negative flag
+    raises :class:`OutOfRange` naming ``--seed``."""
     opts = options_from_json(problem.get("options"))
-    return dataclasses.replace(opts, seed=_resolve_seed(args, problem, opts))
+    if args.seed is None:
+        return opts
+    if args.seed < 0:
+        raise OutOfRange(
+            f"--seed must be a non-negative integer, got {args.seed}")
+    return dataclasses.replace(opts, seed=args.seed)
 
 
 def _point_report(model, cp, sample) -> dict:

@@ -50,6 +50,8 @@ def check_symmetric(M) -> np.ndarray:
     scale = max(1.0, float(np.abs(A).max()))
     if float(np.abs(A - A.T).max()) > SYMMETRY_RTOL * scale:
         raise ShapeMismatch("matrix is not symmetric")
+    if scale >= 2.0 ** 1022:        # A + A.T could overflow; halve first
+        return A / 2.0 + A.T / 2.0
     return (A + A.T) / 2.0
 
 
@@ -250,16 +252,12 @@ def _parse_entry(x) -> float:
     Numbers pass through; strings may be exact decimals ("0.25") or
     rationals ("1211/4560") and are parsed to the nearest double.
     """
-    if isinstance(x, bool):
+    if isinstance(x, bool) or not isinstance(x, (int, float, str)):
         raise ShapeMismatch("matrix entries must be numbers or numeric strings")
-    if isinstance(x, (int, float)):
-        return float(x)
-    if isinstance(x, str):
-        try:
-            return float(Fraction(x))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ShapeMismatch(f"cannot parse matrix entry {x!r}") from exc
-    raise ShapeMismatch(f"cannot parse matrix entry {x!r}")
+    try:
+        return float(Fraction(x) if isinstance(x, str) else x)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ShapeMismatch(f"cannot parse matrix entry {x!r}: {exc}") from exc
 
 
 def sym_from_json(obj) -> np.ndarray:
@@ -269,14 +267,14 @@ def sym_from_json(obj) -> np.ndarray:
     """
     if not isinstance(obj, dict) or "dim" not in obj or "upper" not in obj:
         raise ShapeMismatch('symmetric matrix JSON needs "dim" and "upper"')
-    m = obj["dim"]
-    if not isinstance(m, int) or m < 1:
+    m, upper = obj["dim"], obj["upper"]
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ShapeMismatch(f'"dim" must be a positive integer, got {m!r}')
-    upper = obj["upper"]
-    if len(upper) != m * (m + 1) // 2:
+    n = m * (m + 1) // 2
+    if not (isinstance(upper, list) and len(upper) == n):
+        got = len(upper) if isinstance(upper, list) else repr(upper)
         raise ShapeMismatch(
-            f'"upper" must have {m * (m + 1) // 2} entries for dim {m}, '
-            f"got {len(upper)}")
+            f'"upper" must be a list of {n} entries for dim {m}, got {got}')
     A = np.zeros((m, m))
     pos = 0
     for i in range(m):

@@ -31,11 +31,15 @@ from .errors import (
     OutOfRange,
 )
 from .graphs import Graph, adjacency, is_chordal
-from .models import Equicorrelation, GraphModel, LinearConcentration, \
-    SemParams, _sem_fit, as_concentration, sem_covariance
+from .models import Equicorrelation, SemParams, _Concentration, _sem_fit, \
+    sem_covariance
 
 #: Newton steps that :func:`mle_concentration` takes before it gives up.
 NEWTON_MAX_ITER = 200
+#: Residual below which a start of the correlation multistart converged.
+MULTISTART_TOL = 1e-12
+#: Newton iterations of each start of the correlation multistart.
+MULTISTART_MAX_ITER = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,8 +63,6 @@ class SolverOptions:
 
     starts: int = 512
     seed: int = 0
-    tol: float = 1e-12
-    max_iter: int = 100
 
     def __post_init__(self):
         if not self.starts >= 1:
@@ -68,54 +70,31 @@ class SolverOptions:
         if not self.seed >= 0:
             raise OutOfRange(
                 f"seed must be a non-negative integer, got {self.seed!r}")
-        if not self.max_iter >= 1:
-            raise OutOfRange(
-                f"max_iter must be at least 1, got {self.max_iter!r}")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise OutOfRange(
-                f"tol must be finite and positive, got {self.tol!r}")
 
 
 def options_from_json(obj) -> SolverOptions:
     """Decode solver options, falling back to the defaults field by field.
 
-    Each value must have its field's JSON type (:func:`_option_value`),
-    and an unknown key raises :class:`InvalidModel` naming it; ranges are
-    checked by :class:`SolverOptions`.  Every error names the field as
+    Each value must be a JSON integer (a boolean is not), and an unknown
+    key raises :class:`InvalidModel` naming it; ranges are checked by
+    :class:`SolverOptions`.  Every error names the field as
     ``options.<field>``.
     """
     if obj is None:
         return SolverOptions()
     if not isinstance(obj, dict):
         raise InvalidModel("solver options must be a JSON object")
+    for name, value in obj.items():
+        if name not in ("starts", "seed"):
+            raise InvalidModel(f'unknown solver option "{name}"; expected '
+                               "starts or seed")
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InvalidModel(
+                f"options.{name} must be an integer, got {json.dumps(value)}")
     try:
-        return SolverOptions(**{name: _option_value(name, value)
-                                for name, value in obj.items()})
+        return SolverOptions(**obj)
     except OutOfRange as exc:
         raise OutOfRange(f"options.{exc}") from None
-
-
-def _option_value(name: str, value):
-    """The JSON value of the solver option ``name``: an integer for
-    ``starts``, ``seed`` and ``max_iter``, a number for ``tol`` (a
-    boolean is neither).  :class:`InvalidModel` names an unknown option
-    or the field of a wrong type; :class:`OutOfRange` a ``tol`` too
-    large for a float."""
-    if name not in ("starts", "seed", "tol", "max_iter"):
-        raise InvalidModel(f'unknown solver option "{name}"; expected '
-                           "starts, seed, tol or max_iter")
-    kinds, what = ((int, float), "a number") if name == "tol" \
-        else (int, "an integer")
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise InvalidModel(
-            f"options.{name} must be {what}, got {json.dumps(value)}")
-    if name != "tol":
-        return value
-    try:
-        return float(value)
-    except OverflowError:
-        raise OutOfRange("tol must be finite, got an integer too large "
-                         "for a float") from None
 
 
 def equicorrelation_cubic(m: int, a: float, b: float) -> tuple[float, float, float, float]:
@@ -186,8 +165,8 @@ def cubic_roots_in_interval(c3: float, c2: float, c1: float, c0: float,
     return dedup
 
 
-def mle_concentration(model: LinearConcentration, S) -> CriticalPoint:
-    """Newton MLE for a linear concentration model.
+def mle_concentration(model, S) -> CriticalPoint:
+    """Newton MLE for a linear concentration or undirected graphical model.
 
     Maximises ``log det K - tr(S K)`` over positive definite
     ``K = sum_j lam_j K_j``.  The iteration starts from the trace
@@ -200,9 +179,7 @@ def mle_concentration(model: LinearConcentration, S) -> CriticalPoint:
     noise.  Converged when every fitted trace matches its sample trace
     to 1e-10 relative accuracy within ``NEWTON_MAX_ITER`` steps.
     """
-    if isinstance(model, GraphModel):
-        model = as_concentration(model)
-    if not isinstance(model, LinearConcentration):
+    if not isinstance(model, _Concentration):
         raise InvalidModel("mle_concentration needs a concentration model")
     return _concentration_point(model, _matrix(S, "S", model.dim, pd=True))
 
@@ -345,15 +322,19 @@ def criticality_residual(model, Sigma, S) -> float:
 
 def _residual(model, Sg: np.ndarray, Ss: np.ndarray) -> float:
     """:func:`criticality_residual` of validated matrices, taken for the
-    scale-invariant degree-one families at :func:`_unit_scale`."""
+    scale-invariant degree-one families at :func:`_unit_scale`.  A score
+    that overflows gives an infinite or NaN residual, with no warning."""
     k, Sg, Ss = _unit_scale(Sg, Ss) if model.degree_one else (0, Sg, Ss)
-    sc = _score(Sg, Ss)
     worst = 0.0
-    for T in model.tangent_basis(Sg):
-        nrm = float(np.linalg.norm(T))
-        if nrm == 0.0:
-            continue
-        worst = max(worst, abs(float(np.sum(sc * T))) / nrm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sc = _score(Sg, Ss)
+        for T in model.tangent_basis(Sg):
+            nrm = float(np.linalg.norm(T))
+            if nrm == 0.0:
+                continue
+            x = abs(float(np.sum(sc * T))) / nrm
+            if x > worst or x != x:     # a NaN, once found, is kept
+                worst = x
     return math.ldexp(worst, k)
 
 
@@ -541,8 +522,8 @@ def _correlation_multistart(m: int, S: np.ndarray,
     backtracking deeper spent most of the search's evaluations on them.
     Up to that step a start runs as under a deeper search, so the points
     found are a subset of those a search down to 2^-29 finds.  Starts
-    whose largest residual falls below ``opts.tol`` within
-    ``opts.max_iter`` iterations have converged.  Converged solutions
+    whose largest residual falls below ``MULTISTART_TOL`` within
+    ``MULTISTART_MAX_ITER`` iterations have converged.  Converged solutions
     are deduplicated at 1e-6 in parameter space.
     The search is exhaustive only heuristically: with the default 512
     starts it is stable on 3 x 3 problems, but for larger ``m`` some
@@ -565,13 +546,13 @@ def _correlation_multistart(m: int, S: np.ndarray,
 
     active = np.ones(len(x), dtype=bool)
     converged = np.zeros(len(x), dtype=bool)
-    for _ in range(opts.max_iter):
+    for _ in range(MULTISTART_MAX_ITER):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
         K, W, F = _corr_residuals(chart, S, chart.matrices(x[idx]))
         rnorm = np.abs(F).max(axis=1)
-        done = rnorm < opts.tol
+        done = rnorm < MULTISTART_TOL
         converged[idx[done]] = True
         active[idx[done]] = False
         keep = ~done

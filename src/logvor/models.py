@@ -13,6 +13,7 @@ and then call the family's methods.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar, Mapping
 
 import numpy as np
@@ -95,38 +96,11 @@ class Model:
         return cls()
 
 
-@dataclass(frozen=True, eq=False)
-class LinearConcentration(Model):
-    """Covariances whose inverse lies in the span of a fixed symmetric basis."""
+class _Concentration(Model):
+    """Shared part of the families whose concentration lies in the span
+    of ``basis``: linear concentration and undirected graphical models."""
 
-    kind = "concentration"
     degree_one = True
-    basis: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        mats = tuple(check_symmetric(K) for K in self.basis)
-        if not mats:
-            raise InvalidModel("concentration model needs at least one basis matrix")
-        m = mats[0].shape[0]
-        if any(K.shape != (m, m) for K in mats):
-            raise ShapeMismatch("basis matrices must share one dimension")
-        stack = np.stack([K.ravel() for K in mats])
-        if np.linalg.matrix_rank(stack) < len(mats):
-            raise InvalidModel("basis matrices are linearly dependent")
-        object.__setattr__(self, "basis", mats)
-
-    @property
-    def dim(self) -> int:
-        return self.basis[0].shape[0]
-
-    @classmethod
-    def _independent(cls, basis) -> "LinearConcentration":
-        """A model on a basis of symmetric matrices that is linearly
-        independent by construction; the validation, and its rank
-        check, are skipped."""
-        model = object.__new__(cls)
-        object.__setattr__(model, "basis", tuple(basis))
-        return model
 
     def contains(self, A, tol):
         K = np.linalg.inv(_unit_scale(A)[1])
@@ -143,6 +117,32 @@ class LinearConcentration(Model):
         from .mle import _concentration_point
         return [_concentration_point(self, A)]
 
+
+@dataclass(frozen=True, eq=False)
+class LinearConcentration(_Concentration):
+    """Covariances whose inverse lies in the span of a fixed symmetric basis."""
+
+    kind = "concentration"
+    basis: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        mats = tuple(check_symmetric(K) for K in self.basis)
+        if not mats:
+            raise InvalidModel("concentration model needs at least one basis matrix")
+        m = mats[0].shape[0]
+        if any(K.shape != (m, m) for K in mats):
+            raise ShapeMismatch("basis matrices must share one dimension")
+        stack = np.stack([K.ravel() for K in mats])
+        # exact scaling to a largest entry in [1/2, 1) keeps the SVD finite
+        stack = np.ldexp(stack, -np.frexp(np.abs(stack).max())[1])
+        if np.linalg.matrix_rank(stack) < len(mats):
+            raise InvalidModel("basis matrices are linearly dependent")
+        object.__setattr__(self, "basis", mats)
+
+    @property
+    def dim(self) -> int:
+        return self.basis[0].shape[0]
+
     def to_json(self):
         return {"kind": self.kind,
                 "basis": [sym_to_json(K) for K in self.basis]}
@@ -155,16 +155,21 @@ class LinearConcentration(Model):
 
 
 @dataclass(frozen=True)
-class GraphModel(Model):
-    """Undirected graphical model: zeros of the concentration off the edges."""
+class GraphModel(_Concentration):
+    """Undirected graphical model: zeros of the concentration off the
+    edges, the span of :func:`concentration_basis` (built on first use;
+    its supports are disjoint, so it needs no rank check)."""
 
     kind = "graph"
-    degree_one = True
     graph: Graph
 
     @property
     def dim(self) -> int:
         return self.graph.m
+
+    @cached_property
+    def basis(self) -> tuple[np.ndarray, ...]:
+        return tuple(concentration_basis(self.graph))
 
     def contains(self, A, tol):
         K = np.linalg.inv(_unit_scale(A)[1])
@@ -175,15 +180,12 @@ class GraphModel(Model):
                if not G.has_edge(i, j)]
         return max(off, default=0.0) <= tol * scale
 
-    def tangent_basis(self, A):
-        return as_concentration(self).tangent_basis(A)
-
     def critical_points(self, A, opts):
-        from .mle import _concentration_point, _decomposable_point
+        from .mle import _decomposable_point
         chordal, order = is_chordal(self.graph)
         if chordal:
             return [_decomposable_point(self.graph, A, order)]
-        return [_concentration_point(as_concentration(self), A)]
+        return super().critical_points(A, opts)
 
     def to_json(self):
         return {"kind": self.kind, **graph_to_json(self.graph)}
@@ -407,15 +409,6 @@ def concentration_basis(G: Graph) -> list[np.ndarray]:
     basis = [_diag_unit(i, m) for i in range(m)]
     basis += [_offdiag_unit(i - 1, j - 1, m) for i, j in G.sorted_edges()]
     return basis
-
-
-def as_concentration(model: GraphModel) -> LinearConcentration:
-    """The linear concentration model of an undirected graph.
-
-    Its basis ``{E_ii} + {E_ij + E_ji : ij an edge}`` has disjoint
-    supports, so it is independent and needs no rank check.
-    """
-    return LinearConcentration._independent(concentration_basis(model.graph))
 
 
 def model_contains(model, Sigma) -> bool:

@@ -521,6 +521,16 @@ class TestEquicorrelationCell:
         with pytest.raises(OutOfRange):
             equicorrelation_cell(3, -0.5, np.eye(3))
 
+    def test_diagonal_point_and_non_pd_sample(self):
+        """At c = 0 the slice asks for a zero mean off-diagonal and the
+        cell for a half-trace of at least 1/2; a sample on the slice that
+        is not positive definite is outside the cell."""
+        assert equicorrelation_cell(3, 0.0, 0.6 * np.eye(3))
+        assert not equicorrelation_cell(3, 0.0, 0.4 * np.eye(3))
+        S = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.0], [-0.9, 0.0, 1.0]])
+        assert not is_positive_definite(S)
+        assert not equicorrelation_cell(3, 0.0, S)
+
 
 class TestCiUnionCell:
     T = (1.0, 2.0, 1.0, 3.0)
@@ -713,11 +723,24 @@ class TestComposeProject:
         bad_m[0, 1] = bad_m[1, 0] = 0.1      # inside the U x U block
         with pytest.raises(PreconditionFailed):
             compose_cell(path_graph, path_sigma, S1, S2, bad_m)
+        huge_m = np.zeros((4, 4))
+        huge_m[0, 3] = huge_m[3, 0] = 100.0   # off both blocks, too large
+        with pytest.raises(NotPD, match="composed sample"):
+            compose_cell(path_graph, path_sigma, S1, S2, huge_m)
+
+    def test_sample_off_the_slice_is_not_split(self, path_graph, path_sigma):
+        S = path_sigma.copy()
+        S[0, 1] = S[1, 0] = S[0, 1] + 0.3     # an edge entry is pinned
+        with pytest.raises(PreconditionFailed, match="not in the cell"):
+            project_cell(path_graph, path_sigma, S)
 
     def test_non_decomposable_graph_rejected(self, path_sigma):
         four_cycle = Graph(4, ((1, 2), (2, 3), (3, 4), (1, 4)))
         with pytest.raises(PreconditionFailed):
             project_cell(four_cycle, path_sigma, path_sigma)
+        with pytest.raises(PreconditionFailed, match="clique-separator"):
+            compose_cell(four_cycle, path_sigma, np.eye(3), np.eye(3),
+                         np.zeros((4, 4)))
 
 
 class TestSampling:
@@ -755,6 +778,13 @@ class TestSampling:
     def test_negative_count_rejected(self, path_graph, path_sigma):
         with pytest.raises(OutOfRange):
             sample_spectrahedron(GraphModel(path_graph), path_sigma, -1)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0])
+    def test_nonpositive_radius_rejected(self, path_graph, path_sigma,
+                                         radius):
+        with pytest.raises(OutOfRange, match="radius"):
+            sample_spectrahedron(GraphModel(path_graph), path_sigma, 1,
+                                 radius=radius)
 
 
 def sequential_sample(model, Sigma, count, seed=0, radius=None):
@@ -932,6 +962,19 @@ class TestScaledModelPoints:
             == NOT_IN_SPECTRAHEDRON
         assert not in_spectrahedron(model, t * Sigma, t * off)
         assert cell_membership(model, t * Sigma, 1e300 * Sigma).status \
+            == NOT_IN_SPECTRAHEDRON
+
+    def test_overflowing_score_is_off_the_slice(self):
+        """At a nearly singular union point the score of S = 1e300 I
+        overflows to NaN in some entries; its (1,1) component S_11 -
+        Sigma_11 is not zero, so S is off the slice.  The residual keeps
+        the NaN instead of folding it away, with no numpy warning."""
+        a = 1.0 - 1e-11
+        Sigma = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, a], [0.0, a, 1.0]])
+        S = 1e300 * np.eye(3)
+        assert not criticality_residual(CiUnion(), Sigma, S) < 1.0
+        assert not in_spectrahedron(CiUnion(), Sigma, S)
+        assert cell_membership(CiUnion(), Sigma, S).status \
             == NOT_IN_SPECTRAHEDRON
 
 

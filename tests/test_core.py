@@ -37,6 +37,8 @@ class TestCheckSymmetric:
     def test_rejects_non_square(self):
         with pytest.raises(ShapeMismatch):
             check_symmetric(np.ones((2, 3)))
+        with pytest.raises(ShapeMismatch, match="positive dimension"):
+            check_symmetric(np.zeros((0, 0)))
 
     def test_rejects_nan(self):
         with pytest.raises(ShapeMismatch):
@@ -248,6 +250,8 @@ class TestIndexing:
             principal_submatrix(A, (2, 2))
         with pytest.raises(IndexOutOfRange):
             principal_submatrix(A, ())
+        with pytest.raises(ShapeMismatch):
+            principal_submatrix(np.ones((2, 3)), (1,))
 
     def test_embed_round_trip(self):
         rng = np.random.default_rng(8)
@@ -260,6 +264,8 @@ class TestIndexing:
     def test_embed_shape_check(self):
         with pytest.raises(ShapeMismatch):
             embed(np.eye(2), (1, 2, 3), (1, 2), 4)
+        with pytest.raises(ShapeMismatch, match="2-d"):
+            embed(np.ones(2), (1, 2), (1, 2), 4)
 
     def test_submatrix_inverse_is_schur_complement(self):
         """(A^{-1})_II^{-1} equals the Schur complement of the complement
@@ -308,6 +314,27 @@ class TestSerialization:
             sym_from_json({"dim": 1, "upper": ["one"]})
         with pytest.raises(ShapeMismatch):
             sym_from_json({"dim": 1, "upper": [True]})
+        with pytest.raises(ShapeMismatch, match="numbers or numeric strings"):
+            sym_from_json({"dim": 1, "upper": [[1.0]]})
+        for entry in ("1e400", "-1e400", 10 ** 400):
+            with pytest.raises(ShapeMismatch, match="too large"):
+                sym_from_json({"dim": 1, "upper": [entry]})
+        for upper in (5, None, {"a": 1}, "123"):
+            with pytest.raises(ShapeMismatch, match='"upper" must be a list'):
+                sym_from_json({"dim": 1, "upper": upper})
+        with pytest.raises(ShapeMismatch, match='"dim"'):
+            sym_from_json({"dim": True, "upper": [1.0]})
+
+    def test_entries_near_the_float_limit_decode_exactly(self):
+        """Averaging the two triangles must not overflow: a sum of two
+        entries above 2^1023 is not a float."""
+        big = np.finfo(float).max
+        M = sym_from_json({"dim": 2, "upper": [big, -big, big]})
+        np.testing.assert_array_equal(M, [[big, -big], [-big, big]])
+        A = np.array([[big, big * (1 - 1e-12)], [big, 1.0]])
+        B = check_symmetric(A)
+        assert np.all(np.isfinite(B)) and np.array_equal(B, B.T)
+        assert B[0, 1] == A[0, 1] / 2 + big / 2
 
 
 class TestRandomPD:

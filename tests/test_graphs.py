@@ -241,3 +241,5 @@ class TestGraphSerialization:
     def test_missing_fields(self):
         with pytest.raises(IndexOutOfRange):
             graph_from_json({"edges": []})
+        with pytest.raises(IndexOutOfRange):
+            digraph_from_json({"arcs": []})

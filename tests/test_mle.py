@@ -14,6 +14,7 @@ from logvor import (
     Equicorrelation,
     GraphModel,
     Graph,
+    InvalidModel,
     LinearConcentration,
     NotChordal,
     NotPD,
@@ -35,8 +36,8 @@ from logvor import (
     symmetrize,
 )
 from logvor.core import pd_mask
-from logvor.mle import _CorrChart, _corr_residuals, _line_search, \
-    _newton_directions, _onion_starts
+from logvor.mle import MULTISTART_MAX_ITER, MULTISTART_TOL, _CorrChart, \
+    _corr_residuals, _line_search, _newton_directions, _onion_starts
 
 from conftest import random_correlation, random_pd
 
@@ -215,6 +216,10 @@ class TestConcentrationNewton:
     def test_rejects_non_pd_sample(self, path_graph):
         with pytest.raises(NotPD):
             mle_concentration(GraphModel(path_graph), -np.eye(4))
+
+    def test_rejects_other_families(self, collider_dag, collider_sigma):
+        with pytest.raises(InvalidModel, match="concentration model"):
+            mle_concentration(DagModel(collider_dag), collider_sigma)
 
 
 class TestDecomposableRecursion:
@@ -504,13 +509,13 @@ def _box_multistart(m, S, opts):
 
     active = np.ones(len(x), dtype=bool)
     converged = np.zeros(len(x), dtype=bool)
-    for _ in range(opts.max_iter):
+    for _ in range(MULTISTART_MAX_ITER):
         idx = np.where(active)[0]
         if idx.size == 0:
             break
         K, W, F = residuals(x[idx])
         rnorm = np.abs(F).max(axis=1)
-        done = rnorm < opts.tol
+        done = rnorm < MULTISTART_TOL
         converged[idx[done]] = True
         active[idx[done]] = False
         idx, K, W, F, rnorm = (a[~done] for a in (idx, K, W, F, rnorm))
@@ -666,10 +671,10 @@ class TestSolverOptions:
     def test_defaults(self):
         opts = SolverOptions()
         assert opts.starts == 512 and opts.seed == 0
-        assert opts.tol == 1e-12 and opts.max_iter == 100
+        assert MULTISTART_TOL == 1e-12 and MULTISTART_MAX_ITER == 100
 
     def test_json_round_trip(self):
-        opts = SolverOptions(starts=64, seed=5, tol=1e-10, max_iter=40)
+        opts = SolverOptions(starts=64, seed=5)
         assert options_from_json(dataclasses.asdict(opts)) == opts
 
     def test_partial_document_fills_defaults(self):
@@ -679,11 +684,13 @@ class TestSolverOptions:
     def test_none_gives_defaults(self):
         assert options_from_json(None) == SolverOptions()
 
+    @pytest.mark.parametrize("obj", [[], 5, "starts"])
+    def test_non_object_is_rejected(self, obj):
+        with pytest.raises(InvalidModel, match="JSON object"):
+            options_from_json(obj)
+
     @pytest.mark.parametrize("field, value", [
-        ("starts", 0), ("starts", -5), ("seed", -1), ("max_iter", 0),
-        ("max_iter", -1),
-        ("tol", 0.0), ("tol", -1.0), ("tol", float("nan")),
-        ("tol", float("inf")),
+        ("starts", 0), ("starts", -5), ("seed", -1),
     ])
     def test_out_of_range_values_are_rejected(self, field, value):
         with pytest.raises(OutOfRange, match=field):
@@ -692,5 +699,13 @@ class TestSolverOptions:
             options_from_json({field: value})
 
     def test_smallest_valid_values(self):
-        opts = SolverOptions(starts=1, max_iter=1, tol=5e-324)
-        assert (opts.starts, opts.max_iter) == (1, 1)
+        opts = SolverOptions(starts=1, seed=0)
+        assert (opts.starts, opts.seed) == (1, 0)
+
+    @pytest.mark.parametrize("field", ["tol", "max_iter"])
+    def test_multistart_constants_are_not_options(self, field):
+        """The multistart's tolerance and iteration cap are the module
+        constants; as options they are unknown keys."""
+        assert field not in SolverOptions.__dataclass_fields__
+        with pytest.raises(InvalidModel, match=f'unknown solver option "{field}"'):
+            options_from_json({field: 1})

@@ -19,9 +19,9 @@ from logvor import (
     OutOfRange,
     SemParams,
     ShapeMismatch,
+    SingularParents,
     SingularPoint,
     UnrestrictedCorrelation,
-    as_concentration,
     concentration_basis,
     equicorrelation_matrix,
     model_contains,
@@ -30,6 +30,7 @@ from logvor import (
     sem_fit,
     critical_points,
     list_treks,
+    mle_concentration,
     tangent_basis,
     trek_covariance,
 )
@@ -59,6 +60,21 @@ class TestModelConstruction:
         with pytest.raises(InvalidModel):
             LinearConcentration(())
 
+    def test_concentration_rejects_mixed_sizes(self):
+        with pytest.raises(ShapeMismatch, match="one dimension"):
+            LinearConcentration((np.eye(2), np.eye(3)))
+
+    def test_concentration_basis_near_the_float_limit(self):
+        """The rank check works on the basis scaled by a power of two, so
+        an independent basis with entries near the largest float is
+        accepted, with no overflow in the SVD."""
+        big = np.finfo(float).max
+        model = LinearConcentration((big * np.eye(2),
+                                     big * np.array([[0.0, 1.0], [1.0, 0.0]])))
+        assert model.basis[0][0, 0] == big
+        with pytest.raises(InvalidModel, match="dependent"):
+            LinearConcentration((big * np.eye(2), -big * np.eye(2)))
+
     def test_dimensions(self, path_graph, collider_dag):
         assert GraphModel(path_graph).dim == 4
         assert DagModel(collider_dag).dim == 4
@@ -76,8 +92,7 @@ class TestModelConstruction:
     def test_graph_basis_size(self, path_graph):
         basis = concentration_basis(path_graph)
         assert len(basis) == path_graph.m + len(path_graph.edges)
-        model = as_concentration(GraphModel(path_graph))
-        assert len(model.basis) == len(basis)
+        assert len(GraphModel(path_graph).basis) == len(basis)
 
     def test_graph_basis_skips_the_rank_check(self, path_graph, monkeypatch):
         """A graph's basis is independent by construction; a basis given
@@ -86,11 +101,36 @@ class TestModelConstruction:
             raise AssertionError("rank check")
 
         monkeypatch.setattr(np.linalg, "matrix_rank", no_rank)
-        model = as_concentration(GraphModel(path_graph))
+        model = GraphModel(path_graph)
         for K, E in zip(model.basis, concentration_basis(path_graph)):
             np.testing.assert_array_equal(K, E)
         with pytest.raises(AssertionError, match="rank check"):
             LinearConcentration((np.eye(2),))
+
+    def test_graph_basis_is_built_once_on_first_use(self, path_graph,
+                                                    path_sigma, monkeypatch):
+        """Constructing a graph model, testing a point against its edges
+        or fitting a chordal graph builds no basis; the first method that
+        needs one builds it, and every later call reuses it."""
+        import logvor.models
+        calls = []
+
+        def counted(G):
+            calls.append(G)
+            return concentration_basis(G)
+
+        monkeypatch.setattr(logvor.models, "concentration_basis", counted)
+        model = GraphModel(path_graph)
+        assert model_contains(model, path_sigma)
+        critical_points(model, path_sigma)
+        assert calls == []
+        first = tangent_basis(model, path_sigma)
+        assert calls == [path_graph]
+        second = tangent_basis(model, path_sigma)
+        mle_concentration(model, path_sigma)
+        assert calls == [path_graph]
+        for A, B in zip(first, second):
+            np.testing.assert_array_equal(A, B)
 
 
 class TestModelContains:
@@ -103,8 +143,8 @@ class TestModelContains:
         assert not model_contains(GraphModel(path_graph), bad)
 
     def test_graph_model_as_concentration_agrees(self, path_graph, path_sigma):
-        assert model_contains(as_concentration(GraphModel(path_graph)),
-                              path_sigma)
+        model = LinearConcentration(concentration_basis(path_graph))
+        assert model_contains(model, path_sigma)
 
     def test_trek_covariance_in_dag_model(self, collider_dag, collider_sigma):
         assert model_contains(DagModel(collider_dag), collider_sigma)
@@ -159,7 +199,7 @@ class TestTangentBasis:
                                                          path_sigma):
         """Perturbing the concentration by t K_j moves the covariance by
         -t Sigma K_j Sigma to first order."""
-        model = as_concentration(GraphModel(path_graph))
+        model = GraphModel(path_graph)
         tangents = tangent_basis(model, path_sigma)
         K = np.linalg.inv(path_sigma)
         h = 1e-6
@@ -284,6 +324,9 @@ class TestTrekRule:
         bad = DagParams(a=(1.0, -2.0, 3.0, 4.0), lam=dict(collider_params.lam))
         with pytest.raises(OutOfRange):
             trek_covariance(collider_dag, bad)
+        short = DagParams(a=(1.0, 2.0, 3.0), lam=dict(collider_params.lam))
+        with pytest.raises(ShapeMismatch, match="expected 4 diagonal"):
+            trek_covariance(collider_dag, short)
 
 
 class TestSemFit:
@@ -311,6 +354,27 @@ class TestSemFit:
         with pytest.raises(ShapeMismatch):
             SemParams(omega=np.array([1.0, 1.0]),
                       Lambda=np.array([[0.0, 0.0], [1.0, 0.0]]))
+        with pytest.raises(ShapeMismatch, match="does not match"):
+            SemParams(omega=np.array([1.0, 1.0]), Lambda=np.zeros((3, 3)))
+
+    def test_sem_covariance_validation(self):
+        dag = Digraph(3, ((1, 3),))
+        with pytest.raises(ShapeMismatch, match="expected 3 error"):
+            sem_covariance(dag, SemParams(omega=np.ones(2),
+                                          Lambda=np.zeros((2, 2))))
+        off_arcs = np.zeros((3, 3))
+        off_arcs[0, 1] = 0.5                  # 1 -> 2 is not an arc
+        with pytest.raises(ShapeMismatch, match="off the arcs"):
+            sem_covariance(dag, SemParams(omega=np.ones(3), Lambda=off_arcs))
+
+    def test_singular_parents(self):
+        collider = Digraph(3, ((1, 3), (2, 3)))
+        S = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.5, 2.0]])
+        with pytest.raises(SingularParents, match="singular"):
+            sem_fit(collider, S)
+        edge = Digraph(2, ((1, 2),))
+        with pytest.raises(SingularParents, match="residual variance"):
+            sem_fit(edge, np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 class TestEquicorrelationMatrix:
@@ -335,7 +399,7 @@ def one_model_per_kind(path_graph, collider_dag) -> dict:
         Equicorrelation(4),
         UnrestrictedCorrelation(3),
         CiUnion(),
-        as_concentration(GraphModel(path_graph)),
+        LinearConcentration(concentration_basis(path_graph)),
     ]}
 
 
@@ -396,6 +460,9 @@ class TestModelSerialization:
     def test_unknown_kind(self):
         with pytest.raises(InvalidModel):
             model_from_json({"kind": "mystery"})
+        for obj in ([{"kind": "graph"}], "graph", None):
+            with pytest.raises(InvalidModel, match='"kind"'):
+                model_from_json(obj)
 
     @pytest.mark.parametrize("obj, field", [
         ({"kind": "equicorrelation"}, '"m"'),

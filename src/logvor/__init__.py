@@ -42,6 +42,7 @@ from .errors import (
     DegenerateLeadingCoefficient,
     DimensionMismatch,
     IndexOutOfRange,
+    InputError,
     InvalidModel,
     LogvorError,
     NoConvergence,

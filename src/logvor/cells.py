@@ -413,34 +413,36 @@ def sample_spectrahedron(model, Sigma, count: int, seed: int = 0,
     base = slice_.base
     if radius is None:
         radius = 0.5 * float(np.linalg.eigvalsh(base)[0])
-    if radius <= 0:
-        raise OutOfRange("radius must be positive")
+    if not 0.0 < radius < math.inf:          # NaN fails
+        raise OutOfRange("radius must be positive and finite")
     rng = np.random.default_rng(seed)
     dirs = slice_.directions
     out: list[np.ndarray] = []
     r, tries = float(radius), 0     # radius and proposals of the next sample
-    while len(out) < count:
-        if tries == 200:
-            raise SamplingExhausted(
-                "proposal radius underflowed before finding a PD sample")
-        # draw only normals that will be used: one row per sample still
-        # wanted, and no more rows than the next sample has proposals left
-        Z = rng.standard_normal((min(count - len(out), 200 - tries),
-                                 len(dirs)))
-        while len(Z):
-            coeff = Z * float(radius)
-            coeff[0] = Z[0] * r
-            S = np.repeat(base[None], len(Z), axis=0)
-            for i, D in enumerate(dirs):
-                S += coeff[:, i, None, None] * D
-            ok = pd_mask(S)
-            j = len(Z) if ok.all() else int(ok.argmin())
-            out.extend(S[:j])
-            if j:
-                r, tries = float(radius), 0
-            if j < len(Z):              # retry with the next normals
-                r, tries = r * 0.5, tries + 1
-            Z = Z[j + 1:]
+    # a proposal that overflows is not finite, and pd_mask rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(out) < count:
+            if tries == 200:
+                raise SamplingExhausted(
+                    "proposal radius underflowed before finding a PD sample")
+            # draw only normals that will be used: one row per sample still
+            # wanted, and no more rows than the next sample has proposals left
+            Z = rng.standard_normal((min(count - len(out), 200 - tries),
+                                     len(dirs)))
+            while len(Z):
+                coeff = Z * float(radius)
+                coeff[0] = Z[0] * r
+                S = np.repeat(base[None], len(Z), axis=0)
+                for i, D in enumerate(dirs):
+                    S += coeff[:, i, None, None] * D
+                ok = pd_mask(S)
+                j = len(Z) if ok.all() else int(ok.argmin())
+                out.extend(S[:j])
+                if j:
+                    r, tries = float(radius), 0
+                if j < len(Z):              # retry with the next normals
+                    r, tries = r * 0.5, tries + 1
+                Z = Z[j + 1:]
     return out
 
 

@@ -6,7 +6,9 @@ the command, ``sigma`` (a model point), ``sample`` (a data matrix) and
 significant digits so repeated runs are byte-identical.
 
 Exit codes: 0 success (for ``membership``: the sample is in the cell),
-1 membership rejection, 2 malformed input, 3 solver failure.
+1 membership rejection, 2 malformed input (an :class:`InputError`, an
+unreadable file or bad JSON), 3 solver failure (any other
+:class:`LogvorError`).
 """
 
 from __future__ import annotations
@@ -25,25 +27,12 @@ from . import __version__
 from .cells import IN_CELL, _bivariate_side, _ci_union_strip, \
     _equi_half_trace, cell_membership, sample_spectrahedron, verdict_to_json
 from .core import pd_mask, sym_from_json, sym_to_json
-from .errors import (
-    IndexOutOfRange,
-    InvalidModel,
-    LogvorError,
-    NotOnSlice,
-    NotTopological,
-    OutOfRange,
-    PreconditionFailed,
-    ShapeMismatch,
-    UnknownFigure,
-)
+from .errors import InputError, InvalidModel, LogvorError, OutOfRange, \
+    UnknownFigure
 from .graphs import find_reducible_decomposition
 from .mle import SolverOptions, _residual, critical_points, \
     options_from_json
 from .models import GraphModel, model_from_json
-
-#: Errors that indicate malformed input rather than a failed computation.
-_INPUT_ERRORS = (ShapeMismatch, IndexOutOfRange, InvalidModel, OutOfRange,
-                 UnknownFigure, NotOnSlice, PreconditionFailed, NotTopological)
 
 #: Range of ``figure --grid``, points per axis; a scene has grid^2 rows.
 _GRID_RANGE = (2, 1001)
@@ -66,24 +55,20 @@ def _emit(obj) -> None:
     print(json.dumps(_round15(obj), indent=2))
 
 
-def _load_problem(path: str) -> dict:
+def _read(path: str, *fields: str) -> tuple:
+    """The problem file at ``path``, then its model and its ``fields``
+    matrices, each checked for and decoded in that order."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
+        problem = json.load(fh)
+    if not isinstance(problem, dict):
         raise InvalidModel("problem file must be a JSON object")
-    return obj
-
-
-def _get_model(problem: dict):
-    if "model" not in problem:
-        raise InvalidModel('problem file needs a "model" field')
-    return model_from_json(problem["model"])
-
-
-def _get_matrix(problem: dict, field: str) -> np.ndarray:
-    if field not in problem:
-        raise InvalidModel(f'problem file needs a "{field}" field')
-    return sym_from_json(problem[field])
+    decoded = []
+    for field in ("model",) + fields:
+        if field not in problem:
+            raise InvalidModel(f'problem file needs a "{field}" field')
+        decode = sym_from_json if decoded else model_from_json
+        decoded.append(decode(problem[field]))
+    return (problem, *decoded)
 
 
 def _solver_options(args, problem: dict) -> SolverOptions:
@@ -108,9 +93,7 @@ def _point_report(model, cp, sample) -> dict:
 
 
 def _cmd_points(args, all_points: bool) -> int:
-    problem = _load_problem(args.file)
-    model = _get_model(problem)
-    sample = _get_matrix(problem, "sample")
+    problem, model, sample = _read(args.file, "sample")
     points = critical_points(model, sample, _solver_options(args, problem))
     if not all_points:
         points = points[:1]
@@ -122,10 +105,7 @@ def _cmd_points(args, all_points: bool) -> int:
 
 
 def _cmd_membership(args) -> int:
-    problem = _load_problem(args.file)
-    model = _get_model(problem)
-    sigma = _get_matrix(problem, "sigma")
-    sample = _get_matrix(problem, "sample")
+    problem, model, sigma, sample = _read(args.file, "sigma", "sample")
     verdict = cell_membership(model, sigma, sample,
                               _solver_options(args, problem))
     _emit(verdict_to_json(verdict))
@@ -133,9 +113,7 @@ def _cmd_membership(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    problem = _load_problem(args.file)
-    model = _get_model(problem)
-    sigma = _get_matrix(problem, "sigma")
+    problem, model, sigma = _read(args.file, "sigma")
     seed = _solver_options(args, problem).seed
     samples = sample_spectrahedron(model, sigma, args.count, seed=seed,
                                   radius=args.radius)
@@ -144,8 +122,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    problem = _load_problem(args.file)
-    model = _get_model(problem)
+    _, model = _read(args.file)
     if not isinstance(model, GraphModel):
         raise InvalidModel("decompose needs a graph model")
     dec = find_reducible_decomposition(model.graph)
@@ -239,6 +216,10 @@ def _cmd_figure(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("file", help="problem JSON file")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[problem])
+    seeded.add_argument("--seed", type=int, default=None)
     parser = argparse.ArgumentParser(
         prog="logvor",
         description="Gaussian MLE, critical points and logarithmic "
@@ -246,34 +227,29 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mle", help="maximum likelihood estimate of a sample")
-    p.add_argument("file", help="problem JSON with model and sample")
+    p = sub.add_parser("mle", parents=[seeded],
+                       help="maximum likelihood estimate of a sample")
     p.add_argument("--all", action="store_true",
                    help="print every critical point, not just the best")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=lambda a: _cmd_points(a, all_points=a.all))
 
-    p = sub.add_parser("critical-points", help="all likelihood critical points")
-    p.add_argument("file")
-    p.add_argument("--seed", type=int, default=None)
+    p = sub.add_parser("critical-points", parents=[seeded],
+                       help="all likelihood critical points")
     p.set_defaults(func=lambda a: _cmd_points(a, all_points=True))
 
-    p = sub.add_parser("membership",
+    p = sub.add_parser("membership", parents=[seeded],
                        help="is the sample in the cell of sigma?")
-    p.add_argument("file", help="problem JSON with model, sigma and sample")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_membership)
 
-    p = sub.add_parser("sample", help="draw spectrahedron samples at sigma")
-    p.add_argument("file", help="problem JSON with model and sigma")
+    p = sub.add_parser("sample", parents=[seeded],
+                       help="draw spectrahedron samples at sigma")
     p.add_argument("--count", type=int, default=10)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--radius", type=float, default=None)
+    p.add_argument("--radius", type=float, default=None,
+                   help="proposal radius, 0 < radius < inf")
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("decompose",
+    p = sub.add_parser("decompose", parents=[problem],
                        help="clique-separator decomposition of a graph model")
-    p.add_argument("file")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("figure", help="write a figure grid as CSV")
@@ -286,15 +262,18 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="fixed third coordinate of the 3-d scenes, "
                         f"|z| <= {_Z_MAX:g}")
     p.set_defaults(func=_cmd_figure)
-
     return parser
 
 
+#: Built once: ``main`` only parses.
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS + (OSError, KeyError, TypeError, ValueError) as exc:
+    except (InputError, OSError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LogvorError as exc:

@@ -14,13 +14,14 @@ All functions are pure and never mutate their arguments.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, NotPD, \
-    ShapeMismatch
+    ShapeMismatch, _brief
 
 #: Pivot tolerance of the positive-definiteness test, relative to the
 #: largest diagonal entry.
@@ -143,7 +144,7 @@ def _fits(A: np.ndarray, name: str, dim: Optional[int] = None,
     :class:`DimensionMismatch`, and if ``pd`` PD or else :class:`NotPD`."""
     if dim is not None and len(A) != dim:
         raise DimensionMismatch(
-            f"{name} has dimension {len(A)}, expected {dim}")
+            f"{name} has dimension {len(A)}, expected {_brief(dim)}")
     if pd and not _is_pd(A):
         raise NotPD(f"{name} is not positive definite")
     return A
@@ -246,18 +247,35 @@ def principal_submatrix(M, I: Iterable[int]) -> np.ndarray:
     return A[np.ix_(idx, idx)].copy()
 
 
+#: The exponent of a decimal entry string, in the syntax of ``Fraction``.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+#: Decimal exponents beyond the entry string's length plus this margin
+#: put any nonzero string of that length below 1e-400 or above 1e400.
+_EXPONENT_MARGIN = 400
+
+
 def _parse_entry(x) -> float:
     """JSON matrix entry -> float.
 
     Numbers pass through; strings may be exact decimals ("0.25") or
     rationals ("1211/4560") and are parsed to the nearest double.
+    ``Fraction`` builds ``10**e`` for an exponent ``e``, so one beyond
+    the string's length plus ``_EXPONENT_MARGIN`` is cut to that bound,
+    which gives the same double (0.0) or the same overflow.
     """
     if isinstance(x, bool) or not isinstance(x, (int, float, str)):
         raise ShapeMismatch("matrix entries must be numbers or numeric strings")
     try:
-        return float(Fraction(x) if isinstance(x, str) else x)
+        if not isinstance(x, str):
+            return float(x)
+        s, exp = x, _EXPONENT.search(x)
+        cap = len(x) + _EXPONENT_MARGIN
+        if exp and abs(e := int(exp[1])) > cap:
+            s = x[:exp.start(1)] + str(cap if e > 0 else -cap)
+        return float(Fraction(s))
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ShapeMismatch(f"cannot parse matrix entry {x!r}: {exc}") from exc
+        raise ShapeMismatch(
+            f"cannot parse matrix entry {_brief(x)}: {exc}") from exc
 
 
 def sym_from_json(obj) -> np.ndarray:
@@ -269,12 +287,13 @@ def sym_from_json(obj) -> np.ndarray:
         raise ShapeMismatch('symmetric matrix JSON needs "dim" and "upper"')
     m, upper = obj["dim"], obj["upper"]
     if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ShapeMismatch(f'"dim" must be a positive integer, got {m!r}')
+        raise ShapeMismatch(
+            f'"dim" must be a positive integer, got {_brief(m)}')
     n = m * (m + 1) // 2
     if not (isinstance(upper, list) and len(upper) == n):
-        got = len(upper) if isinstance(upper, list) else repr(upper)
-        raise ShapeMismatch(
-            f'"upper" must be a list of {n} entries for dim {m}, got {got}')
+        got = len(upper) if isinstance(upper, list) else _brief(upper)
+        raise ShapeMismatch(f'"upper" must be a list of {_brief(n)} entries '
+                            f"for dim {_brief(m)}, got {got}")
     A = np.zeros((m, m))
     pos = 0
     for i in range(m):

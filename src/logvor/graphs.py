@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .errors import IndexOutOfRange, NotTopological
+from .errors import IndexOutOfRange, NotTopological, _brief
 
 
 def _check_vertex(v, m: int) -> int:
     i = int(v)
     if i != v or not 1 <= i <= m:
-        raise IndexOutOfRange(f"vertex {v!r} outside 1..{m}")
+        raise IndexOutOfRange(f"vertex {_brief(v)} outside 1..{_brief(m)}")
     return i
 
 
@@ -27,12 +27,14 @@ def _vertex_pairs(m, pairs, what: str) -> list[tuple[int, int]]:
     vertex count; :class:`IndexOutOfRange` for a count below 1, a vertex
     outside 1..m or a loop (``what`` names the pair in the message)."""
     if int(m) != m or m < 1:
-        raise IndexOutOfRange(f"vertex count must be >= 1, got {m!r}")
+        raise IndexOutOfRange(
+            f"vertex count must be >= 1, got {_brief(m)}")
     out = []
     for i, j in pairs:
         i, j = _check_vertex(i, m), _check_vertex(j, m)
         if i == j:
-            raise IndexOutOfRange(f"loop {what} ({i}, {j}) not allowed")
+            raise IndexOutOfRange(
+                f"loop {what} ({_brief(i)}, {_brief(j)}) not allowed")
         out.append((i, j))
     return out
 
@@ -85,7 +87,8 @@ class Digraph:
         for i, j in pairs:
             if i > j:
                 raise NotTopological(
-                    f"arc ({i}, {j}) runs against the vertex labelling")
+                    f"arc ({_brief(i)}, {_brief(j)}) runs against the "
+                    "vertex labelling")
         object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "arcs", frozenset(pairs))
 

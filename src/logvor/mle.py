@@ -29,6 +29,7 @@ from .errors import (
     NoInteriorPoint,
     NotChordal,
     OutOfRange,
+    _brief,
 )
 from .graphs import Graph, adjacency, is_chordal
 from .models import Equicorrelation, SemParams, _Concentration, _sem_fit, \
@@ -66,10 +67,11 @@ class SolverOptions:
 
     def __post_init__(self):
         if not self.starts >= 1:
-            raise OutOfRange(f"starts must be at least 1, got {self.starts!r}")
+            raise OutOfRange(
+                f"starts must be at least 1, got {_brief(self.starts)}")
         if not self.seed >= 0:
             raise OutOfRange(
-                f"seed must be a non-negative integer, got {self.seed!r}")
+                f"seed must be a non-negative integer, got {_brief(self.seed)}")
 
 
 def options_from_json(obj) -> SolverOptions:
@@ -90,7 +92,8 @@ def options_from_json(obj) -> SolverOptions:
                                "starts or seed")
         if isinstance(value, bool) or not isinstance(value, int):
             raise InvalidModel(
-                f"options.{name} must be an integer, got {json.dumps(value)}")
+                f"options.{name} must be an integer, got "
+                f"{_brief(value, json.dumps)}")
     try:
         return SolverOptions(**obj)
     except OutOfRange as exc:
@@ -335,7 +338,10 @@ def _residual(model, Sg: np.ndarray, Ss: np.ndarray) -> float:
             x = abs(float(np.sum(sc * T))) / nrm
             if x > worst or x != x:     # a NaN, once found, is kept
                 worst = x
-    return math.ldexp(worst, k)
+    try:
+        return math.ldexp(worst, k)
+    except OverflowError:               # a residual beyond the largest double
+        return math.inf
 
 
 def _critical_point(Sigma: np.ndarray, A: np.ndarray,
@@ -503,6 +509,9 @@ def _line_search(x: np.ndarray, delta: np.ndarray, rnorm: np.ndarray,
     return steps, x_new
 
 
+# a row whose residual overflows is not finite: it never converges, and
+# the line search drops it as stalled
+@np.errstate(over="ignore", invalid="ignore")
 def _correlation_multistart(m: int, S: np.ndarray,
                             opts: SolverOptions) -> list[CriticalPoint]:
     """Damped-Newton multistart on the tangential score equations.
@@ -581,8 +590,10 @@ def _correlation_multistart(m: int, S: np.ndarray,
 
 
 def _sorted_points(points: list[CriticalPoint]) -> list[CriticalPoint]:
-    return sorted(points,
-                  key=lambda cp: (-cp.loglik, tuple(np.round(cp.sigma, 12).ravel())))
+    # entries beyond about 1e296 round to +-inf, which ties them
+    with np.errstate(over="ignore"):
+        return sorted(points, key=lambda cp: (
+            -cp.loglik, tuple(np.round(cp.sigma, 12).ravel())))
 
 
 def critical_points(model, S, opts: Optional[SolverOptions] = None

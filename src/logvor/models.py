@@ -27,6 +27,7 @@ from .errors import (
     ShapeMismatch,
     SingularParents,
     SingularPoint,
+    _brief,
 )
 from .graphs import Digraph, Graph, digraph_from_json, digraph_to_json, \
     graph_from_json, graph_to_json, is_chordal
@@ -65,7 +66,7 @@ def _json_field(obj: dict, name: str, what: str, ok, default=None):
     value = obj.get(name, default)
     if not ok(value):
         raise InvalidModel(f'{obj["kind"]} model JSON: "{name}" must be '
-                           f"{what}, got {value!r}")
+                           f"{what}, got {_brief(value)}")
     return value
 
 
@@ -579,5 +580,5 @@ def model_from_json(obj) -> Model:
     kind = obj["kind"]
     family = FAMILIES.get(kind) if isinstance(kind, str) else None
     if family is None:
-        raise InvalidModel(f"unknown model kind {kind!r}")
+        raise InvalidModel(f"unknown model kind {_brief(kind)}")
     return family.from_json(obj)

@@ -779,11 +779,22 @@ class TestSampling:
         with pytest.raises(OutOfRange):
             sample_spectrahedron(GraphModel(path_graph), path_sigma, -1)
 
-    @pytest.mark.parametrize("radius", [0.0, -1.0])
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf,
+                                        -math.inf])
     def test_nonpositive_radius_rejected(self, path_graph, path_sigma,
                                          radius):
+        """A radius must be positive and finite; NaN is neither."""
         with pytest.raises(OutOfRange, match="radius"):
             sample_spectrahedron(GraphModel(path_graph), path_sigma, 1,
+                                 radius=radius)
+
+    @pytest.mark.parametrize("radius", [1e308, 1.7976931348623157e308])
+    def test_overflowing_proposals_are_rejected(self, path_graph,
+                                                path_sigma, radius):
+        """Proposals at a radius near the largest double overflow; they
+        are rejected as not PD, with no numpy warning (an error here)."""
+        with pytest.raises(SamplingExhausted):
+            sample_spectrahedron(GraphModel(path_graph), path_sigma, 2,
                                  radius=radius)
 
 

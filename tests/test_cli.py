@@ -1,5 +1,6 @@
 """Command line interface: commands, exit codes, determinism, figures."""
 
+import argparse
 import csv
 import json
 import math
@@ -13,10 +14,11 @@ import numpy as np
 import pytest
 
 import logvor
-from logvor import sym_to_json
+from logvor import errors, sym_to_json
 from logvor.cli import _GRID_RANGE, main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def write_problem(tmp_path, doc, name="problem.json"):
@@ -125,6 +127,28 @@ class TestMle:
                                    plain["sigma"]["upper"], rtol=1e-12)
         assert huge["loglik"] == pytest.approx(
             plain["loglik"] - 4 * math.log(t), rel=1e-12)
+
+    @pytest.mark.parametrize("problem, scale, exit_code", [
+        ("ci-union", 1e300, 0), ("correlation", 1.7e308, 3),
+        ("dag", 1e-320, 0), ("concentration", 1e-320, 0),
+    ])
+    def test_golden_sample_near_the_float_limits(self, tmp_path, capsys,
+                                                 problem, scale, exit_code):
+        """The golden sample scaled to the edge of the doubles: numpy
+        prints nothing, and a solver failure is reported as one."""
+        doc = json.loads((GOLDEN / f"{problem}.json").read_text())
+        sample = logvor.sym_from_json(doc["sample"])
+        doc["sample"] = sym_to_json(sample * scale)
+        doc["options"] = {"starts": 64}
+        code, out, err = run_cli(capsys, ["mle", "--all",
+                                          write_problem(tmp_path, doc)])
+        assert code == exit_code
+        if code == 0:
+            assert err == ""
+            logliks = [p["loglik"] for p in json.loads(out)["points"]]
+            assert logliks == sorted(logliks, reverse=True)
+        else:
+            assert err == "solver error: multistart found no critical point\n"
 
     def test_all_flag_lists_every_point(self, tmp_path, capsys, elliptope_s1):
         doc = {"model": {"kind": "correlation", "m": 3},
@@ -356,6 +380,59 @@ class TestExitCodes:
         assert "solver error:" in err
 
 
+def error_classes(cls=errors.LogvorError):
+    """``cls`` and every class derived from it."""
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from error_classes(sub)
+
+
+#: The classes that mean malformed input: the CLI exits 2 on them.
+INPUT_ERRORS = {"InputError", "ShapeMismatch", "DimensionMismatch",
+                "IndexOutOfRange", "InvalidModel", "OutOfRange",
+                "UnknownFigure", "NotOnSlice", "PreconditionFailed",
+                "NotTopological"}
+
+
+@pytest.mark.parametrize("cls", sorted(set(error_classes()),
+                                       key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_exit_code_follows_the_error_class(tmp_path, capsys, monkeypatch,
+                                           cls):
+    """An :class:`InputError` exits 2 with ``error:``; every other
+    :class:`LogvorError`, NotPD among them, exits 3 with ``solver error:``."""
+    def fail(graph):
+        raise cls("boom")
+
+    monkeypatch.setattr("logvor.cli.find_reducible_decomposition", fail)
+    file = write_problem(tmp_path, {"model": PATH_MODEL})
+    code, out, err = run_cli(capsys, ["decompose", file])
+    assert out == ""
+    if cls.__name__ in INPUT_ERRORS:
+        assert issubclass(cls, errors.InputError)
+        assert (code, err) == (2, "error: boom\n")
+    else:
+        assert (code, err) == (3, "solver error: boom\n")
+
+
+def test_main_builds_no_parser(tmp_path, capsys, monkeypatch):
+    """The parser is built once, at import: two calls of ``main`` build
+    no ``ArgumentParser``."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    file = write_problem(tmp_path, {"model": PATH_MODEL})
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, ["decompose", file])
+        assert code == 0 and json.loads(out)["decomposition"]["T"] == [2]
+    assert built == []
+
+
 class TestSeedPriority:
     def sample_doc(self, path_sigma, **extra):
         doc = {"model": PATH_MODEL, "sigma": sym_to_json(path_sigma)}
@@ -436,6 +513,24 @@ class TestSample:
         report = json.loads(first)
         assert len(report["samples"]) == 3
         assert all(s["dim"] == 4 for s in report["samples"])
+
+    @pytest.mark.parametrize("radius", ["nan", "inf", "-inf", "0", "-1"])
+    def test_radius_outside_zero_to_inf_exits_two(self, tmp_path, capsys,
+                                                  radius):
+        file = str(GOLDEN / "graph-cycle.json")
+        code, out, err = run_cli(capsys, ["sample", file,
+                                          f"--radius={radius}"])
+        assert (code, out) == (2, "")
+        assert err == "error: radius must be positive and finite\n"
+
+    @pytest.mark.parametrize("radius", ["1e308", "1.7976931348623157e308"])
+    def test_overflowing_radius_exits_three(self, tmp_path, capsys, radius):
+        """Every proposal overflows and is rejected, with no numpy text."""
+        file = str(GOLDEN / "graph-cycle.json")
+        code, out, err = run_cli(capsys, ["sample", file, "--count", "2",
+                                          "--radius", radius])
+        assert (code, out) == (3, "")
+        assert err.startswith("solver error: proposal radius underflowed")
 
 
 class TestDecompose:

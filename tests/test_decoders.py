@@ -6,11 +6,15 @@ are nearly valid.  Nothing is solved: a decoded ``starts`` of any size
 never reaches the multistart.
 """
 
+import time
+from fractions import Fraction
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from logvor import LogvorError, model_from_json, options_from_json, \
-    sym_from_json
+from logvor import LogvorError, OutOfRange, ShapeMismatch, model_from_json, \
+    options_from_json, sym_from_json
 from logvor.models import FAMILIES
 
 FUZZ = settings(max_examples=150, deadline=None, database=None,
@@ -94,3 +98,50 @@ def test_model_from_json_raises_only_typed_errors(doc):
 @given(json_values | option_docs)
 def test_options_from_json_raises_only_typed_errors(doc):
     decodes_or_raises_typed(options_from_json, doc)
+
+
+HUGE = 10 ** 5000       # past Python's 4300-digit limit for printing an int
+
+
+@pytest.mark.parametrize("decode, doc, error", [
+    (options_from_json, {"seed": -HUGE}, OutOfRange),
+    (options_from_json, {"starts": -HUGE}, OutOfRange),
+    (sym_from_json, {"dim": HUGE, "upper": []}, ShapeMismatch),
+    (sym_from_json, {"dim": -HUGE, "upper": []}, ShapeMismatch),
+    (sym_from_json, {"dim": 1, "upper": [HUGE]}, ShapeMismatch),
+], ids=["seed", "starts", "dim", "negative-dim", "entry"])
+def test_huge_integers_raise_typed_errors(decode, doc, error):
+    """The message names the value by its type, not by its digits."""
+    with pytest.raises(error, match="too long to print") as info:
+        decode(doc)
+    assert len(str(info.value)) < 200
+
+
+@pytest.mark.parametrize("entry, value", [
+    ("1e999999999", None), ("1e-999999999", 0.0), ("0e999999999", 0.0),
+    ("1E+99999999999999999999", None), ("2.5e-99999999 ", 0.0),
+])
+def test_huge_exponents_decode_in_bounded_time(entry, value):
+    """``Fraction`` alone would build 10**999999999 for these strings."""
+    start = time.perf_counter()
+    doc = {"dim": 1, "upper": [entry]}
+    if value is None:
+        with pytest.raises(ShapeMismatch, match="cannot parse"):
+            sym_from_json(doc)
+    else:
+        assert sym_from_json(doc)[0, 0] == value
+    assert time.perf_counter() - start < 0.5
+
+
+@FUZZ
+@given(st.from_regex(r"\A[-+]?(\d{1,20}|\d{0,20}\.\d{1,20})[eE][-+]?\d{1,3}\Z"))
+def test_exponent_strings_decode_as_fractions(entry):
+    """Every decimal string decodes to the double nearest its value, as
+    ``Fraction`` gives it, or overflows in both."""
+    try:
+        expect = float(Fraction(entry))
+    except OverflowError:
+        with pytest.raises(ShapeMismatch):
+            sym_from_json({"dim": 1, "upper": [entry]})
+    else:
+        assert sym_from_json({"dim": 1, "upper": [entry]})[0, 0] == expect

@@ -64,11 +64,7 @@ from .graphs import (
     Digraph,
     Graph,
     Trek,
-    digraph_from_json,
-    digraph_to_json,
     find_reducible_decomposition,
-    graph_from_json,
-    graph_to_json,
     induced_subgraph,
     is_chordal,
     list_treks,

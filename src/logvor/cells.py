@@ -203,20 +203,21 @@ def _equi_half_trace(m: int, c: float, b):
             / (c * c * m - 2.0 * c * c + 2.0 * c))
 
 
-def _equi_slice(m: int, c: float, a: float, b: float) -> None:
-    """Raise unless ``c`` is in the positive definite interval
-    (:class:`OutOfRange`) and the sample statistics ``(a, b)`` are on the
-    slice of the m x m equicorrelation point ``c`` (:class:`NotOnSlice`)."""
-    lo = -1.0 / (m - 1)
-    if not lo < c < 1.0:
-        raise OutOfRange(f"{c} outside the positive definite interval ({lo}, 1)")
-    if c == 0.0:
-        if abs(b) > SLICE_TOL * (1.0 + abs(a)):
-            raise NotOnSlice("slice of c = 0 needs mean off-diagonal zero")
-        return
-    a_expect = _equi_half_trace(m, c, b)
+def _equi_slice(m: int, c: float, S) -> tuple:
+    """The validated m x m sample ``S`` and its statistics ``(a, b, Sbar)``
+    (:func:`_symmetrize`); :class:`OutOfRange` unless ``c`` is in the
+    positive definite interval, :class:`NotOnSlice` unless ``(a, b)`` is
+    on the slice of the equicorrelation point ``c``."""
+    A = _matrix(S, "S", m)
+    a, b, Sbar = _symmetrize(A)
+    equicorrelation_matrix(m, c)            # checks the interval of c
+    if c == 0.0 and abs(b) > SLICE_TOL * (1.0 + abs(a)):
+        raise NotOnSlice("slice of c = 0 needs mean off-diagonal zero")
+    # the slice of c = 0 pins only b; any other c ties a to b
+    a_expect = _equi_half_trace(m, c, b) if c else a
     if abs(a - a_expect) > SLICE_TOL * (1.0 + abs(a_expect)):
         raise NotOnSlice(f"half-trace {a} is off the slice value {a_expect}")
+    return A, a, b, Sbar
 
 
 def bivariate_cell(c: float, S) -> bool:
@@ -230,10 +231,7 @@ def bivariate_cell(c: float, S) -> bool:
     diagonal point ``c = 0``.
     """
     c = float(c)
-    A = _matrix(S, "S", 2)
-    a = float((A[0, 0] + A[1, 1]) / 2.0)
-    b = float(A[0, 1])
-    _equi_slice(2, c, a, b)
+    A, a, b, _ = _equi_slice(2, c, S)
     if not _is_pd(A):
         raise NotOnSlice("S is not positive definite")
     return a >= 0.5 if c == 0.0 else _bivariate_side(c, b)
@@ -257,9 +255,7 @@ def equicorrelation_cell(m: int, c: float, S) -> bool:
     """
     model = Equicorrelation(m)
     c = float(c)
-    A = _matrix(S, "S", model.m)
-    a, b, Sbar = _symmetrize(A)
-    _equi_slice(model.m, c, a, b)
+    A, a, _, Sbar = _equi_slice(model.m, c, S)
     if not _is_pd(A):
         return False
     if c == 0.0:
@@ -424,7 +420,8 @@ def sample_spectrahedron(model, Sigma, count: int, seed: int = 0,
         while len(out) < count:
             if tries == 200:
                 raise SamplingExhausted(
-                    "proposal radius underflowed before finding a PD sample")
+                    "none of 200 proposals was positive definite, at radius "
+                    f"{radius:.6g} first and {2 * r:.6g} last")
             # draw only normals that will be used: one row per sample still
             # wanted, and no more rows than the next sample has proposals left
             Z = rng.standard_normal((min(count - len(out), 200 - tries),

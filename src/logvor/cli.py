@@ -14,9 +14,9 @@ unreadable file or bad JSON), 3 solver failure (any other
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -41,9 +41,11 @@ _Z_MAX = 1e6
 
 
 def _round15(x):
-    """Round floats (recursively) to 15 significant digits for stable output."""
+    """Round floats (recursively) to 15 significant digits for stable
+    output, and write a float that is then not finite as None."""
     if isinstance(x, float):
-        return float(f"{x:.15g}")
+        x = float(f"{x:.15g}")
+        return x if math.isfinite(x) else None
     if isinstance(x, dict):
         return {k: _round15(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -52,7 +54,7 @@ def _round15(x):
 
 
 def _emit(obj) -> None:
-    print(json.dumps(_round15(obj), indent=2))
+    print(json.dumps(_round15(obj), indent=2, allow_nan=False))
 
 
 def _read(path: str, *fields: str) -> tuple:
@@ -92,12 +94,11 @@ def _point_report(model, cp, sample) -> dict:
             "residual": float(_residual(model, cp.sigma, sample))}
 
 
-def _cmd_points(args, all_points: bool) -> int:
+def _cmd_points(args, count=None) -> int:
     problem, model, sample = _read(args.file, "sample")
     points = critical_points(model, sample, _solver_options(args, problem))
-    if not all_points:
-        points = points[:1]
-    report = {"points": [_point_report(model, cp, sample) for cp in points]}
+    report = {"points": [_point_report(model, cp, sample)
+                         for cp in points[:count]]}
     if model.degree_one:
         report["note"] = "ML degree one: the critical point is the unique MLE"
     _emit(report)
@@ -192,21 +193,22 @@ def _cmd_figure(args) -> int:
     names, ((x0, x1), (y0, y1)), matrix, rule = _SCENES[args.name]
     ys = np.linspace(y0, y1, args.grid)
     ycol = [f"{y:.15g}" for y in ys]
-    zcol = [f"{args.z:.15g}"] if len(names) == 3 else []
+    zcol = f",{args.z:.15g}" if len(names) == 3 else ""
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     fd, tmp_path = tempfile.mkstemp(dir=out_dir, suffix=".csv.tmp")
     try:
+        # CSV rows ending in "\r\n"; no field needs quoting
         with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(names + ("in_spectrahedron", "in_cell"))
+            fh.write(",".join(names) + ",in_spectrahedron,in_cell\r\n")
             # one grid column at a time keeps the stack at grid matrices
             for x in np.linspace(x0, x1, args.grid):
                 S = matrix(x, ys, args.z)
                 spec = pd_mask(S)
                 cell = spec if rule is None else spec & rule(S)
-                xcol = [f"{x:.15g}"]
-                writer.writerows(xcol + [y] + zcol + [p, c] for y, p, c in zip(
-                    ycol, spec.astype(int).tolist(), cell.astype(int).tolist()))
+                xcol = f"{x:.15g},"
+                fh.write("".join(
+                    f"{xcol}{y}{zcol},{p:d},{c:d}\r\n"
+                    for y, p, c in zip(ycol, spec.tolist(), cell.tolist())))
         os.replace(tmp_path, args.out)     # single atomic publish
     except BaseException:
         if os.path.exists(tmp_path):
@@ -229,13 +231,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mle", parents=[seeded],
                        help="maximum likelihood estimate of a sample")
-    p.add_argument("--all", action="store_true",
-                   help="print every critical point, not just the best")
-    p.set_defaults(func=lambda a: _cmd_points(a, all_points=a.all))
+    p.set_defaults(func=lambda a: _cmd_points(a, 1))
 
     p = sub.add_parser("critical-points", parents=[seeded],
                        help="all likelihood critical points")
-    p.set_defaults(func=lambda a: _cmd_points(a, all_points=True))
+    p.set_defaults(func=_cmd_points)
 
     p = sub.add_parser("membership", parents=[seeded],
                        help="is the sample in the cell of sigma?")

@@ -14,7 +14,6 @@ All functions are pure and never mutate their arguments.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -247,32 +246,24 @@ def principal_submatrix(M, I: Iterable[int]) -> np.ndarray:
     return A[np.ix_(idx, idx)].copy()
 
 
-#: The exponent of a decimal entry string, in the syntax of ``Fraction``.
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
-#: Decimal exponents beyond the entry string's length plus this margin
-#: put any nonzero string of that length below 1e-400 or above 1e400.
-_EXPONENT_MARGIN = 400
-
-
 def _parse_entry(x) -> float:
     """JSON matrix entry -> float.
 
-    Numbers pass through; strings may be exact decimals ("0.25") or
-    rationals ("1211/4560") and are parsed to the nearest double.
-    ``Fraction`` builds ``10**e`` for an exponent ``e``, so one beyond
-    the string's length plus ``_EXPONENT_MARGIN`` is cut to that bound,
-    which gives the same double (0.0) or the same overflow.
+    Numbers pass through; strings may be decimals ("0.25"), which
+    ``float`` rounds to the nearest double in time bounded by their
+    length, or exact rationals ("1211/4560"), which ``Fraction`` parses
+    before rounding.  A string whose value is not finite raises
+    :class:`ShapeMismatch`.
     """
     if isinstance(x, bool) or not isinstance(x, (int, float, str)):
         raise ShapeMismatch("matrix entries must be numbers or numeric strings")
     try:
         if not isinstance(x, str):
             return float(x)
-        s, exp = x, _EXPONENT.search(x)
-        cap = len(x) + _EXPONENT_MARGIN
-        if exp and abs(e := int(exp[1])) > cap:
-            s = x[:exp.start(1)] + str(cap if e > 0 else -cap)
-        return float(Fraction(s))
+        value = float(Fraction(x)) if "/" in x else float(x)
+        if not math.isfinite(value):
+            raise ValueError("too large for a double, or not a number")
+        return value
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ShapeMismatch(
             f"cannot parse matrix entry {_brief(x)}: {exc}") from exc

@@ -83,7 +83,7 @@ class PreconditionFailed(InputError):
 
 
 class SamplingExhausted(LogvorError):
-    """Rejection sampling stalled; the proposal radius underflowed."""
+    """Rejection sampling found no positive definite proposal."""
 
 
 class UnknownFigure(InputError):

@@ -307,24 +307,3 @@ def list_treks(dag: Digraph, i: int, j: int) -> list[Trek]:
     treks.sort()
     return treks
 
-
-def graph_from_json(obj) -> Graph:
-    """Decode ``{"m": ..., "edges": [[i, j], ...]}``."""
-    if not isinstance(obj, dict) or "m" not in obj:
-        raise IndexOutOfRange('graph JSON needs "m" and "edges"')
-    return Graph(obj["m"], frozenset(tuple(e) for e in obj.get("edges", [])))
-
-
-def graph_to_json(G: Graph) -> dict:
-    return {"m": G.m, "edges": [list(e) for e in G.sorted_edges()]}
-
-
-def digraph_from_json(obj) -> Digraph:
-    """Decode ``{"m": ..., "arcs": [[i, j], ...]}``."""
-    if not isinstance(obj, dict) or "m" not in obj:
-        raise IndexOutOfRange('digraph JSON needs "m" and "arcs"')
-    return Digraph(obj["m"], frozenset(tuple(a) for a in obj.get("arcs", [])))
-
-
-def digraph_to_json(dag: Digraph) -> dict:
-    return {"m": dag.m, "arcs": [list(a) for a in dag.sorted_arcs()]}

@@ -29,8 +29,7 @@ from .errors import (
     SingularPoint,
     _brief,
 )
-from .graphs import Digraph, Graph, digraph_from_json, digraph_to_json, \
-    graph_from_json, graph_to_json, is_chordal
+from .graphs import Digraph, Graph, is_chordal
 
 #: Off-diagonal entries below this are treated as exact zeros when
 #: deciding which chart of a union model a point belongs to.
@@ -189,13 +188,15 @@ class GraphModel(_Concentration):
         return super().critical_points(A, opts)
 
     def to_json(self):
-        return {"kind": self.kind, **graph_to_json(self.graph)}
+        return {"kind": self.kind, "m": self.graph.m,
+                "edges": [list(e) for e in self.graph.sorted_edges()]}
 
     @classmethod
     def from_json(cls, obj):
-        _json_field(obj, "m", "an integer", _is_int)
-        _json_field(obj, "edges", "a list of pairs [i, j]", _is_pairs, [])
-        return cls(graph_from_json(obj))
+        m = _json_field(obj, "m", "an integer", _is_int)
+        edges = _json_field(obj, "edges", "a list of pairs [i, j]",
+                            _is_pairs, [])
+        return cls(Graph(m, frozenset(map(tuple, edges))))
 
 
 @dataclass(frozen=True)
@@ -235,13 +236,15 @@ class DagModel(Model):
         return [_critical_point(fitted, A, "unique")]
 
     def to_json(self):
-        return {"kind": self.kind, **digraph_to_json(self.dag)}
+        return {"kind": self.kind, "m": self.dag.m,
+                "arcs": [list(a) for a in self.dag.sorted_arcs()]}
 
     @classmethod
     def from_json(cls, obj):
-        _json_field(obj, "m", "an integer", _is_int)
-        _json_field(obj, "arcs", "a list of pairs [i, j]", _is_pairs, [])
-        return cls(digraph_from_json(obj))
+        m = _json_field(obj, "m", "an integer", _is_int)
+        arcs = _json_field(obj, "arcs", "a list of pairs [i, j]",
+                           _is_pairs, [])
+        return cls(Digraph(m, frozenset(map(tuple, arcs))))
 
 
 @dataclass(frozen=True)

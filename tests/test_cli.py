@@ -33,6 +33,14 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def strict_json(text):
+    """``json.loads`` that rejects NaN and Infinity, which JSON lacks."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 PATH_MODEL = {"kind": "graph", "m": 4, "edges": [[1, 2], [2, 3], [3, 4]]}
 
 
@@ -96,11 +104,7 @@ class TestMle:
         file = write_problem(tmp_path, {"model": model, "sample": sample})
         code, out, err = run_cli(capsys, ["mle", file])
         assert (code, err) == (0, "")
-
-        def reject(constant):
-            raise ValueError(f"{constant} is not JSON")
-
-        point = json.loads(out, parse_constant=reject)["points"][0]
+        point = strict_json(out)["points"][0]
         assert point["sigma"] == sample
         assert point["loglik"] == pytest.approx(
             -m * (math.log(1e-310) + 1.0), rel=1e-12)
@@ -140,7 +144,7 @@ class TestMle:
         sample = logvor.sym_from_json(doc["sample"])
         doc["sample"] = sym_to_json(sample * scale)
         doc["options"] = {"starts": 64}
-        code, out, err = run_cli(capsys, ["mle", "--all",
+        code, out, err = run_cli(capsys, ["critical-points",
                                           write_problem(tmp_path, doc)])
         assert code == exit_code
         if code == 0:
@@ -150,12 +154,32 @@ class TestMle:
         else:
             assert err == "solver error: multistart found no critical point\n"
 
-    def test_all_flag_lists_every_point(self, tmp_path, capsys, elliptope_s1):
+    def test_non_finite_residual_is_null(self, tmp_path, capsys):
+        """The dag golden sample times 1e-320 has a residual past the
+        largest double: the report says null, and stays strict JSON."""
+        doc = json.loads((GOLDEN / "dag.json").read_text())
+        doc["sample"] = sym_to_json(logvor.sym_from_json(doc["sample"])
+                                    * 1e-320)
+        file = write_problem(tmp_path, doc)
+        code, out, err = run_cli(capsys, ["mle", file])
+        assert (code, err) == (0, "")
+        point = strict_json(out)["points"][0]
+        assert point["residual"] is None and '"residual": null' in out
+
+    def test_all_flag_is_gone(self, tmp_path, capsys, path_sigma):
+        file = write_problem(tmp_path, path_problem(path_sigma))
+        with pytest.raises(SystemExit) as exc:
+            main(["mle", "--all", file])
+        assert exc.value.code == 2
+        assert "--all" in capsys.readouterr().err
+
+    def test_critical_points_lists_every_point(self, tmp_path, capsys,
+                                               elliptope_s1):
         doc = {"model": {"kind": "correlation", "m": 3},
                "sample": sym_to_json(elliptope_s1),
                "options": {"starts": 256}}
         file = write_problem(tmp_path, doc)
-        code, out, _ = run_cli(capsys, ["mle", "--all", file])
+        code, out, _ = run_cli(capsys, ["critical-points", file])
         assert code == 0
         points = json.loads(out)["points"]
         assert len(points) == 3
@@ -163,16 +187,18 @@ class TestMle:
         assert logliks == sorted(logliks, reverse=True)
         assert "note" not in json.loads(out)
 
-    def test_critical_points_equals_mle_all(self, tmp_path, capsys,
-                                            elliptope_s1):
+    def test_mle_prints_the_best_critical_point(self, tmp_path, capsys,
+                                                elliptope_s1):
         doc = {"model": {"kind": "correlation", "m": 3},
                "sample": sym_to_json(elliptope_s1),
                "options": {"starts": 256}}
         file = write_problem(tmp_path, doc)
-        _, out_all, _ = run_cli(capsys, ["mle", "--all", file])
+        _, out_mle, _ = run_cli(capsys, ["mle", file])
         code, out_cp, _ = run_cli(capsys, ["critical-points", file])
         assert code == 0
-        assert json.loads(out_cp)["points"] == json.loads(out_all)["points"]
+        points = json.loads(out_cp)["points"]
+        assert len(points) == 3
+        assert json.loads(out_mle)["points"] == points[:1]
 
 
 class TestMembership:
@@ -530,7 +556,9 @@ class TestSample:
         code, out, err = run_cli(capsys, ["sample", file, "--count", "2",
                                           "--radius", radius])
         assert (code, out) == (3, "")
-        assert err.startswith("solver error: proposal radius underflowed")
+        assert err.startswith(
+            "solver error: none of 200 proposals was positive definite, "
+            f"at radius {float(radius):.6g} first")
 
 
 class TestDecompose:
@@ -561,8 +589,8 @@ class TestByteStability:
                "sample": sym_to_json(elliptope_s1),
                "options": {"starts": 256, "seed": 0}}
         file = write_problem(tmp_path, doc)
-        _, first, _ = run_cli(capsys, ["mle", "--all", file])
-        _, second, _ = run_cli(capsys, ["mle", "--all", file])
+        _, first, _ = run_cli(capsys, ["critical-points", file])
+        _, second, _ = run_cli(capsys, ["critical-points", file])
         assert first == second
 
     def test_figure_file_is_stable(self, tmp_path, capsys):

@@ -94,8 +94,6 @@ def commands(draw):
     command = draw(st.sampled_from(["mle", "critical-points", "membership",
                                     "sample", "decompose"]))
     argv = [command]
-    if command == "mle" and draw(st.booleans()):
-        argv.append("--all")
     if command == "sample":
         argv += ["--count", str(draw(st.integers(0, 3)))]
         radius = draw(radii)

@@ -3,7 +3,7 @@ each, and the SHA-256 of every figure scene's CSV.
 
 Every problem file in ``tests/golden`` holds a model, a model point
 ``sigma`` and a sample.  For each problem the exit code and the exact
-stdout bytes of ``mle --all``, ``membership`` and
+stdout bytes of ``critical-points``, ``membership`` and
 ``sample --count 3 --seed 1`` are checked in next to it.  Each figure
 scene is written at ``--grid 41`` (the 3-d scenes at ``--z 0.25``) and
 the digest of its CSV is kept in ``figures.json``.  Regenerate them
@@ -26,7 +26,7 @@ from logvor.cli import _FIGURES, main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 PROBLEMS = sorted(p.stem for p in GOLDEN.glob("*.json")
                   if p.name not in ("exit_codes.json", "figures.json"))
-COMMANDS = {"mle-all": ["mle", "--all"],
+COMMANDS = {"critical-points": ["critical-points"],
             "membership": ["membership"],
             "sample": ["sample", "--count", "3", "--seed", "1"]}
 FIGURE_ARGS = {"dag-slice": ["--z", "0.25"],

@@ -6,6 +6,7 @@ are nearly valid.  Nothing is solved: a decoded ``starts`` of any size
 never reaches the multistart.
 """
 
+import json
 import time
 from fractions import Fraction
 
@@ -13,8 +14,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from logvor import LogvorError, OutOfRange, ShapeMismatch, model_from_json, \
-    options_from_json, sym_from_json
+from logvor import DagModel, Digraph, Graph, GraphModel, LogvorError, \
+    OutOfRange, ShapeMismatch, model_from_json, options_from_json, \
+    sym_from_json
 from logvor.models import FAMILIES
 
 FUZZ = settings(max_examples=150, deadline=None, database=None,
@@ -120,9 +122,11 @@ def test_huge_integers_raise_typed_errors(decode, doc, error):
 @pytest.mark.parametrize("entry, value", [
     ("1e999999999", None), ("1e-999999999", 0.0), ("0e999999999", 0.0),
     ("1E+99999999999999999999", None), ("2.5e-99999999 ", 0.0),
+    ("inf", None), ("nan", None), ("-1e400", None),
 ])
 def test_huge_exponents_decode_in_bounded_time(entry, value):
-    """``Fraction`` alone would build 10**999999999 for these strings."""
+    """``Fraction`` would build 10**999999999 for some of these strings;
+    a string that is not a finite double cannot be parsed."""
     start = time.perf_counter()
     doc = {"dim": 1, "upper": [entry]}
     if value is None:
@@ -134,14 +138,36 @@ def test_huge_exponents_decode_in_bounded_time(entry, value):
 
 
 @FUZZ
-@given(st.from_regex(r"\A[-+]?(\d{1,20}|\d{0,20}\.\d{1,20})[eE][-+]?\d{1,3}\Z"))
+@given(st.from_regex(
+    r"\A[-+]?(\d{1,20}|\d{0,20}\.\d{1,20})([eE][-+]?\d{1,3})?\Z")
+    | st.from_regex(r"\A[-+]?\d{1,30}/\d{1,30}\Z"))
 def test_exponent_strings_decode_as_fractions(entry):
-    """Every decimal string decodes to the double nearest its value, as
-    ``Fraction`` gives it, or overflows in both."""
+    """Every decimal string, with or without an exponent, and every
+    ``p/q`` string decodes to the double nearest its value, as
+    ``Fraction`` gives it, or fails in both."""
     try:
         expect = float(Fraction(entry))
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         with pytest.raises(ShapeMismatch):
             sym_from_json({"dim": 1, "upper": [entry]})
     else:
         assert sym_from_json({"dim": 1, "upper": [entry]})[0, 0] == expect
+
+
+@st.composite
+def graph_models(draw):
+    """A graph or DAG model on at most 8 vertices."""
+    m = draw(st.integers(1, 8))
+    pairs = draw(st.sets(st.tuples(st.integers(1, m), st.integers(1, m))))
+    pairs = {(i, j) for i, j in pairs if i < j}
+    if draw(st.booleans()):
+        return GraphModel(Graph(m, pairs))
+    return DagModel(Digraph(m, pairs))
+
+
+@FUZZ
+@given(graph_models())
+def test_graph_and_dag_models_round_trip(model):
+    """``model_from_json`` inverts ``to_json`` on graph and DAG models,
+    through the JSON text."""
+    assert model_from_json(json.loads(json.dumps(model.to_json()))) == model

@@ -1,0 +1,130 @@
+"""Relabelling equivariance: permuting the coordinates of a sample, with
+the model relabelled to match, permutes its critical points and keeps
+every cell-membership verdict.
+
+The oracle needs no second solver.  The unrestricted correlation family
+is left out: its multistart is not a complete enumeration, so two
+labellings may find different point sets.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from logvor import (
+    IN_CELL,
+    IN_SPECTRAHEDRON_NOT_CELL,
+    CiUnion,
+    Equicorrelation,
+    Graph,
+    GraphModel,
+    LinearConcentration,
+    cell_membership,
+    critical_points,
+    equicorrelation_matrix,
+    is_chordal,
+    sample_spectrahedron,
+)
+
+from conftest import random_pd
+from test_cells import ci_union_t_sample, equicorrelation_slice_sample
+
+RNG_SEED = 20221018
+CHORDAL = Graph(5, ((1, 2), (1, 3), (2, 3), (3, 4), (4, 5)))
+NON_CHORDAL = Graph(5, ((1, 2), (2, 3), (3, 4), (1, 4), (4, 5)))
+CONCENTRATION = LinearConcentration(
+    (np.eye(4), np.ones((4, 4)) - np.eye(4), np.diag([1.0, -1.0, 0.5, 0.0]),
+     np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 2.0],
+               [0.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]])))
+#: Component one of the union, at (t1, t2, t3, t4) = (1, 2, 1, 3).
+CI_SIGMA = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 3.0]])
+FAMILIES = ["chordal", "non-chordal", "concentration", "equicorrelation",
+            "ci-union"]
+
+
+def permute(A, perm):
+    """The matrix whose entry (perm[i], perm[j]) is A[i, j] (0-based)."""
+    inv = np.argsort(perm)
+    return A[np.ix_(inv, inv)]
+
+
+def relabel(model, perm):
+    """The model on the coordinates permuted by ``perm``."""
+    if isinstance(model, GraphModel):
+        return GraphModel(Graph(model.graph.m, {
+            (perm[i - 1] + 1, perm[j - 1] + 1) for i, j in model.graph.edges}))
+    if isinstance(model, LinearConcentration):
+        return LinearConcentration(tuple(permute(B, perm)
+                                         for B in model.basis))
+    return model        # equicorrelation, and ci-union under reversal
+
+
+def family(name):
+    """The model, its permutations under test, a model point and
+    samples: on its log-normal slice, and random ones."""
+    rng = np.random.default_rng(RNG_SEED)
+    if name == "equicorrelation":
+        model, Sigma = Equicorrelation(4), equicorrelation_matrix(4, 0.3)
+        perms = list(itertools.permutations(range(4)))
+        on_slice = [equicorrelation_slice_sample(4, 0.3, rng)
+                    for _ in range(60)]
+    elif name == "ci-union":
+        model, Sigma, perms = CiUnion(), CI_SIGMA, [(2, 1, 0)]
+        on_slice = [ci_union_t_sample((1.0, 2.0, 1.0, 3.0), rng)
+                    for _ in range(60)]
+    else:
+        model = {"chordal": GraphModel(CHORDAL),
+                 "non-chordal": GraphModel(NON_CHORDAL),
+                 "concentration": CONCENTRATION}[name]
+        m = model.dim
+        Sigma = critical_points(model, random_pd(m, rng))[0].sigma
+        perms = [tuple(rng.permutation(m)) for _ in range(6)]
+        on_slice = sample_spectrahedron(model, Sigma, 20, seed=1)
+    samples = on_slice + [random_pd(model.dim, rng) for _ in range(5)]
+    return model, perms, Sigma, samples
+
+
+def test_graph_cases_are_chordal_and_not():
+    assert is_chordal(CHORDAL)[0] and not is_chordal(NON_CHORDAL)[0]
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_critical_points_permute(name):
+    model, perms, _, samples = family(name)
+    for S in samples[-5:] + samples[:3]:
+        points = critical_points(model, S)
+        for perm in perms:
+            moved = critical_points(relabel(model, perm), permute(S, perm))
+            assert len(moved) == len(points)
+            unmatched = list(moved)
+            for cp in points:
+                want = permute(cp.sigma, perm)
+                got = min(unmatched,
+                          key=lambda q: float(np.abs(q.sigma - want).max()))
+                unmatched.remove(got)
+                np.testing.assert_allclose(
+                    got.sigma, want, rtol=0,
+                    atol=1e-10 * float(np.abs(want).max()))
+                assert got.loglik == pytest.approx(cp.loglik, rel=1e-10)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_cell_verdicts_match(name):
+    model, perms, Sigma, samples = family(name)
+    verdicts = [cell_membership(model, Sigma, S) for S in samples]
+    statuses = {v.status for v in verdicts}
+    assert IN_CELL in statuses and len(statuses) > 1
+    if not model.degree_one:
+        assert IN_SPECTRAHEDRON_NOT_CELL in statuses
+    for perm in perms:
+        moved_model = relabel(model, perm)
+        moved_sigma = permute(Sigma, perm)
+        for S, v in zip(samples, verdicts):
+            w = cell_membership(moved_model, moved_sigma, permute(S, perm))
+            assert w.status == v.status
+            if v.margin is None:
+                assert w.margin is None
+            else:
+                assert w.margin == pytest.approx(v.margin, rel=1e-8,
+                                                 abs=1e-10)

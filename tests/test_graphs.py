@@ -13,11 +13,7 @@ from logvor import (
     IndexOutOfRange,
     NotTopological,
     Trek,
-    digraph_from_json,
-    digraph_to_json,
     find_reducible_decomposition,
-    graph_from_json,
-    graph_to_json,
     induced_subgraph,
     is_chordal,
     list_treks,
@@ -230,16 +226,3 @@ class TestTreks:
             Trek(top=2, up=(), down=((2, 4),)),
         ]
 
-
-class TestGraphSerialization:
-    def test_graph_round_trip(self, path_graph):
-        assert graph_from_json(graph_to_json(path_graph)) == path_graph
-
-    def test_digraph_round_trip(self, collider_dag):
-        assert digraph_from_json(digraph_to_json(collider_dag)) == collider_dag
-
-    def test_missing_fields(self):
-        with pytest.raises(IndexOutOfRange):
-            graph_from_json({"edges": []})
-        with pytest.raises(IndexOutOfRange):
-            digraph_from_json({"arcs": []})

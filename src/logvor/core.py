@@ -206,7 +206,7 @@ def _as_index(I: Iterable[int], m: int) -> list[int]:
     for i in idx:
         j = int(i)
         if j != i or not 1 <= j <= m:
-            raise IndexOutOfRange(f"index {i!r} outside 1..{m}")
+            raise IndexOutOfRange(f"index {_brief(i)} outside 1..{m}")
         out.append(j - 1)
     if len(set(out)) != len(out):
         raise IndexOutOfRange("duplicate index in index set")

@@ -37,7 +37,8 @@ from .models import Equicorrelation, SemParams, _Concentration, _sem_fit, \
 
 #: Newton steps that :func:`mle_concentration` takes before it gives up.
 NEWTON_MAX_ITER = 200
-#: Residual below which a start of the correlation multistart converged.
+#: Residual, per unit of max(1, max |S_ij|), below which a start of the
+#: correlation multistart has converged.
 MULTISTART_TOL = 1e-12
 #: Newton iterations of each start of the correlation multistart.
 MULTISTART_MAX_ITER = 100
@@ -366,7 +367,6 @@ class _CorrChart:
         self.p = iu.size
         self.upper = iu * m + ju            # flat positions of the parameters
         self.lower = ju * m + iu
-        self.eye = np.eye(m).ravel()
         # Jacobian gather: rows (i_l then j_l) by columns (i_l then j_l)
         pairs = np.concatenate([iu, ju])
         self.rows = pairs[:, None]
@@ -374,7 +374,7 @@ class _CorrChart:
 
     def matrices(self, X: np.ndarray) -> np.ndarray:
         """(N, p) parameter rows -> (N, m, m) unit-diagonal matrices."""
-        Sig = np.tile(self.eye, (X.shape[0], 1))
+        Sig = np.ones((X.shape[0], self.m * self.m))
         Sig[:, self.upper] = X
         Sig[:, self.lower] = X
         return Sig.reshape(-1, self.m, self.m)
@@ -399,9 +399,10 @@ _STEP_BLOCKS = tuple(np.ldexp(1.0, -np.arange(lo, hi))
 
 #: Float entries per batched temporary of the Jacobian gathers and the
 #: line-search candidate evaluations, which run in row chunks of this
-#: size.  The starts themselves and the residuals at the top of each
-#: Newton iteration are (starts, m, m) arrays built unchunked, so memory
-#: still grows linearly with the number of starts.
+#: size.  The starts and the ``K``, ``W`` and ``F`` carried from one
+#: Newton iteration to the next are (starts, m, m) arrays, and the line
+#: search holds them for every candidate of a block, so memory grows
+#: linearly with the number of starts: 2 m^2 + p floats per candidate.
 _CHUNK_ENTRIES = 1 << 15
 
 
@@ -444,6 +445,25 @@ def _corr_residuals(chart: _CorrChart, S: np.ndarray, Sig: np.ndarray):
     return K, W, chart.params(K - W)
 
 
+def _corr_candidates(chart: _CorrChart, S: np.ndarray, X: np.ndarray):
+    """The largest absolute residual of each parameter row of ``X`` and
+    its ``K``, ``W`` and ``F`` of :func:`_corr_residuals`, in row chunks.
+    A row that fails :func:`pd_mask` has residual inf and NaN arrays."""
+    n, m = len(X), chart.m
+    rows = max(1, _CHUNK_ENTRIES // (m * m))
+    rc = np.full(n, np.inf)
+    K, W = np.full((2, n, m, m), np.nan)
+    F = np.full((n, chart.p), np.nan)
+    for lo in range(0, n, rows):
+        Sig = chart.matrices(X[lo:lo + rows])
+        ok = lo + np.flatnonzero(pd_mask(Sig))
+        if ok.size:
+            res = _corr_residuals(chart, S, Sig[ok - lo])
+            K[ok], W[ok], F[ok] = res
+            rc[ok] = np.abs(res[2]).max(axis=1)
+    return rc, K, W, F
+
+
 def _newton_directions(chart: _CorrChart, K: np.ndarray, W: np.ndarray,
                        F: np.ndarray) -> np.ndarray:
     """Newton steps ``delta`` with ``J delta = -F`` for every row.
@@ -479,38 +499,49 @@ def _newton_directions(chart: _CorrChart, K: np.ndarray, W: np.ndarray,
 
 
 def _line_search(x: np.ndarray, delta: np.ndarray, rnorm: np.ndarray,
-                 residual_norm) -> tuple[np.ndarray, np.ndarray]:
+                 evaluate) -> tuple[np.ndarray, np.ndarray, list]:
     """Backtracking along each row's Newton step.
 
-    Row ``r`` takes the first ``t = 2^-k``, ``k = 0..14``, with
-    ``residual_norm(x_r + t delta_r) <= (1 - 1e-4 t) rnorm_r``, exactly
-    as a loop that halves ``t`` fifteen times would.  The steps are
-    tested in the blocks of ``_STEP_BLOCKS``: every row still searching
-    evaluates all steps of the next block in one batched call.  Returns
-    the steps taken (0 where none of at least 2^-14 passed) and the new
-    rows (unchanged where none passed).  The 2^-14 floor ends the search
-    for rows that crawl; see ``_STEP_BLOCKS``.
+    ``evaluate(X)`` returns the residual norms ``rc`` of the rows of
+    ``X``, then any arrays of per-row values.  Row ``r`` takes the first
+    ``t = 2^-k``, ``k = 0..14``, with
+    ``rc(x_r + t delta_r) <= (1 - 1e-4 t) rnorm_r``, exactly as a loop
+    that halves ``t`` fifteen times would.  The steps are tested in the
+    blocks of ``_STEP_BLOCKS``: every row still searching evaluates all
+    steps of the next block in one batched call.  Returns the steps
+    taken (0 where none of at least 2^-14 passed), the new rows
+    (unchanged where none passed) and the values of ``evaluate`` at
+    them (NaN where none passed).  The 2^-14 floor ends the search for
+    rows that crawl; see ``_STEP_BLOCKS``.
     """
     n, p = x.shape
     steps = np.zeros(n)
     x_new = x.copy()
+    carry = None
     rem = np.arange(n)
     for ts in _STEP_BLOCKS:
         if rem.size == 0:
             break
         cand = x[rem, None, :] + ts[:, None] * delta[rem, None, :]
-        rc = residual_norm(cand.reshape(-1, p)).reshape(rem.size, ts.size)
-        good = rc <= (1.0 - 1e-4 * ts) * rnorm[rem, None]
+        rc, *values = evaluate(cand.reshape(-1, p))
+        good = (rc.reshape(rem.size, ts.size)
+                <= (1.0 - 1e-4 * ts) * rnorm[rem, None])
         hit = good.any(axis=1)
         first = good[hit].argmax(axis=1)
+        if carry is None:
+            carry = [np.full((n,) + v.shape[1:], np.nan) for v in values]
+        for c, v in zip(carry, values):
+            c[rem[hit]] = v[np.flatnonzero(hit) * ts.size + first]
         x_new[rem[hit]] = cand[hit, first]
         steps[rem[hit]] = ts[first]
         rem = rem[~hit]
-    return steps, x_new
+        del values                          # free before the next evaluation
+    return steps, x_new, carry
 
 
-# a row whose residual overflows is not finite: it never converges, and
-# the line search drops it as stalled
+# a row whose residual overflows never converges: from a NaN residual no
+# step passes and the row is dropped; from an infinite one the full step
+# passes (inf <= inf), also to a non-PD matrix, whose carried residual is NaN
 @np.errstate(over="ignore", invalid="ignore")
 def _correlation_multistart(m: int, S: np.ndarray,
                             opts: SolverOptions) -> list[CriticalPoint]:
@@ -522,66 +553,55 @@ def _correlation_multistart(m: int, S: np.ndarray,
     ``opts.starts`` starting points are drawn uniformly from the
     elliptope by the onion method (:func:`_onion_starts`), which works
     in every dimension.  All starts iterate in one batch: each Newton
-    iteration computes the residuals, the exact Jacobians and their
-    solves with a few batched calls, then runs the blocked backtracking
-    of :func:`_line_search`, in which a candidate must pass
-    :func:`pd_mask` and reduce the largest residual.  Starts whose line
+    iteration computes the exact Jacobians and their solves with a few
+    batched calls, then runs the blocked backtracking of
+    :func:`_line_search`, in which a candidate must pass :func:`pd_mask`
+    and reduce the largest residual.  Each iterate is evaluated once:
+    the line search keeps ``K``, ``W = K S K`` and the residual of the
+    candidates it tests (memory: see ``_CHUNK_ENTRIES``), and those of
+    the accepted one feed the next Newton step.  Starts whose line
     search finds no step of at least 2^-14 are dropped as stalled (see
     ``_STEP_BLOCKS``): nearly all of them would stall later anyway, and
     backtracking deeper spent most of the search's evaluations on them.
     Up to that step a start runs as under a deeper search, so the points
     found are a subset of those a search down to 2^-29 finds.  Starts
-    whose largest residual falls below ``MULTISTART_TOL`` within
-    ``MULTISTART_MAX_ITER`` iterations have converged.  Converged solutions
-    are deduplicated at 1e-6 in parameter space.
+    whose largest residual falls below ``MULTISTART_TOL`` times
+    ``max(1, max |S_ij|)`` within ``MULTISTART_MAX_ITER`` iterations
+    have converged.  Converged solutions are deduplicated at 1e-6 in
+    parameter space.
     The search is exhaustive only heuristically: with the default 512
     starts it is stable on 3 x 3 problems, but for larger ``m`` some
     real critical points may be missed.
     """
     chart = _CorrChart(m)
     x = _onion_starts(chart, opts.starts, np.random.default_rng(opts.seed))
+    # the residual scales with S, and so does the rounding of K S K
+    tol = MULTISTART_TOL * max(1.0, float(np.abs(S).max()))
 
-    rows = max(1, _CHUNK_ENTRIES // (m * m))
-
-    def residual_norm(X: np.ndarray) -> np.ndarray:
-        out = np.full(len(X), np.inf)
-        for lo in range(0, len(X), rows):
-            Sig = chart.matrices(X[lo:lo + rows])
-            ok = pd_mask(Sig)
-            if ok.any():
-                F = _corr_residuals(chart, S, Sig[ok])[2]
-                out[lo + np.flatnonzero(ok)] = np.abs(F).max(axis=1)
-        return out
-
-    active = np.ones(len(x), dtype=bool)
+    idx = np.arange(len(x))
+    K, W, F = _corr_residuals(chart, S, chart.matrices(x))
     converged = np.zeros(len(x), dtype=bool)
     for _ in range(MULTISTART_MAX_ITER):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        K, W, F = _corr_residuals(chart, S, chart.matrices(x[idx]))
         rnorm = np.abs(F).max(axis=1)
-        done = rnorm < MULTISTART_TOL
+        done = rnorm < tol
         converged[idx[done]] = True
-        active[idx[done]] = False
-        keep = ~done
-        idx = idx[keep]
+        idx, K, W, F, rnorm = (a[~done] for a in (idx, K, W, F, rnorm))
         if idx.size == 0:
             break
-        delta = _newton_directions(chart, K[keep], W[keep], F[keep])
-        steps, x[idx] = _line_search(x[idx], delta, rnorm[keep], residual_norm)
-        active[idx[steps == 0.0]] = False   # stalled starts are dropped
+        delta = _newton_directions(chart, K, W, F)
+        del K, W, F                         # the line search makes new ones
+        steps, x[idx], (K, W, F) = _line_search(
+            x[idx], delta, rnorm, lambda X: _corr_candidates(chart, S, X))
+        moved = steps != 0.0                # stalled starts are dropped
+        idx, K, W, F = (a[moved] for a in (idx, K, W, F))
 
+    # dedup in lexicographic order: keep the first row, drop all within 1e-6
     sols = x[converged]
-    if sols.size:
-        # deterministic dedup: scan in lexicographic order
-        order = np.lexsort(np.round(sols, 8).T[::-1])
-        kept: list[np.ndarray] = []
-        for row in sols[order]:
-            if all(float(np.abs(row - q).max()) > 1e-6 for q in kept):
-                kept.append(row)
-    else:
-        kept = []
+    rest = sols[np.lexsort(np.round(sols, 8).T[::-1])]
+    kept = []
+    while len(rest):
+        kept.append(rest[0])
+        rest = rest[np.abs(rest - rest[0]).max(axis=1) > 1e-6]
     points = [_critical_point(Sigma, S, "multistart")
               for Sigma in chart.matrices(np.array(kept).reshape(-1, chart.p))]
     if not points:

@@ -154,6 +154,23 @@ class TestMle:
         else:
             assert err == "solver error: multistart found no critical point\n"
 
+    @pytest.mark.parametrize("k", [6, 12, 50, 150, 300])
+    def test_large_correlation_sample_has_a_critical_point(self, tmp_path,
+                                                           capsys, k):
+        """The multistart converges relative to the largest entry of S,
+        where the rounding of K S K sits: S1 x 10^k has a point."""
+        doc = json.loads((GOLDEN / "correlation.json").read_text())
+        sample = logvor.sym_from_json(doc["sample"])
+        doc["sample"] = sym_to_json(sample * 10.0 ** k)
+        code, out, err = run_cli(capsys, ["critical-points",
+                                          write_problem(tmp_path, doc)])
+        assert (code, err) == (0, "")
+        points = strict_json(out)["points"]
+        assert len(points) >= 1
+        for p in points:
+            assert np.diag(logvor.sym_from_json(p["sigma"])).tolist() \
+                == [1.0] * 3
+
     def test_non_finite_residual_is_null(self, tmp_path, capsys):
         """The dag golden sample times 1e-320 has a residual past the
         largest double: the report says null, and stays strict JSON."""

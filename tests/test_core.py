@@ -253,6 +253,15 @@ class TestIndexing:
         with pytest.raises(ShapeMismatch):
             principal_submatrix(np.ones((2, 3)), (1,))
 
+    def test_index_too_long_to_print_is_out_of_range(self):
+        """An index of more digits than Python prints is named by its
+        type, and still raises the index error."""
+        match = r"index <int too long to print> outside 1\.\.2"
+        with pytest.raises(IndexOutOfRange, match=match):
+            principal_submatrix(np.eye(2), [10 ** 5000])
+        with pytest.raises(IndexOutOfRange, match=match):
+            embed(np.eye(1), [10 ** 5000], [1], 2)
+
     def test_embed_round_trip(self):
         rng = np.random.default_rng(8)
         B = rng.uniform(size=(2, 2))

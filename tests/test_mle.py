@@ -37,7 +37,8 @@ from logvor import (
 )
 from logvor.core import pd_mask
 from logvor.mle import MULTISTART_MAX_ITER, MULTISTART_TOL, _CorrChart, \
-    _corr_residuals, _line_search, _newton_directions, _onion_starts
+    _corr_candidates, _corr_residuals, _correlation_multistart, \
+    _line_search, _newton_directions, _onion_starts
 
 from conftest import random_correlation, random_pd
 
@@ -538,6 +539,49 @@ def _box_multistart(m, S, opts):
     return kept
 
 
+def _twice_evaluated_multistart(m, S, opts):
+    """Deduplicated converged parameter rows of the multistart loop that
+    evaluated each accepted iterate twice: once in the line search, and
+    again at the top of the next Newton step.  It converges at the
+    absolute ``MULTISTART_TOL``, and its line search is the sequential
+    one cut at 2^-14."""
+    chart = _CorrChart(m)
+    x = _onion_starts(chart, opts.starts, np.random.default_rng(opts.seed))
+
+    def residual_norm(X):
+        rc = np.full(len(X), np.inf)
+        Sig = _box_corr(X, m)
+        ok = pd_mask(Sig)
+        if ok.any():
+            rc[ok] = np.abs(_corr_residuals(chart, S, Sig[ok])[2]).max(axis=1)
+        return rc
+
+    active = np.ones(len(x), dtype=bool)
+    converged = np.zeros(len(x), dtype=bool)
+    for _ in range(MULTISTART_MAX_ITER):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        K, W, F = _corr_residuals(chart, S, _box_corr(x[idx], m))
+        rnorm = np.abs(F).max(axis=1)
+        done = rnorm < MULTISTART_TOL
+        converged[idx[done]] = True
+        active[idx[done]] = False
+        idx, K, W, F, rnorm = (a[~done] for a in (idx, K, W, F, rnorm))
+        if idx.size == 0:
+            break
+        delta = _newton_directions(chart, K, W, F)
+        t, x[idx] = _sequential_line_search(x[idx], delta, rnorm,
+                                            residual_norm, halvings=15)
+        active[idx[t == 0.0]] = False
+    kept = []
+    sols = x[converged]
+    for row in sols[np.lexsort(np.round(sols, 8).T[::-1])]:
+        if all(float(np.abs(row - q).max()) > 1e-6 for q in kept):
+            kept.append(row)
+    return kept
+
+
 class TestBatchedMultistart:
     def test_onion_starts_have_the_uniform_elliptope_marginal(self):
         """Each coordinate is 2 Beta(m/2, m/2) - 1: mean 0, variance
@@ -617,25 +661,92 @@ class TestBatchedMultistart:
         delta = np.where(rng.uniform(size=(len(x), 1)) < 0.5, newton, scaled)
         t_seq, x_seq = _sequential_line_search(x, delta, rnorm, residual_norm,
                                                halvings=15)
-        t_blk, x_blk = _line_search(x, delta, rnorm, residual_norm)
+        t_blk, x_blk, (K, W, F) = _line_search(
+            x, delta, rnorm, lambda X: _corr_candidates(chart, S, X))
         np.testing.assert_array_equal(t_blk, t_seq)
         np.testing.assert_array_equal(x_blk, x_seq)
+        # the carried arrays are those of the new rows, bit for bit
+        moved = t_blk > 0
+        for got, want in zip((K, W, F), _corr_residuals(
+                chart, S, chart.matrices(x_blk[moved]))):
+            np.testing.assert_array_equal(got[moved], want)
+            assert np.isnan(got[~moved]).all()
         k = np.full(len(x), 15)             # 15: no step passed
         k[t_seq > 0] = -np.log2(t_seq[t_seq > 0]).astype(int)
         assert set(np.digitize(k, [1, 3, 7, 15])) == {0, 1, 2, 3, 4}
 
     def test_line_search_stops_at_two_to_the_minus_fourteen(self):
         """Row 0 passes only at t <= 2^-15 and takes no step; row 1
-        passes first at t = 2^-14 and takes it."""
+        passes first at t = 2^-14 and takes it, and carries the K, W
+        and F of its new row."""
         x = np.zeros((2, 3))
         delta = np.array([[1.0] * 3, [0.5] * 3])
+        chart = _CorrChart(3)
+        S = random_correlation(3, np.random.default_rng(95))
 
-        def residual_norm(X):
-            return np.where(X[:, 0] <= 2.0 ** -15, 0.0, np.inf)
+        def evaluate(X):
+            _, *carry = _corr_candidates(chart, S, X)
+            return (np.where(X[:, 0] <= 2.0 ** -15, 0.0, np.inf), *carry)
 
-        steps, x_new = _line_search(x, delta, np.ones(2), residual_norm)
+        steps, x_new, carry = _line_search(x, delta, np.ones(2), evaluate)
         np.testing.assert_array_equal(steps, [0.0, 2.0 ** -14])
         np.testing.assert_array_equal(x_new, [[0.0] * 3, [2.0 ** -15] * 3])
+        for got, want in zip(carry, _corr_residuals(
+                chart, S, chart.matrices(x_new[1:]))):
+            assert np.isnan(got[0]).all()
+            np.testing.assert_array_equal(got[1:], want)
+
+    def test_non_finite_residual_never_converges(self):
+        """With an infinite residual the full step passes even to a
+        matrix that is not positive definite (inf <= inf).  The row
+        carries a NaN residual, which is not below the tolerance, and
+        no step passes from it: the row is dropped, never converged."""
+        chart = _CorrChart(3)
+
+        def evaluate(X):
+            return _corr_candidates(chart, np.eye(3), X)
+
+        x = np.zeros((1, 3))
+        delta = np.full((1, 3), 2.0)        # off-diagonal 2: not PD
+        assert not pd_mask(chart.matrices(x + delta))[0]
+        steps, x_new, (K, W, F) = _line_search(x, delta, np.array([np.inf]),
+                                               evaluate)
+        np.testing.assert_array_equal(steps, [1.0])
+        np.testing.assert_array_equal(x_new, x + delta)
+        assert np.isnan(K).all() and np.isnan(W).all() and np.isnan(F).all()
+        rnorm = np.abs(F).max(axis=1)
+        assert not (rnorm < MULTISTART_TOL).any()
+        steps, x_next, _ = _line_search(x_new, -delta / 2.0, rnorm, evaluate)
+        np.testing.assert_array_equal(steps, [0.0])
+        np.testing.assert_array_equal(x_next, x_new)
+
+    def test_same_points_as_the_loop_that_evaluated_twice(self, elliptope_s1,
+                                                          elliptope_s2):
+        """Carrying K, W and F out of the line search changes no bit of
+        any point: on S1, S2 scaled to largest entry 1, and slice
+        samples Sigma + Sigma D Sigma with D in (-1, 0) at m = 3 to 6.
+        No entry exceeds 1 in absolute value, so both loops converge at
+        the same threshold."""
+        opts = SolverOptions(starts=256)
+        rng = np.random.default_rng(140)
+        problems = [(3, elliptope_s1),
+                    (3, elliptope_s2 / np.abs(elliptope_s2).max())]
+        for m in (3, 4, 5, 6) * 4:
+            sigma = random_correlation(m, rng)
+            S = sigma + sigma @ np.diag(rng.uniform(-1.0, 0.0, m)) @ sigma
+            while not pd_mask(S[None])[0]:
+                S = sigma + sigma @ np.diag(rng.uniform(-1.0, 0.0, m)) @ sigma
+            problems.append((m, S))
+        counts = []
+        for m, S in problems:
+            assert np.abs(S).max() <= 1.0
+            old = _box_corr(np.array(_twice_evaluated_multistart(m, S, opts)),
+                            m)
+            new = np.array([cp.sigma
+                            for cp in _correlation_multistart(m, S, opts)])
+            np.testing.assert_array_equal(new, old)
+            counts.append(len(new))
+        assert max(counts) > 1
 
     @pytest.mark.parametrize("m", [4, 5, 6])
     def test_step_floor_against_the_deep_search(self, m, monkeypatch):

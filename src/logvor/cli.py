@@ -276,7 +276,7 @@ def main(argv=None) -> int:
     except (InputError, OSError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except LogvorError as exc:
+    except (LogvorError, MemoryError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
 

@@ -10,7 +10,7 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import IndexOutOfRange, NotTopological, _brief
 
@@ -147,53 +147,60 @@ def maximal_cliques(G: Graph) -> list[tuple[int, ...]]:
     return sorted(cliques)
 
 
-def is_chordal(G: Graph) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Chordality test via maximum cardinality search.
-
-    Returns ``(True, order)`` where ``order`` is a perfect elimination
-    ordering produced by reversing the search, or ``(False, None)``.
-    Ties in the search are broken towards the smallest vertex label, so
-    the order is deterministic.
+def _mcs_m(adj: dict[int, set[int]]
+           ) -> tuple[list[int], dict[int, set[int]], bool]:
+    """MCS-M (Berry, Blair, Heggernes and Peyton, 2004): maximum
+    cardinality search that also raises each unpicked y joined to the
+    picked z by a path of unpicked vertices lighter than y, adding the
+    fill edge zy of a minimal triangulation.  Paths are swept by weight
+    level up to the heaviest unpicked non-neighbour of z; the search
+    takes O(n (n + e)).  Ties go to the smallest label.  Returns the
+    pick order, the sets madj(x) of vertices picked before x that
+    raised x, and whether a fill edge was added.
     """
-    nbrs = adjacency(G)
-    weight = {v: 0 for v in G.vertices}
-    unpicked = set(G.vertices)
-    picked: list[int] = []
-    while unpicked:
-        z = min(unpicked, key=lambda v: (-weight[v], v))
-        picked.append(z)
-        unpicked.remove(z)
-        for y in nbrs[z] & unpicked:
+    weight = dict.fromkeys(adj, 0)
+    madj: dict[int, set[int]] = {v: set() for v in adj}
+    bucket = [set(adj)]          # bucket[w]: the unpicked vertices of weight w
+    order: list[int] = []
+    fill = False
+    for _ in adj:
+        while not bucket[-1]:
+            bucket.pop()
+        z = min(bucket[-1])
+        bucket[-1].remove(z)
+        order.append(z)
+        top = next((w for w in range(len(bucket) - 1, 0, -1)
+                    if not bucket[w] <= adj[z]), 0)
+        levels = [[z]] + [[] for _ in bucket]     # levels[w + 1]: weight w
+        raised, seen = set(), set(order)
+        for level, stack in enumerate(levels[:top + 1], -1):
+            while stack:
+                for y in adj[stack.pop()] - seen:
+                    seen.add(y)
+                    if weight[y] <= level:
+                        stack.append(y)
+                    else:
+                        raised.add(y)
+                        levels[weight[y] + 1].append(y)
+        fill = fill or not raised <= adj[z]
+        bucket.append(set())
+        for y in raised:
+            bucket[weight[y]].remove(y)
             weight[y] += 1
-    order = tuple(reversed(picked))
-    pos = {v: k for k, v in enumerate(order)}
-    for v in order:
-        later = {u for u in nbrs[v] if pos[u] > pos[v]}
-        if not later:
-            continue
-        u0 = min(later, key=pos.__getitem__)
-        if not (later - {u0}) <= nbrs[u0]:
-            return False, None
-    return True, order
+            bucket[weight[y]].add(y)
+            madj[y].add(z)
+    return order, madj, fill
 
 
-def _cliques_of_size(adj: dict[int, set[int]], k: int, pool: list[int]
-                     ) -> Iterator[tuple[int, ...]]:
-    """The k-cliques inside the sorted vertex list ``pool``, as sorted
-    tuples in lexicographic order."""
-
-    def extend(clique: tuple[int, ...], cands: list[int]):
-        if len(clique) == k:
-            yield clique
-            return
-        need = k - len(clique)
-        for n, v in enumerate(cands):
-            if len(cands) - n < need:
-                return
-            yield from extend(clique + (v,),
-                              [u for u in cands[n + 1:] if u in adj[v]])
-
-    yield from extend((), pool)
+def is_chordal(G: Graph) -> tuple[bool, Optional[tuple[int, ...]]]:
+    """Chordality test in O(n e) time (n vertices, e >= n - 1 edges):
+    G is chordal exactly when MCS-M (:func:`_mcs_m`) adds no fill edge,
+    and then it raises only neighbours, as maximum cardinality search
+    does.  Returns ``(True, order)``, with the reversed pick order as a
+    perfect elimination ordering, or ``(False, None)``.
+    """
+    order, _, fill = _mcs_m(adjacency(G))
+    return (False, None) if fill else (True, tuple(reversed(order)))
 
 
 def _component(adj: dict[int, set[int]], allowed: set[int],
@@ -209,33 +216,25 @@ def _component(adj: dict[int, set[int]], allowed: set[int],
 
 
 def find_reducible_decomposition(G: Graph) -> Optional[Decomposition]:
-    """Search for a clique separator and split the graph across it.
-
-    Candidate separators are generated lazily by increasing size, each
-    size in lexicographic order, so the returned separator is a smallest
-    clique separator with the lexicographically least vertex set.  The U
-    side is the component of ``G - T`` containing the smallest vertex;
-    every remaining component goes to the W side.  Returns ``None`` when
-    no clique separator exists (in particular for complete graphs).
-    The search stops at the first separating clique, but a graph with
-    large cliques and no clique separator still visits all its cliques.
+    """Split G across its smallest clique separator T, the least by
+    vertex set, with U the component of ``G - T`` holding the smallest
+    vertex and W the rest; ``None`` when there is no clique separator,
+    as in a complete graph.  Each vertex of T has a neighbour in every
+    component, or T less it would separate too; so T is a clique minimal
+    separator, hence a minimal separator of the MCS-M triangulation
+    (Berry, Pogorelcnik and Simonet, 2010) and one of the sets madj(x)
+    of :func:`_mcs_m`.  These n sets are tested by size, then
+    lexicographically, each in O(n + e), after the search.
     """
-    if G.is_complete():
-        return None
     adj = adjacency(G)
-    vertices = set(G.vertices)
-    # A vertex whose neighbours form a clique is in no smallest clique
-    # separator T: its neighbours outside T lie in one component, so T
-    # without it would separate as well.
-    pool = [v for v in G.vertices
-            if not all(adj[v] - {u} <= adj[u] for u in adj[v])]
-    for size in range(min(G.m - 2, len(pool)) + 1):   # T leaves >= 2 vertices
-        for T in _cliques_of_size(adj, size, pool):
-            rest = vertices.difference(T)
-            first = _component(adj, rest, min(rest))
-            if len(first) < len(rest):
-                return Decomposition(U=tuple(sorted(first.union(T))), T=T,
-                                     W=tuple(sorted((rest - first).union(T))))
+    cliques = {tuple(sorted(s)) for s in _mcs_m(adj)[1].values()
+               if all(s - {u} <= adj[u] for u in s)}
+    for T in sorted(cliques, key=lambda c: (len(c), c)):
+        rest = set(G.vertices).difference(T)      # holds x, T = madj(x)
+        first = _component(adj, rest, min(rest))
+        if len(first) < len(rest):
+            return Decomposition(U=tuple(sorted(first.union(T))), T=T,
+                                 W=tuple(sorted((rest - first).union(T))))
     return None
 
 

@@ -16,6 +16,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -61,12 +62,17 @@ class CriticalPoint:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Options of the multistart search (and seeds elsewhere)."""
+    """Options of the multistart search (and seeds elsewhere), integers."""
 
     starts: int = 512
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise InvalidModel(
+                    f"{name} must be an integer, got "
+                    f"{_brief(value, lambda v: json.dumps(v, default=repr))}")
         if not self.starts >= 1:
             raise OutOfRange(
                 f"starts must be at least 1, got {_brief(self.starts)}")
@@ -78,27 +84,22 @@ class SolverOptions:
 def options_from_json(obj) -> SolverOptions:
     """Decode solver options, falling back to the defaults field by field.
 
-    Each value must be a JSON integer (a boolean is not), and an unknown
-    key raises :class:`InvalidModel` naming it; ranges are checked by
-    :class:`SolverOptions`.  Every error names the field as
+    An unknown key raises :class:`InvalidModel` naming it; the values are
+    checked by :class:`SolverOptions`.  Every error names the field as
     ``options.<field>``.
     """
     if obj is None:
         return SolverOptions()
     if not isinstance(obj, dict):
         raise InvalidModel("solver options must be a JSON object")
-    for name, value in obj.items():
+    for name in obj:
         if name not in ("starts", "seed"):
             raise InvalidModel(f'unknown solver option "{name}"; expected '
                                "starts or seed")
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise InvalidModel(
-                f"options.{name} must be an integer, got "
-                f"{_brief(value, json.dumps)}")
     try:
         return SolverOptions(**obj)
-    except OutOfRange as exc:
-        raise OutOfRange(f"options.{exc}") from None
+    except (InvalidModel, OutOfRange) as exc:
+        raise type(exc)(f"options.{exc}") from None
 
 
 def equicorrelation_cubic(m: int, a: float, b: float) -> tuple[float, float, float, float]:

@@ -91,3 +91,23 @@ def random_pd(m: int, rng: np.random.Generator, *, scale: float = 1.0) -> np.nda
     A = (A + A.T) / 2.0
     lam = float(np.linalg.eigvalsh(A)[0])
     return A + (abs(lam) + 0.5 * scale) * np.eye(m)
+
+
+def random_chordal_graph(m, rng):
+    """Fill-in of a random graph under a random elimination order."""
+    adj = {v: set() for v in range(1, m + 1)}
+    p = float(rng.uniform(0.1, 0.6))
+    for i in range(1, m + 1):
+        for j in range(i + 1, m + 1):
+            if rng.uniform() < p:
+                adj[i].add(j)
+                adj[j].add(i)
+    left = set(adj)
+    for v in (int(x) + 1 for x in rng.permutation(m)):
+        left.remove(v)
+        later = sorted(adj[v] & left)
+        for i, u in enumerate(later):
+            for w in later[i + 1:]:
+                adj[u].add(w)
+                adj[w].add(u)
+    return Graph(m, frozenset((i, j) for i in adj for j in adj[i] if i < j))

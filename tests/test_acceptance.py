@@ -7,6 +7,7 @@ per criterion.
 
 import csv
 import itertools
+import json
 import math
 from time import perf_counter
 
@@ -347,6 +348,23 @@ def test_graph_and_dag_fits_scale_polynomially():
                                rtol=1e-8, atol=1e-10)
 
     assert perf_counter() - t0 < 3.0
+
+
+def test_cli_decompose_finds_clique_separator_in_polynomial_time(
+        tmp_path, capsys):
+    """CLI ``decompose`` on K_40 minus the edge {1, 2} splits it across
+    the other 38 vertices within a budget that enumerating its 8 * 10^11
+    cliques cannot meet."""
+    t0 = perf_counter()
+    edges = [[i, j] for i in range(1, 41) for j in range(i + 1, 41)
+             if (i, j) != (1, 2)]
+    path = tmp_path / "k40.json"
+    path.write_text(json.dumps({"model": {"kind": "graph", "m": 40,
+                                          "edges": edges}}))
+    assert main(["decompose", str(path)]) == 0
+    assert perf_counter() - t0 < 1.0
+    dec = json.loads(capsys.readouterr().out)["decomposition"]
+    assert dec["T"] == list(range(3, 41))
 
 
 def test_property_suites_convexity_containment_gradient_symmetry(

@@ -362,6 +362,19 @@ class TestExitCodes:
             for text in ("int(", "float(", "literal", "Traceback", "array"):
                 assert text not in err
 
+    def test_unallocatable_solve_exits_three(self, tmp_path, capsys,
+                                             elliptope_s1):
+        """10^17 starts of a 3 x 3 stack (6.25 EiB) fit in no address
+        space: a solver failure, exit 3 with one ``solver error:`` line
+        and no traceback.  The request fails before any memory is
+        taken."""
+        file = write_problem(tmp_path, self.options_doc(
+            elliptope_s1, {"starts": 10 ** 17}))
+        code, out, err = run_cli(capsys, ["critical-points", file])
+        assert (code, out) == (3, "")
+        assert err.startswith("solver error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("model, dim, sample, message", [
         ({"kind": "correlation", "m": 3}, 2, None, "dimension"),
         # a non-PD sample of the wrong dimension is malformed, not NotPD

@@ -1,6 +1,7 @@
 """Graph combinatorics: cliques, chordality, separators, treks."""
 
 import itertools
+from time import perf_counter
 
 import numpy as np
 import networkx as nx
@@ -20,6 +21,8 @@ from logvor import (
     maximal_cliques,
 )
 from logvor.graphs import adjacency
+
+from conftest import random_chordal_graph
 
 
 def random_graph(m, rng, p=0.5):
@@ -52,6 +55,38 @@ def exhaustive_decomposition(G):
         return Decomposition(U=tuple(sorted(comps[0] | set(T))), T=T,
                              W=tuple(sorted((rest - comps[0]) | set(T))))
     return None
+
+
+def reference_is_chordal(G):
+    """Reference chordality test: maximum cardinality search, ties to the
+    smallest label, then a check that its reverse is a perfect
+    elimination order (each vertex's earliest later neighbour is
+    adjacent to all its other later neighbours)."""
+    nbrs = adjacency(G)
+    weight = {v: 0 for v in G.vertices}
+    unpicked = set(G.vertices)
+    picked = []
+    while unpicked:
+        z = min(unpicked, key=lambda v: (-weight[v], v))
+        picked.append(z)
+        unpicked.remove(z)
+        for y in nbrs[z] & unpicked:
+            weight[y] += 1
+    order = tuple(reversed(picked))
+    pos = {v: k for k, v in enumerate(order)}
+    for v in order:
+        later = {u for u in nbrs[v] if pos[u] > pos[v]}
+        if not later:
+            continue
+        u0 = min(later, key=pos.__getitem__)
+        if not (later - {u0}) <= nbrs[u0]:
+            return False, None
+    return True, order
+
+
+def complete_minus_edge(n, edge=(1, 2)):
+    return Graph(n, frozenset(itertools.combinations(range(1, n + 1), 2))
+                 - {edge})
 
 
 class TestGraphConstruction:
@@ -135,6 +170,22 @@ class TestChordality:
             G = random_graph(m, rng, p=float(rng.uniform(0.2, 0.9)))
             assert is_chordal(G)[0] == nx.is_chordal(to_networkx(G))
 
+    def test_matches_reference_search(self):
+        """Verdict and elimination order equal those of maximum
+        cardinality search with its order check, on random graphs and
+        on random chordal graphs, where the order must agree bit for
+        bit."""
+        rng = np.random.default_rng(25)
+        chordal = 0
+        for _ in range(400):
+            m = int(rng.integers(1, 15))
+            p = float(rng.uniform(0.05, 0.95))
+            for G in (random_graph(m, rng, p), random_chordal_graph(m, rng)):
+                result = is_chordal(G)
+                assert result == reference_is_chordal(G), G
+                chordal += result[0]
+        assert chordal > 450
+
 
 class TestDecomposition:
     def test_path_splits_at_vertex_two(self, path_graph):
@@ -189,6 +240,32 @@ class TestDecomposition:
             assert dec == exhaustive_decomposition(G), G
             found += dec is not None
         assert found > 200
+
+    def test_matches_exhaustive_search_on_larger_graphs(self):
+        """The same agreement on K_n minus an edge, whose cliques outnumber
+        the vertices exponentially, and on random graphs with m = 10-13."""
+        rng = np.random.default_rng(26)
+        for n in range(4, 15):
+            edge = tuple(sorted(int(v) for v in rng.choice(n, 2, False) + 1))
+            G = complete_minus_edge(n, edge)
+            dec = find_reducible_decomposition(G)
+            assert dec == exhaustive_decomposition(G), n
+            assert dec.T == tuple(v for v in G.vertices if v not in edge)
+        for _ in range(200):
+            m = int(rng.integers(10, 14))
+            G = random_graph(m, rng, p=float(rng.uniform(0.1, 0.95)))
+            assert find_reducible_decomposition(G) == \
+                exhaustive_decomposition(G), G
+
+    def test_separator_search_is_polynomial(self):
+        """K_20 minus an edge has 3 * 2^18 cliques; enumerating them by
+        size cannot meet the budget."""
+        t0 = perf_counter()
+        dec = find_reducible_decomposition(complete_minus_edge(20))
+        assert perf_counter() - t0 < 0.25
+        assert dec == Decomposition(U=(1,) + tuple(range(3, 21)),
+                                    T=tuple(range(3, 21)),
+                                    W=tuple(range(2, 21)))
 
     def test_induced_subgraph_relabels(self, path_graph):
         H = induced_subgraph(path_graph, (2, 3, 4))

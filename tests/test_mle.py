@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -40,7 +41,7 @@ from logvor.mle import MULTISTART_MAX_ITER, MULTISTART_TOL, _CorrChart, \
     _corr_candidates, _corr_residuals, _correlation_multistart, \
     _line_search, _newton_directions, _onion_starts
 
-from conftest import random_correlation, random_pd
+from conftest import random_chordal_graph, random_correlation, random_pd
 
 # the three real elliptope critical points, as (sigma_12, sigma_23, sigma_13)
 ELLIPTOPE_TRIPLES = [
@@ -49,26 +50,6 @@ ELLIPTOPE_TRIPLES = [
     (0.182141, 0.316592, 0.190067),
 ]
 ELLIPTOPE_LOGLIKS = [-1.24750351572487, -1.53844955693696, -1.55375020617405]
-
-
-def random_chordal_graph(m, rng):
-    """Fill-in of a random graph under a random elimination order."""
-    adj = {v: set() for v in range(1, m + 1)}
-    p = float(rng.uniform(0.1, 0.6))
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            if rng.uniform() < p:
-                adj[i].add(j)
-                adj[j].add(i)
-    left = set(adj)
-    for v in (int(x) + 1 for x in rng.permutation(m)):
-        left.remove(v)
-        later = sorted(adj[v] & left)
-        for i, u in enumerate(later):
-            for w in later[i + 1:]:
-                adj[u].add(w)
-                adj[w].add(u)
-    return Graph(m, frozenset((i, j) for i in adj for j in adj[i] if i < j))
 
 
 def triple(Sigma):
@@ -221,6 +202,64 @@ class TestConcentrationNewton:
     def test_rejects_other_families(self, collider_dag, collider_sigma):
         with pytest.raises(InvalidModel, match="concentration model"):
             mle_concentration(DagModel(collider_dag), collider_sigma)
+
+
+def ips_fit(G, S, sweeps=20000):
+    """Iterative proportional scaling (Speed and Kiiveri, 1986), the
+    reference fit of a graph model: over each maximal clique C, from
+    networkx, set the fitted block to S_CC by adding
+    inv(S_CC) - inv(Sigma_CC) to K, until a sweep changes K by less
+    than 1e-14 relative to its size."""
+    g = nx.Graph(G.edges)
+    g.add_nodes_from(G.vertices)
+    cliques = [np.ix_(c, c) for c in
+               (sorted(v - 1 for v in q) for q in nx.find_cliques(g))]
+    K = np.diag(1.0 / np.diag(S))
+    for _ in range(sweeps):
+        before = K.copy()
+        for idx in cliques:
+            Sigma = np.linalg.inv(K)
+            K[idx] += np.linalg.inv(S[idx]) - np.linalg.inv(Sigma[idx])
+        if np.abs(K - before).max() < 1e-14 * np.abs(K).max():
+            return np.linalg.inv(K)
+    raise AssertionError("IPS did not converge")
+
+
+class TestNonChordalNewton:
+    """Newton's fit of a graph model that is not chordal against IPS."""
+
+    @staticmethod
+    def assert_matches_ips(G, S):
+        points = critical_points(GraphModel(G), S)
+        assert len(points) == 1
+        np.testing.assert_allclose(points[0].sigma, ips_fit(G, S),
+                                   rtol=1e-8, atol=1e-10)
+
+    @pytest.mark.parametrize("edges", [
+        [(1, 2), (2, 3), (3, 4), (1, 4)],
+        [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)],
+        [(1, 2), (2, 3), (4, 5), (5, 6), (7, 8), (8, 9),
+         (1, 4), (4, 7), (2, 5), (5, 8), (3, 6), (6, 9)],
+    ], ids=["4-cycle", "5-cycle", "3x3-grid"])
+    def test_named_graphs(self, edges):
+        G = Graph(max(map(max, edges)), frozenset(edges))
+        assert not is_chordal(G)[0]
+        rng = np.random.default_rng(54)
+        for _ in range(3):
+            self.assert_matches_ips(G, random_pd(G.m, rng))
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(55)
+        fitted = 0
+        while fitted < 30:
+            m = int(rng.integers(4, 9))
+            G = Graph(m, frozenset(
+                (i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)
+                if rng.uniform() < 0.5))
+            if is_chordal(G)[0]:
+                continue
+            self.assert_matches_ips(G, random_pd(m, rng))
+            fitted += 1
 
 
 class TestDecomposableRecursion:
@@ -812,6 +851,21 @@ class TestSolverOptions:
     def test_smallest_valid_values(self):
         opts = SolverOptions(starts=1, seed=0)
         assert (opts.starts, opts.seed) == (1, 0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("starts", 2.5), ("seed", 1.5), ("seed", "3"), ("starts", True),
+    ])
+    def test_non_integers_are_rejected(self, field, value):
+        """A value that is not an integer, a boolean among them, raises
+        :class:`InvalidModel` when the options are made, not a raw
+        ``TypeError`` inside the solve."""
+        with pytest.raises(InvalidModel, match=f"{field} must be an integer"):
+            critical_points(UnrestrictedCorrelation(3), np.eye(3),
+                            SolverOptions(**{field: value}))
+
+    def test_numpy_integers_are_accepted(self):
+        opts = SolverOptions(starts=np.int64(4), seed=np.uint8(2))
+        assert critical_points(UnrestrictedCorrelation(3), np.eye(3), opts)
 
     @pytest.mark.parametrize("field", ["tol", "max_iter"])
     def test_multistart_constants_are_not_options(self, field):

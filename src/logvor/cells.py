@@ -10,12 +10,21 @@ and DAG models; for the closed-form families here the cell is cut out
 of the spectrahedron by explicit inequalities, and for unrestricted
 correlation matrices membership is decided against the multistart
 critical points (best effort).
+
+The spectrahedron depends on ``Sigma`` alone, through ``K =
+Sigma^{-1}`` and the tangent space.  So a model object keeps one record
+(:class:`_Point`), that of the last ``Sigma`` it was asked about, keyed
+by the shape and bytes of ``np.asarray(Sigma, dtype=float)``; testing
+many samples against one ``Sigma`` then validates and scores only the
+samples.  A ``Sigma`` that fails a check is not kept, and the record is
+freed with the model.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -25,7 +34,8 @@ from .core import _fits, _is_pd, _loglik, _matrix, _unit_scale, \
 from .errors import NotOnSlice, NotPD, OutOfRange, PreconditionFailed, \
     SamplingExhausted
 from .graphs import Graph, find_reducible_decomposition, induced_subgraph
-from .mle import SolverOptions, CriticalPoint, _residual
+from .mle import SolverOptions, CriticalPoint, _frame_residual, \
+    _tangent_frame
 from .models import MODEL_TOL, SINGULAR_TOL, CiUnion, Equicorrelation, \
     GraphModel, _symmetrize, equicorrelation_matrix
 
@@ -93,13 +103,87 @@ def _sym_coords(m: int):
     return vec, unvec
 
 
-def _on_model(model, A: np.ndarray) -> np.ndarray:
-    """The validated symmetric ``A`` as a point of ``model``: of its
-    dimension, positive definite, and satisfying the model equations
-    (:class:`PreconditionFailed` otherwise)."""
-    if not model.contains(_fits(A, "Sigma", model.dim, pd=True), MODEL_TOL):
-        raise PreconditionFailed("Sigma is not a point of the model")
-    return A
+class _Point:
+    """What the cell queries need of one point ``Sigma`` of a model.
+
+    Made at once: the check that the validated ``Sigma`` is a point of
+    the model (:class:`PreconditionFailed` otherwise) and, for a
+    ``degree_one`` family, the exponent ``e`` of its largest diagonal
+    entry with ``Sigma`` scaled by ``2^-e``.  Made on first need, so
+    each error comes where it came when nothing was kept: ``K`` with the
+    tangent directions (:func:`_tangent_frame`), the log-normal slice and
+    the default sampling radius.  The methods take the model, which the
+    record does not hold.  No array of the record is handed out.
+    """
+
+    def __init__(self, model, A: np.ndarray, key=None):
+        if not model.contains(_fits(A, "Sigma", model.dim, pd=True),
+                              MODEL_TOL):
+            raise PreconditionFailed("Sigma is not a point of the model")
+        self.key, self.sigma = key, A
+        self.e, self.unit = 0, A        # the scale of the residuals
+        if model.degree_one:
+            self.e = math.frexp(float(A.diagonal().max()))[1]
+            self.unit = np.ldexp(A, -self.e)
+        self._frame = self._slice = None
+
+    def status(self, model, Ss: np.ndarray, tol: float):
+        """Place the validated ``Ss`` against the spectrahedron:
+        ``NOT_PD``, ``NOT_IN_SPECTRAHEDRON``, or ``None`` inside.  A
+        ``degree_one`` family's residual scales as 1/t with
+        (t Sigma, t Ss), so it is compared at the scale of ``unit``.  No
+        diagonal entry of a slice point exceeds m^2 times the largest of
+        ``Sigma``, so a sample 2^64 times larger is off the slice, before
+        any overflow."""
+        if not _is_pd(Ss):
+            return NOT_PD
+        if model.degree_one:
+            if math.frexp(float(Ss.diagonal().max()))[1] > self.e + 64:
+                return NOT_IN_SPECTRAHEDRON
+            Ss = np.ldexp(Ss, -self.e)
+        if self._frame is None:
+            self._frame = _tangent_frame(model, self.unit)
+        if not _frame_residual(self._frame, Ss) < tol:
+            return NOT_IN_SPECTRAHEDRON
+        return None
+
+    def slice(self, model) -> AffineSlice:
+        """The log-normal matrix space: the system ``tr(K D K T_k) = 0``
+        over symmetric ``D``, solved at the scale of :func:`_unit_scale`,
+        with ``Sigma`` as its base."""
+        if self._slice is None:
+            B = _unit_scale(self.sigma)[1]
+            tangent = model.tangent_basis(B)
+            K = np.linalg.inv(B)
+            vec, unvec = _sym_coords(B.shape[0])
+            rows = np.stack([vec(K @ T @ K) for T in tangent])
+            _, svals, vh = np.linalg.svd(rows)
+            cutoff = max(rows.shape) * np.finfo(float).eps \
+                * (svals[0] if svals.size else 0.0)
+            rank = int(np.sum(svals > cutoff))
+            self._slice = AffineSlice(
+                base=self.sigma,
+                directions=tuple(unvec(row) for row in vh[rank:]))
+        return self._slice
+
+    @cached_property
+    def radius(self) -> float:
+        """Half the smallest eigenvalue of ``Sigma``."""
+        return 0.5 * float(np.linalg.eigvalsh(self.sigma)[0])
+
+
+def _point(model, Sigma) -> _Point:
+    """The record of ``model`` at ``Sigma``: the one the model keeps when
+    ``np.asarray(Sigma, dtype=float)`` has the shape and bytes of the
+    last point it was asked about, else a new one, which it then keeps.
+    A ``Sigma`` that fails a check leaves the kept record as it was."""
+    A = np.asarray(Sigma, dtype=float)
+    key = (A.shape, A.tobytes())
+    point = vars(model).get("_last_point")
+    if point is None or point.key != key:
+        point = _Point(model, check_symmetric(A), key)
+        vars(model)["_last_point"] = point
+    return point
 
 
 def lognormal_basis(model, Sigma) -> AffineSlice:
@@ -111,38 +195,9 @@ def lognormal_basis(model, Sigma) -> AffineSlice:
     solution space.  ``Sigma`` must be a point of the model; the system
     is solved at the scale of :func:`_unit_scale`.
     """
-    A = _on_model(model, check_symmetric(Sigma))
-    B = _unit_scale(A)[1]
-    tangent = model.tangent_basis(B)
-    K = np.linalg.inv(B)
-    m = A.shape[0]
-    vec, unvec = _sym_coords(m)
-    rows = np.stack([vec(K @ T @ K) for T in tangent])
-    _, svals, vh = np.linalg.svd(rows)
-    cutoff = max(rows.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
-    rank = int(np.sum(svals > cutoff))
-    directions = tuple(unvec(row) for row in vh[rank:])
-    return AffineSlice(base=A, directions=directions)
-
-
-def _spectrahedron_status(model, Sg, Ss, tol: float):
-    """Place the validated ``Ss`` against the spectrahedron of ``model``
-    at its point ``Sg``: ``NOT_PD``, ``NOT_IN_SPECTRAHEDRON``, or
-    ``None`` inside.  A ``degree_one`` family's residual scales as 1/t
-    with (t Sg, t Ss), so it is compared at the power-of-two scale that
-    puts the largest diagonal entry of ``Sg`` in [1/2, 1).  No diagonal
-    entry of a slice point exceeds m^2 times the largest of ``Sg``, so a
-    sample 2^64 times larger is off the slice, before any overflow."""
-    if not _is_pd(Ss):
-        return NOT_PD
-    if model.degree_one:
-        e = math.frexp(float(Sg.diagonal().max()))[1]
-        if math.frexp(float(Ss.diagonal().max()))[1] > e + 64:
-            return NOT_IN_SPECTRAHEDRON
-        Sg, Ss = np.ldexp(Sg, -e), np.ldexp(Ss, -e)
-    if not _residual(model, Sg, Ss) < tol:
-        return NOT_IN_SPECTRAHEDRON
-    return None
+    slice_ = _point(model, Sigma).slice(model)
+    return AffineSlice(base=slice_.base.copy(),
+                       directions=tuple(D.copy() for D in slice_.directions))
 
 
 def in_spectrahedron(model, Sigma, S, tol: float = CRITICAL_TOL) -> bool:
@@ -153,9 +208,8 @@ def in_spectrahedron(model, Sigma, S, tol: float = CRITICAL_TOL) -> bool:
     (largest normalised component).  ``Sigma`` must be a point of the
     model.
     """
-    Sg = _on_model(model, check_symmetric(Sigma))
-    return _spectrahedron_status(model, Sg, _matrix(S, "S", model.dim),
-                                 tol) is None
+    point = _point(model, Sigma)
+    return point.status(model, _matrix(S, "S", model.dim), tol) is None
 
 
 def cell_membership(model, Sigma, S, opts: Optional[SolverOptions] = None
@@ -171,9 +225,9 @@ def cell_membership(model, Sigma, S, opts: Optional[SolverOptions] = None
     as membership.  ``Sigma`` must be a nonsingular model point; one
     off the model raises :class:`PreconditionFailed`.
     """
-    Sg = _on_model(model, check_symmetric(Sigma))
-    Ss = _matrix(S, "S", model.dim)
-    status = _spectrahedron_status(model, Sg, Ss, CRITICAL_TOL)
+    point = _point(model, Sigma)
+    Sg, Ss = point.sigma, _matrix(S, "S", model.dim)
+    status = point.status(model, Ss, CRITICAL_TOL)
     if status is not None:
         return MembershipVerdict(status=status)
     if model.degree_one:
@@ -351,8 +405,8 @@ def compose_cell(G: Graph, Sigma, S1, S2, M) -> np.ndarray:
 
     for name, side, block, piece in (("S1", "U", U, A1), ("S2", "W", W, A2)):
         sub = GraphModel(induced_subgraph(G, block))
-        Sb = _on_model(sub, principal_submatrix(Sg, block))
-        status = _spectrahedron_status(sub, Sb, piece, CRITICAL_TOL)
+        status = _Point(sub, principal_submatrix(Sg, block)).status(
+            sub, piece, CRITICAL_TOL)
         if status is not None:
             raise PreconditionFailed(
                 f"{name} is not in the {side}-side cell ({status})")
@@ -377,17 +431,17 @@ def project_cell(G: Graph, Sigma, S) -> tuple[np.ndarray, np.ndarray, np.ndarray
     be in the cell of ``Sigma``.
     """
     model = GraphModel(G)
-    Sg = _on_model(model, check_symmetric(Sigma))
+    point = _point(model, Sigma)
     Ss = _matrix(S, "S", G.m)
     dec = find_reducible_decomposition(G)
     if dec is None:
         raise PreconditionFailed("graph admits no clique-separator decomposition")
-    status = _spectrahedron_status(model, Sg, Ss, CRITICAL_TOL)
+    status = point.status(model, Ss, CRITICAL_TOL)
     if status is not None:
         raise PreconditionFailed(f"S is not in the cell of Sigma ({status})")
     A1 = principal_submatrix(Ss, dec.U)
     A2 = principal_submatrix(Ss, dec.W)
-    return A1, A2, Ss - _glue(dec, G.m, Sg, A1, A2)
+    return A1, A2, Ss - _glue(dec, G.m, point.sigma, A1, A2)
 
 
 def sample_spectrahedron(model, Sigma, count: int, seed: int = 0,
@@ -399,20 +453,27 @@ def sample_spectrahedron(model, Sigma, count: int, seed: int = 0,
     ``Sigma``); a rejected (non-PD) proposal halves the radius for that
     sample and redraws, up to 200 proposals per sample.  Deterministic
     for a fixed seed.  Proposals are built and tested as a stack, with
-    one :func:`pd_mask` call per batch; a batch ends at its first
-    rejection, so the random stream and the samples are those of
-    testing one proposal at a time.
+    one :func:`pd_mask` call per batch; after a rejection only the next
+    proposal, the retry, is built and tested again, so the random stream
+    and the samples are those of testing one proposal at a time.
     """
     if count < 0:
         raise OutOfRange("count must be nonnegative")
-    slice_ = lognormal_basis(model, Sigma)
-    base = slice_.base
+    point = _point(model, Sigma)
+    slice_ = point.slice(model)
     if radius is None:
-        radius = 0.5 * float(np.linalg.eigvalsh(base)[0])
+        radius = point.radius
     if not 0.0 < radius < math.inf:          # NaN fails
         raise OutOfRange("radius must be positive and finite")
     rng = np.random.default_rng(seed)
-    dirs = slice_.directions
+    base, dirs = slice_.base, slice_.directions
+
+    def proposals(coeff):
+        S = np.repeat(base[None], len(coeff), axis=0)
+        for i, D in enumerate(dirs):
+            S += coeff[:, i, None, None] * D
+        return S
+
     out: list[np.ndarray] = []
     r, tries = float(radius), 0     # radius and proposals of the next sample
     # a proposal that overflows is not finite, and pd_mask rejects it
@@ -426,20 +487,19 @@ def sample_spectrahedron(model, Sigma, count: int, seed: int = 0,
             # wanted, and no more rows than the next sample has proposals left
             Z = rng.standard_normal((min(count - len(out), 200 - tries),
                                      len(dirs)))
-            while len(Z):
-                coeff = Z * float(radius)
-                coeff[0] = Z[0] * r
-                S = np.repeat(base[None], len(Z), axis=0)
-                for i, D in enumerate(dirs):
-                    S += coeff[:, i, None, None] * D
-                ok = pd_mask(S)
-                j = len(Z) if ok.all() else int(ok.argmin())
-                out.extend(S[:j])
-                if j:
+            coeff = Z * float(radius)
+            coeff[0] = Z[0] * r
+            S = proposals(coeff)
+            ok = pd_mask(S)
+            for i in range(len(Z)):
+                if i and tries:             # a retry: only this row changes
+                    S[i] = proposals(Z[i:i + 1] * r)[0]
+                    ok[i] = pd_mask(S[i:i + 1])[0]
+                if ok[i]:
+                    out.append(S[i])
                     r, tries = float(radius), 0
-                if j < len(Z):              # retry with the next normals
+                else:
                     r, tries = r * 0.5, tries + 1
-                Z = Z[j + 1:]
     return out
 
 

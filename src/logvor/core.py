@@ -183,12 +183,12 @@ def score_matrix(Sigma, S) -> np.ndarray:
     positive definite; ``S`` only has to be symmetric.
     """
     Sg = _matrix(Sigma, "Sigma", pd=True)
-    return _score(Sg, _matrix(S, "S", len(Sg)))
+    return _score(np.linalg.inv(Sg), _matrix(S, "S", len(Sg)))
 
 
-def _score(Sg: np.ndarray, Ss: np.ndarray) -> np.ndarray:
-    """:func:`score_matrix` of validated arrays."""
-    K = np.linalg.inv(Sg)
+def _score(K: np.ndarray, Ss: np.ndarray) -> np.ndarray:
+    """:func:`score_matrix` of a validated ``S`` at the point whose
+    inverse is ``K``."""
     G = K @ Ss @ K - K
     return (G + G.T) / 2.0
 

@@ -190,9 +190,12 @@ def mle_concentration(model, S) -> CriticalPoint:
 
 
 def _concentration_point(model, S: np.ndarray) -> CriticalPoint:
-    """:func:`mle_concentration` of a validated sample, fitted at the scale
-    of :func:`_unit_scale`, where the stopping test is relative."""
-    k, A = _unit_scale(S)
+    """:func:`mle_concentration` of a validated sample, fitted at the
+    power-of-two scale that puts its largest diagonal entry in [1/2, 1):
+    there the stopping test is relative, and the samples ``2^k S`` take
+    the same steps."""
+    k = -math.frexp(float(S.diagonal().max()))[1]
+    A = np.ldexp(S, k)
     m = model.dim
     B = np.stack(model.basis)               # (d, m, m)
     d = B.shape[0]
@@ -327,23 +330,36 @@ def criticality_residual(model, Sigma, S) -> float:
 
 def _residual(model, Sg: np.ndarray, Ss: np.ndarray) -> float:
     """:func:`criticality_residual` of validated matrices, taken for the
-    scale-invariant degree-one families at :func:`_unit_scale`.  A score
-    that overflows gives an infinite or NaN residual, with no warning."""
+    scale-invariant degree-one families at :func:`_unit_scale`."""
     k, Sg, Ss = _unit_scale(Sg, Ss) if model.degree_one else (0, Sg, Ss)
+    try:
+        return math.ldexp(_frame_residual(_tangent_frame(model, Sg), Ss), k)
+    except OverflowError:               # a residual beyond the largest double
+        return math.inf
+
+
+def _tangent_frame(model, Sg: np.ndarray) -> tuple:
+    """``K = Sigma^{-1}`` at the model point ``Sg`` and the tangent
+    directions there of nonzero Frobenius norm, each with its norm."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.inv(Sg), [
+            (T, nrm) for T in model.tangent_basis(Sg)
+            if (nrm := float(np.linalg.norm(T))) != 0.0]
+
+
+def _frame_residual(frame: tuple, Ss: np.ndarray) -> float:
+    """The largest normalised score component of the validated ``Ss``
+    along the directions of a :func:`_tangent_frame`.  A score that
+    overflows gives an infinite or NaN residual, with no warning."""
+    K, directions = frame
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        sc = _score(Sg, Ss)
-        for T in model.tangent_basis(Sg):
-            nrm = float(np.linalg.norm(T))
-            if nrm == 0.0:
-                continue
+        sc = _score(K, Ss)
+        for T, nrm in directions:
             x = abs(float(np.sum(sc * T))) / nrm
             if x > worst or x != x:     # a NaN, once found, is kept
                 worst = x
-    try:
-        return math.ldexp(worst, k)
-    except OverflowError:               # a residual beyond the largest double
-        return math.inf
+    return worst
 
 
 def _critical_point(Sigma: np.ndarray, A: np.ndarray,

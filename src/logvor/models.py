@@ -50,6 +50,13 @@ def _offdiag_unit(i: int, j: int, m: int) -> np.ndarray:
     return E
 
 
+def _read_only(mats) -> tuple[np.ndarray, ...]:
+    """The arrays ``mats``, which the caller owns, made read-only."""
+    for M in mats:
+        M.setflags(write=False)
+    return tuple(mats)
+
+
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -120,7 +127,9 @@ class _Concentration(Model):
 
 @dataclass(frozen=True, eq=False)
 class LinearConcentration(_Concentration):
-    """Covariances whose inverse lies in the span of a fixed symmetric basis."""
+    """Covariances whose inverse lies in the span of a fixed symmetric
+    basis, kept as read-only copies: a model hashes by identity, and
+    what is known of it must not change."""
 
     kind = "concentration"
     basis: tuple[np.ndarray, ...]
@@ -137,7 +146,7 @@ class LinearConcentration(_Concentration):
         stack = np.ldexp(stack, -np.frexp(np.abs(stack).max())[1])
         if np.linalg.matrix_rank(stack) < len(mats):
             raise InvalidModel("basis matrices are linearly dependent")
-        object.__setattr__(self, "basis", mats)
+        object.__setattr__(self, "basis", _read_only(mats))
 
     @property
     def dim(self) -> int:
@@ -157,8 +166,8 @@ class LinearConcentration(_Concentration):
 @dataclass(frozen=True)
 class GraphModel(_Concentration):
     """Undirected graphical model: zeros of the concentration off the
-    edges, the span of :func:`concentration_basis` (built on first use;
-    its supports are disjoint, so it needs no rank check)."""
+    edges, the span of :func:`concentration_basis` (built on first use,
+    read-only; its supports are disjoint, so it needs no rank check)."""
 
     kind = "graph"
     graph: Graph
@@ -169,7 +178,7 @@ class GraphModel(_Concentration):
 
     @cached_property
     def basis(self) -> tuple[np.ndarray, ...]:
-        return tuple(concentration_basis(self.graph))
+        return _read_only(concentration_basis(self.graph))
 
     def contains(self, A, tol):
         K = np.linalg.inv(_unit_scale(A)[1])

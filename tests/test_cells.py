@@ -42,6 +42,7 @@ from logvor import (
     is_positive_definite,
     log_likelihood,
     lognormal_basis,
+    model_from_json,
     mle_concentration,
     mle_dag,
     mle_graph_decomposable,
@@ -321,6 +322,36 @@ class TestValidatedOnce:
                                        16, seed=3)
         assert len(samples) == 16
         assert counts["check_symmetric"] == 1
+
+    @pytest.mark.parametrize("query", [cell_membership, in_spectrahedron])
+    def test_warm_query_checks_only_s(self, query, path_graph, path_sigma,
+                                      counts):
+        """A second query on the same model object at the same Sigma uses
+        the record the model kept: one symmetry check and one PD
+        elimination, both for S."""
+        model = GraphModel(path_graph)
+        S = path_sigma.copy()
+        S[0, 2] = S[2, 0] = 0.5
+        first = query(model, path_sigma, S)
+        assert counts == {"check_symmetric": 2, "_is_pd": 2}
+        counts.update(check_symmetric=0, _is_pd=0)
+        second = query(model, path_sigma, S)
+        assert counts == {"check_symmetric": 1, "_is_pd": 1}
+        assert getattr(second, "status", second) \
+            == getattr(first, "status", first)
+
+    def test_warm_sampler_checks_nothing_of_sigma(self, path_graph,
+                                                  path_sigma, counts):
+        """A second draw on the same model object and Sigma makes no
+        symmetry check and no PD elimination, and draws the same
+        samples."""
+        model = GraphModel(path_graph)
+        first = sample_spectrahedron(model, path_sigma, 16, seed=3)
+        counts.update(check_symmetric=0, _is_pd=0)
+        second = sample_spectrahedron(model, path_sigma, 16, seed=3)
+        assert counts == {"check_symmetric": 0, "_is_pd": 0}
+        for A, B in zip(first, second):
+            np.testing.assert_array_equal(A, B)
 
 
 #: Symmetric, not positive definite, and of the wrong dimension for every
@@ -916,6 +947,142 @@ class TestBatchedSampler:
         assert len(pd_mask_batches) > 1 and pd_mask_batches[0] == 16
         expect = sequential_sample(model, path_sigma, 16, 5, 10.0)
         for A, B in zip(got, expect):
+            np.testing.assert_array_equal(A, B)
+
+    def test_a_retry_alone_is_tested_again(self, path_graph, path_sigma,
+                                           pd_mask_batches, monkeypatch):
+        """After a rejection only the retry is built and tested again; the
+        verdicts of the later proposals of its batch stand.  So pd_mask
+        sees at most one row per proposal plus one per rejection, counted
+        by the sequential sampler's PD tests."""
+        tests = []
+
+        def counted(A, _original=_is_pd):
+            tests.append(_original(A))
+            return tests[-1]
+
+        model = GraphModel(path_graph)
+        got = sample_spectrahedron(model, path_sigma, 16, 5, 10.0)
+        monkeypatch.setitem(globals(), "_is_pd", counted)
+        expect = sequential_sample(model, path_sigma, 16, 5, 10.0)
+        rejections = tests.count(False)
+        assert rejections > 1 and len(tests) == 16 + rejections
+        assert sum(pd_mask_batches) <= len(tests) + rejections
+        for A, B in zip(got, expect):
+            np.testing.assert_array_equal(A, B)
+
+
+class TestKeptPoint:
+    """Each model object keeps the record of the last Sigma it was asked
+    about.  Every test runs on a cold model and on a warm one, which has
+    answered queries before."""
+
+    @pytest.fixture(params=["cold", "warm"])
+    def warm(self, request):
+        return request.param == "warm"
+
+    def test_non_pd_sample_at_a_singular_union_point(self, warm):
+        """The union has no tangent space at a diagonal point, but a
+        sample that is not PD is refused before it is needed."""
+        model, Sigma = CiUnion(), np.diag([1.0, 2.0, 3.0])
+        S = np.diag([1.0, -2.0, 3.0])
+        if warm:
+            with pytest.raises(SingularPoint):
+                cell_membership(model, Sigma, Sigma)
+        assert cell_membership(model, Sigma, S).status == NOT_PD
+        assert in_spectrahedron(model, Sigma, S) is False
+        with pytest.raises(SingularPoint):
+            in_spectrahedron(model, Sigma, Sigma)
+        assert cell_membership(model, Sigma, S).status == NOT_PD
+
+    def test_off_model_sigma_is_refused_every_time(self, warm):
+        model = TestSigmaOffTheModel.MODEL
+        off = TestSigmaOffTheModel.SIGMA
+        on = np.diag([1.0, 2.0, 3.0])
+        if warm:
+            assert in_spectrahedron(model, on, on)
+        for _ in range(2):
+            for call in (lambda: cell_membership(model, off, off),
+                         lambda: in_spectrahedron(model, off, off),
+                         lambda: lognormal_basis(model, off),
+                         lambda: sample_spectrahedron(model, off, 2)):
+                with pytest.raises(PreconditionFailed):
+                    call()
+        assert cell_membership(model, on, on).status == IN_CELL
+
+    def test_sigma_changed_in_place(self, warm, path_graph, path_sigma):
+        """The caller's Sigma array is read again on every call."""
+        model = GraphModel(path_graph)
+        Sigma = path_sigma.copy()
+        S = path_sigma.copy()
+        S[0, 2] = S[2, 0] = 0.5
+        if warm:
+            assert cell_membership(model, Sigma, S).status == IN_CELL
+            assert len(sample_spectrahedron(model, Sigma, 2)) == 2
+        Sigma *= 2.0
+        assert cell_membership(model, Sigma, S).status == NOT_IN_SPECTRAHEDRON
+        assert not in_spectrahedron(model, Sigma, S)
+        np.testing.assert_array_equal(lognormal_basis(model, Sigma).base,
+                                      Sigma)
+        for A, B in zip(sample_spectrahedron(model, Sigma, 4, seed=2),
+                        sample_spectrahedron(GraphModel(path_graph),
+                                             Sigma.copy(), 4, seed=2)):
+            np.testing.assert_array_equal(A, B)
+        Sigma[0, 2] = Sigma[2, 0] = 0.0     # now off the model
+        with pytest.raises(PreconditionFailed):
+            in_spectrahedron(model, Sigma, S)
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_alternating_points(self, name, warm, sampler_families):
+        """Asking one model object about two points in turn gives the
+        verdicts of new model objects."""
+        model, first = sampler_families[name]
+
+        def new():
+            return model_from_json(model.to_json())
+
+        shift = np.diag(np.random.default_rng(11).uniform(0.0, 0.1, model.dim))
+        second = critical_points(new(), first + shift)[0].sigma
+        samples = [S for Sigma in (first, second)
+                   for S in sample_spectrahedron(new(), Sigma, 3, seed=4)]
+        samples.append(-first)
+        if warm:
+            cell_membership(model, second, second)
+        for Sigma in (first, second, first, second):
+            for S in samples:
+                got = cell_membership(model, Sigma, S)
+                want = cell_membership(new(), Sigma, S)
+                assert (got.status, got.margin) == (want.status, want.margin)
+                assert in_spectrahedron(model, Sigma, S) \
+                    == in_spectrahedron(new(), Sigma, S)
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_returned_arrays_are_not_kept(self, name, warm,
+                                          sampler_families):
+        """Writing to every array that a query returns changes no later
+        answer: none of them is an array of the kept record."""
+        model, Sigma = sampler_families[name]
+
+        def answers(model):
+            slice_ = lognormal_basis(model, Sigma)
+            samples = sample_spectrahedron(model, Sigma, 4, seed=6)
+            verdicts = [cell_membership(model, Sigma, S)
+                        for S in samples + [Sigma]]
+            arrays = [slice_.base, *slice_.directions, *samples,
+                      *tangent_basis(model, Sigma)]
+            arrays += [v.witness.sigma for v in verdicts if v.witness]
+            return arrays, [(v.status, v.margin) for v in verdicts]
+
+        if warm:
+            in_spectrahedron(model, Sigma, Sigma)
+        arrays, _ = answers(model)
+        for A in arrays:
+            A[...] = 7.0
+        expect = answers(model_from_json(model.to_json()))
+        got = answers(model)
+        assert got[1] == expect[1]
+        assert len(got[0]) == len(expect[0])
+        for A, B in zip(got[0], expect[0]):
             np.testing.assert_array_equal(A, B)
 
 

@@ -1,21 +1,30 @@
-"""Relabelling equivariance: permuting the coordinates of a sample, with
-the model relabelled to match, permutes its critical points and keeps
-every cell-membership verdict.
+"""Relabelling and scale equivariance.
 
-The oracle needs no second solver.  The unrestricted correlation family
-is left out: its multistart is not a complete enumeration, so two
-labellings may find different point sets.
+Permuting the coordinates of a sample, with the model relabelled to
+match, permutes its critical points and keeps every cell-membership
+verdict.  The oracle needs no second solver.  The unrestricted
+correlation family is left out: its multistart is not a complete
+enumeration, so two labellings may find different point sets.
+
+Scaling a sample of a cone family (concentration, graph and DAG models)
+by 2^k scales its critical point by 2^k, bit for bit, and scaling the
+model point with it keeps every cell-membership verdict.
 """
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from logvor import (
     IN_CELL,
     IN_SPECTRAHEDRON_NOT_CELL,
     CiUnion,
+    DagModel,
+    Digraph,
     Equicorrelation,
     Graph,
     GraphModel,
@@ -24,6 +33,7 @@ from logvor import (
     critical_points,
     equicorrelation_matrix,
     is_chordal,
+    model_from_json,
     sample_spectrahedron,
 )
 
@@ -128,3 +138,44 @@ def test_cell_verdicts_match(name):
             else:
                 assert w.margin == pytest.approx(v.margin, rel=1e-8,
                                                  abs=1e-10)
+
+
+#: The cone families, one model object each, which every scale shares.
+CONES = {"concentration": CONCENTRATION,
+         "chordal": GraphModel(CHORDAL),
+         "4-cycle": GraphModel(Graph(4, ((1, 2), (2, 3), (3, 4), (1, 4)))),
+         "dag": DagModel(Digraph(4, ((1, 2), (2, 4), (3, 4))))}
+
+
+@functools.cache
+def cone_case(name):
+    """Random samples with their critical points, a model point Sigma
+    (the first of them), and samples with their verdicts at Sigma: on
+    its slice, random, and not PD.  All are computed at scale 1 on a
+    new model object."""
+    model = model_from_json(CONES[name].to_json())
+    rng = np.random.default_rng(RNG_SEED)
+    samples = [random_pd(model.dim, rng) for _ in range(3)]
+    points = [critical_points(model, S)[0].sigma for S in samples]
+    Sigma = points[0]
+    queries = sample_spectrahedron(model, Sigma, 3, seed=2) \
+        + samples[1:] + [-Sigma]
+    verdicts = [cell_membership(model, Sigma, S).status for S in queries]
+    return samples, points, Sigma, queries, verdicts
+
+
+@pytest.mark.parametrize("name", sorted(CONES))
+@settings(max_examples=40, deadline=None, database=None)
+@given(k=st.integers(-1000, 1000))
+@example(k=-1000)
+@example(k=1000)
+def test_critical_points_scale_by_powers_of_two(name, k):
+    model = CONES[name]
+    samples, points, Sigma, queries, verdicts = cone_case(name)
+    for S, P in zip(samples, points):
+        got = critical_points(model, np.ldexp(S, k))
+        assert len(got) == 1
+        np.testing.assert_array_equal(got[0].sigma, np.ldexp(P, k))
+    assert IN_CELL in verdicts and len(set(verdicts)) == 3
+    assert [cell_membership(model, np.ldexp(Sigma, k), np.ldexp(S, k)).status
+            for S in queries] == verdicts

@@ -107,6 +107,17 @@ class TestModelConstruction:
         with pytest.raises(AssertionError, match="rank check"):
             LinearConcentration((np.eye(2),))
 
+    def test_basis_arrays_are_read_only(self, path_graph):
+        """A model's basis is a read-only copy: the caller's arrays stay
+        writable, and writing to the model's raises ValueError."""
+        given = [np.eye(3), np.ones((3, 3)) - np.eye(3)]
+        for model in (LinearConcentration(tuple(given)),
+                      GraphModel(path_graph)):
+            for K in model.basis:
+                with pytest.raises(ValueError):
+                    K[0, 0] = 5.0
+        given[0][0, 0] = 5.0
+
     def test_graph_basis_is_built_once_on_first_use(self, path_graph,
                                                     path_sigma, monkeypatch):
         """Constructing a graph model, testing a point against its edges

@@ -11,13 +11,9 @@ of the spectrahedron by explicit inequalities, and for unrestricted
 correlation matrices membership is decided against the multistart
 critical points (best effort).
 
-The spectrahedron depends on ``Sigma`` alone, through ``K =
-Sigma^{-1}`` and the tangent space.  So a model object keeps one record
-(:class:`_Point`), that of the last ``Sigma`` it was asked about, keyed
-by the shape and bytes of ``np.asarray(Sigma, dtype=float)``; testing
-many samples against one ``Sigma`` then validates and scores only the
-samples.  A ``Sigma`` that fails a check is not kept, and the record is
-freed with the model.
+The spectrahedron depends on ``Sigma`` alone, so a model object keeps
+the record of the last ``Sigma`` it was asked about (:func:`_point`):
+testing many samples against one ``Sigma`` validates only the samples.
 """
 
 from __future__ import annotations
@@ -31,12 +27,12 @@ import numpy as np
 
 from .core import _fits, _is_pd, _loglik, _matrix, _unit_scale, \
     check_symmetric, embed, pd_mask, principal_submatrix, sym_to_json
-from .errors import NotOnSlice, NotPD, OutOfRange, PreconditionFailed, \
-    SamplingExhausted
+from .errors import NotOnSlice, NotPD, PreconditionFailed, \
+    SamplingExhausted, _integer, _positive
 from .graphs import Graph, find_reducible_decomposition, induced_subgraph
 from .mle import SolverOptions, CriticalPoint, _frame_residual, \
     _tangent_frame
-from .models import MODEL_TOL, SINGULAR_TOL, CiUnion, Equicorrelation, \
+from .models import MODEL_TOL, CiUnion, Equicorrelation, \
     GraphModel, _symmetrize, equicorrelation_matrix
 
 IN_CELL = "InCell"
@@ -209,7 +205,8 @@ def in_spectrahedron(model, Sigma, S, tol: float = CRITICAL_TOL) -> bool:
     model.
     """
     point = _point(model, Sigma)
-    return point.status(model, _matrix(S, "S", model.dim), tol) is None
+    return point.status(model, _matrix(S, "S", model.dim),
+                        _positive(tol, "tol")) is None
 
 
 def cell_membership(model, Sigma, S, opts: Optional[SolverOptions] = None
@@ -236,8 +233,8 @@ def cell_membership(model, Sigma, S, opts: Optional[SolverOptions] = None
     best_effort = model.best_effort
     points = model.critical_points(Ss, opts or SolverOptions())
     base_ll = _loglik(Sg, Ss)
-    others = [cp for cp in points
-              if float(np.abs(cp.sigma - Sg).max()) > 1e-6]
+    others = [cp for cp in points    # Sigma itself, up to 1e-6 of its scale
+              if np.abs(cp.sigma - Sg).max() > 1e-6 * Sg.diagonal().max()]
     if not others:
         return MembershipVerdict(status=IN_CELL, best_effort=best_effort)
     best = others[0]          # points are sorted by descending log-likelihood
@@ -324,7 +321,7 @@ def _ci_union_strip(Sigma: np.ndarray, S):
     point ``Sigma``, for one 3 x 3 ``S`` or an ``(N, 3, 3)`` stack.
     Component two is the mirror image of component one under reversing
     the vertex order."""
-    if abs(Sigma[0, 1]) > abs(Sigma[1, 2]):
+    if CiUnion._side(Sigma) == 2:
         Sigma, S = Sigma[::-1, ::-1], S[..., ::-1, ::-1]
     return np.abs(S[..., 0, 1]) <= (abs(Sigma[1, 2])
                                     * np.sqrt(Sigma[0, 0] / Sigma[2, 2]))
@@ -348,14 +345,14 @@ def ci_union_cell(Sigma, S) -> bool:
     tol = SLICE_TOL * max(1.0, float(np.abs(Sg).max()))
     if not CiUnion().contains(Sg, tol):
         raise NotOnSlice("Sigma is not a union-model point")
-    # the slice pins the diagonal and a nonzero Sigma_12 or Sigma_23
-    nonzero = [(i, j) for i, j in ((0, 1), (1, 2))
-               if abs(Sg[i, j]) > SINGULAR_TOL]
-    for (i, j) in sorted([(0, 0), (1, 1), (2, 2)] + nonzero):
+    # the slice pins the diagonal and the free entry of Sigma's component
+    side = CiUnion._side(Sg)
+    pinned = [(0, 0), (1, 1), (2, 2)] + [[], [(1, 2)], [(0, 1)]][side]
+    for (i, j) in sorted(pinned):
         if abs(Ss[i, j] - Sg[i, j]) > tol:
             raise NotOnSlice(
                 f"S[{i + 1},{j + 1}] is not pinned to Sigma on the slice")
-    if nonzero:
+    if side:
         return _is_pd(Ss) and _ci_union_strip(Sg, Ss)
     # singular (diagonal) point: x = S_12, y = S_13, z = S_23 free.
     # The pair of conditions does not imply that S itself is positive
@@ -457,14 +454,10 @@ def sample_spectrahedron(model, Sigma, count: int, seed: int = 0,
     proposal, the retry, is built and tested again, so the random stream
     and the samples are those of testing one proposal at a time.
     """
-    if count < 0:
-        raise OutOfRange("count must be nonnegative")
+    count, seed = _integer(count, "count", 0), _integer(seed, "seed", 0)
     point = _point(model, Sigma)
     slice_ = point.slice(model)
-    if radius is None:
-        radius = point.radius
-    if not 0.0 < radius < math.inf:          # NaN fails
-        raise OutOfRange("radius must be positive and finite")
+    radius = _positive(point.radius if radius is None else radius, "radius")
     rng = np.random.default_rng(seed)
     base, dirs = slice_.base, slice_.directions
 
@@ -475,7 +468,7 @@ def sample_spectrahedron(model, Sigma, count: int, seed: int = 0,
         return S
 
     out: list[np.ndarray] = []
-    r, tries = float(radius), 0     # radius and proposals of the next sample
+    r, tries = radius, 0            # radius and proposals of the next sample
     # a proposal that overflows is not finite, and pd_mask rejects it
     with np.errstate(over="ignore", invalid="ignore"):
         while len(out) < count:
@@ -487,7 +480,7 @@ def sample_spectrahedron(model, Sigma, count: int, seed: int = 0,
             # wanted, and no more rows than the next sample has proposals left
             Z = rng.standard_normal((min(count - len(out), 200 - tries),
                                      len(dirs)))
-            coeff = Z * float(radius)
+            coeff = Z * radius
             coeff[0] = Z[0] * r
             S = proposals(coeff)
             ok = pd_mask(S)
@@ -497,7 +490,7 @@ def sample_spectrahedron(model, Sigma, count: int, seed: int = 0,
                     ok[i] = pd_mask(S[i:i + 1])[0]
                 if ok[i]:
                     out.append(S[i])
-                    r, tries = float(radius), 0
+                    r, tries = radius, 0
                 else:
                     r, tries = r * 0.5, tries + 1
     return out

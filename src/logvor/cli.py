@@ -28,7 +28,7 @@ from .cells import IN_CELL, _bivariate_side, _ci_union_strip, \
     _equi_half_trace, cell_membership, sample_spectrahedron, verdict_to_json
 from .core import pd_mask, sym_from_json, sym_to_json
 from .errors import InputError, InvalidModel, LogvorError, OutOfRange, \
-    UnknownFigure
+    UnknownFigure, _integer
 from .graphs import find_reducible_decomposition
 from .mle import SolverOptions, _residual, critical_points, \
     options_from_json
@@ -80,10 +80,7 @@ def _solver_options(args, problem: dict) -> SolverOptions:
     opts = options_from_json(problem.get("options"))
     if args.seed is None:
         return opts
-    if args.seed < 0:
-        raise OutOfRange(
-            f"--seed must be a non-negative integer, got {args.seed}")
-    return dataclasses.replace(opts, seed=args.seed)
+    return dataclasses.replace(opts, seed=_integer(args.seed, "--seed", 0))
 
 
 def _point_report(model, cp, sample) -> dict:
@@ -180,10 +177,8 @@ _FIGURES = tuple(_SCENES)
 
 
 def _cmd_figure(args) -> int:
-    lo, hi = _GRID_RANGE
-    if not lo <= args.grid <= hi:
-        raise OutOfRange(f"--grid must be between {lo} and {hi}, "
-                         f"got {args.grid}")
+    _integer(args.grid, "--grid", *_GRID_RANGE,
+             say="{name} must be between {lo} and {hi}, got {x}")
     if args.name not in _SCENES:
         raise UnknownFigure(
             f"unknown figure {args.name!r}; choose from {_FIGURES}")

@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, NotPD, \
-    ShapeMismatch, _brief
+    ShapeMismatch, _brief, _integer, _is_integer
 
 #: Pivot tolerance of the positive-definiteness test, relative to the
 #: largest diagonal entry.
@@ -198,16 +198,9 @@ def _as_index(I: Iterable[int], m: int) -> list[int]:
 
     Unordered collections (set/frozenset) are sorted ascending.
     """
+    out = [_integer(i, "index", 1, m, IndexOutOfRange) - 1 for i in I]
     if isinstance(I, (set, frozenset)):
-        idx = sorted(I)
-    else:
-        idx = list(I)
-    out = []
-    for i in idx:
-        j = int(i)
-        if j != i or not 1 <= j <= m:
-            raise IndexOutOfRange(f"index {_brief(i)} outside 1..{m}")
-        out.append(j - 1)
+        out.sort()
     if len(set(out)) != len(out):
         raise IndexOutOfRange("duplicate index in index set")
     if not out:
@@ -226,8 +219,8 @@ def embed(B, rows: Iterable[int], cols: Iterable[int], m: int) -> np.ndarray:
     A = np.asarray(B, dtype=float)
     if A.ndim != 2:
         raise ShapeMismatch(f"block must be 2-d, got shape {A.shape}")
-    r = _as_index(rows, m)
-    c = _as_index(cols, m)
+    m = _integer(m, "m", 1)
+    r, c = _as_index(rows, m), _as_index(cols, m)
     if A.shape != (len(r), len(c)):
         raise ShapeMismatch(
             f"block shape {A.shape} does not match index sets "
@@ -277,7 +270,7 @@ def sym_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "dim" not in obj or "upper" not in obj:
         raise ShapeMismatch('symmetric matrix JSON needs "dim" and "upper"')
     m, upper = obj["dim"], obj["upper"]
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+    if not _is_integer(m) or m < 1:
         raise ShapeMismatch(
             f'"dim" must be a positive integer, got {_brief(m)}')
     n = m * (m + 1) // 2

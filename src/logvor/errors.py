@@ -4,12 +4,15 @@
 exits 2); any other :class:`LogvorError` is a failed computation (exit 3).
 """
 
+import math
+import operator
 
-def _brief(value, show=repr) -> str:
-    """``show(value)``, or a stand-in naming the type of ``value`` where
+
+def _brief(value) -> str:
+    """``repr(value)``, or a stand-in naming the type of ``value`` where
     that holds an integer past Python's limit for printing one."""
     try:
-        return show(value)
+        return repr(value)
     except ValueError:
         return f"<{type(value).__name__} too long to print>"
 
@@ -88,3 +91,33 @@ class SamplingExhausted(LogvorError):
 
 class UnknownFigure(InputError):
     """Unrecognised figure name."""
+
+
+def _is_integer(x) -> bool:
+    """Is ``x`` an int or a numpy integer (``operator.index``), no bool?"""
+    return hasattr(type(x), "__index__") and not isinstance(x, bool)
+
+
+def _integer(x, name: str, lo: int, hi=None, error=OutOfRange, say=None):
+    """``x`` as an int: :class:`InvalidModel` unless :func:`_is_integer`,
+    else ``error`` unless ``lo <= x <= hi`` (None: no bound), with the
+    message ``say`` formatted by ``name``, ``x``, ``lo`` and ``hi``."""
+    if not _is_integer(x):
+        raise InvalidModel(f"{name} must be an integer, got {_brief(x)}")
+    i = operator.index(x)
+    if lo <= i and (hi is None or i <= hi):
+        return i
+    say = say or ("{name} {x} outside {lo}..{hi}" if hi is not None else
+                  "{name} must be at least {lo}, got {x}" if lo else
+                  "{name} must be a non-negative integer, got {x}")
+    raise error(say.format(name=name, x=_brief(i), lo=lo, hi=hi))
+
+
+def _positive(x, name: str) -> float:
+    """``x`` as a float; :class:`OutOfRange` unless ``0 < x < inf``."""
+    try:
+        if not isinstance(x, bool) and 0.0 < x < math.inf:
+            return float(x)
+    except (TypeError, ValueError):     # a string, None, an array
+        pass
+    raise OutOfRange(f"{name} must be positive and finite")

@@ -12,31 +12,33 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import IndexOutOfRange, NotTopological, _brief
+from .errors import IndexOutOfRange, InvalidModel, NotTopological, \
+    _brief, _integer
 
 
-def _check_vertex(v, m: int) -> int:
-    i = int(v)
-    if i != v or not 1 <= i <= m:
-        raise IndexOutOfRange(f"vertex {_brief(v)} outside 1..{_brief(m)}")
-    return i
-
-
-def _vertex_pairs(m, pairs, what: str) -> list[tuple[int, int]]:
-    """The pairs of vertices in 1..m, checked in order along with the
-    vertex count; :class:`IndexOutOfRange` for a count below 1, a vertex
-    outside 1..m or a loop (``what`` names the pair in the message)."""
-    if int(m) != m or m < 1:
-        raise IndexOutOfRange(
-            f"vertex count must be >= 1, got {_brief(m)}")
-    out = []
-    for i, j in pairs:
-        i, j = _check_vertex(i, m), _check_vertex(j, m)
-        if i == j:
-            raise IndexOutOfRange(
-                f"loop {what} ({_brief(i)}, {_brief(j)}) not allowed")
-        out.append((i, j))
-    return out
+def _check_pairs(graph, field: str) -> None:
+    """Check ``graph.m`` and the vertex pairs in ``field``, in order, and
+    keep them as int pairs ``(i, j)``, ``i < j``: :class:`IndexOutOfRange`
+    for a count below 1, a vertex outside 1..m or a loop, NotTopological
+    for an arc ``i > j``, InvalidModel for a non-integer or a non-pair."""
+    m = _integer(graph.m, "vertex count", 1, error=IndexOutOfRange)
+    what, out = field[:-1], set()
+    try:
+        for i, j in getattr(graph, field):
+            i = _integer(i, "vertex", 1, m, IndexOutOfRange)
+            j = _integer(j, "vertex", 1, m, IndexOutOfRange)
+            if i == j:
+                raise IndexOutOfRange(
+                    f"loop {what} ({_brief(i)}, {_brief(j)}) not allowed")
+            if i > j and what == "arc":
+                raise NotTopological(
+                    f"arc ({_brief(i)}, {_brief(j)}) runs against the "
+                    "vertex labelling")
+            out.add((min(i, j), max(i, j)))
+    except (TypeError, ValueError):
+        raise InvalidModel(f"{what}s must be pairs of vertices") from None
+    object.__setattr__(graph, "m", m)
+    object.__setattr__(graph, field, frozenset(out))
 
 
 @dataclass(frozen=True)
@@ -51,10 +53,7 @@ class Graph:
     edges: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        pairs = _vertex_pairs(self.m, self.edges, "edge")
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "edges",
-                           frozenset((min(e), max(e)) for e in pairs))
+        _check_pairs(self, "edges")
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -83,14 +82,7 @@ class Digraph:
     arcs: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        pairs = _vertex_pairs(self.m, self.arcs, "arc")
-        for i, j in pairs:
-            if i > j:
-                raise NotTopological(
-                    f"arc ({_brief(i)}, {_brief(j)}) runs against the "
-                    "vertex labelling")
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "arcs", frozenset(pairs))
+        _check_pairs(self, "arcs")
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -100,11 +92,11 @@ class Digraph:
         return sorted(self.arcs)
 
     def parents(self, k: int) -> list[int]:
-        _check_vertex(k, self.m)
+        _integer(k, "vertex", 1, self.m, IndexOutOfRange)
         return sorted(i for i, j in self.arcs if j == k)
 
     def children(self, k: int) -> list[int]:
-        _check_vertex(k, self.m)
+        _integer(k, "vertex", 1, self.m, IndexOutOfRange)
         return sorted(j for i, j in self.arcs if i == k)
 
 
@@ -240,7 +232,8 @@ def find_reducible_decomposition(G: Graph) -> Optional[Decomposition]:
 
 def induced_subgraph(G: Graph, vertices: Iterable[int]) -> Graph:
     """Induced subgraph on ``vertices``, relabelled 1..k in sorted order."""
-    vs = sorted({_check_vertex(v, G.m) for v in vertices})
+    vs = sorted({_integer(v, "vertex", 1, G.m, IndexOutOfRange)
+                 for v in vertices})
     relabel = {v: k + 1 for k, v in enumerate(vs)}
     edges = {(relabel[i], relabel[j]) for i, j in G.edges
              if i in relabel and j in relabel}
@@ -289,8 +282,8 @@ def list_treks(dag: Digraph, i: int, j: int) -> list[Trek]:
     :func:`logvor.models.trek_covariance` sums them by a recursion
     instead, and this listing serves as its reference.
     """
-    _check_vertex(i, dag.m)
-    _check_vertex(j, dag.m)
+    _integer(i, "vertex", 1, dag.m, IndexOutOfRange)
+    _integer(j, "vertex", 1, dag.m, IndexOutOfRange)
     children = {v: dag.children(v) for v in dag.vertices}
     treks = []
     for t in dag.vertices:

@@ -12,11 +12,9 @@ correlation matrices.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -30,7 +28,7 @@ from .errors import (
     NoInteriorPoint,
     NotChordal,
     OutOfRange,
-    _brief,
+    _integer,
 )
 from .graphs import Graph, adjacency, is_chordal
 from .models import Equicorrelation, SemParams, _Concentration, _sem_fit, \
@@ -68,17 +66,8 @@ class SolverOptions:
     seed: int = 0
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise InvalidModel(
-                    f"{name} must be an integer, got "
-                    f"{_brief(value, lambda v: json.dumps(v, default=repr))}")
-        if not self.starts >= 1:
-            raise OutOfRange(
-                f"starts must be at least 1, got {_brief(self.starts)}")
-        if not self.seed >= 0:
-            raise OutOfRange(
-                f"seed must be a non-negative integer, got {_brief(self.seed)}")
+        _integer(self.starts, "starts", 1)
+        _integer(self.seed, "seed", 0)
 
 
 def options_from_json(obj) -> SolverOptions:
@@ -141,6 +130,8 @@ def cubic_roots_in_interval(c3: float, c2: float, c1: float, c0: float,
     Roots are the eigenvalues of the companion matrix, polished by one
     Newton step, deduplicated at 1e-10 and returned sorted ascending.
     """
+    if not all(map(math.isfinite, (c3, c2, c1, c0))):
+        raise OutOfRange("cubic coefficients must be finite")
     if c3 == 0.0:
         raise DegenerateLeadingCoefficient("leading coefficient is zero")
 
@@ -578,14 +569,11 @@ def _correlation_multistart(m: int, S: np.ndarray,
     candidates it tests (memory: see ``_CHUNK_ENTRIES``), and those of
     the accepted one feed the next Newton step.  Starts whose line
     search finds no step of at least 2^-14 are dropped as stalled (see
-    ``_STEP_BLOCKS``): nearly all of them would stall later anyway, and
-    backtracking deeper spent most of the search's evaluations on them.
-    Up to that step a start runs as under a deeper search, so the points
-    found are a subset of those a search down to 2^-29 finds.  Starts
-    whose largest residual falls below ``MULTISTART_TOL`` times
-    ``max(1, max |S_ij|)`` within ``MULTISTART_MAX_ITER`` iterations
-    have converged.  Converged solutions are deduplicated at 1e-6 in
-    parameter space.
+    ``_STEP_BLOCKS``), so the points found are a subset of those a
+    search down to 2^-29 finds.  Starts whose largest residual falls
+    below ``MULTISTART_TOL`` times ``max(1, max |S_ij|)`` within
+    ``MULTISTART_MAX_ITER`` iterations have converged.  Converged
+    solutions are deduplicated at 1e-6 in parameter space.
     The search is exhaustive only heuristically: with the default 512
     starts it is stable on 3 x 3 problems, but for larger ``m`` some
     real critical points may be missed.

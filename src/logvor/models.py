@@ -28,6 +28,9 @@ from .errors import (
     SingularParents,
     SingularPoint,
     _brief,
+    _integer,
+    _is_integer,
+    _positive,
 )
 from .graphs import Digraph, Graph, is_chordal
 
@@ -57,13 +60,9 @@ def _read_only(mats) -> tuple[np.ndarray, ...]:
     return tuple(mats)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _is_pairs(x) -> bool:
     return isinstance(x, list) and all(
-        isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in x)
+        isinstance(e, list) and len(e) == 2 and all(map(_is_integer, e)) for e in x)
 
 
 def _json_field(obj: dict, name: str, what: str, ok, default=None):
@@ -202,7 +201,7 @@ class GraphModel(_Concentration):
 
     @classmethod
     def from_json(cls, obj):
-        m = _json_field(obj, "m", "an integer", _is_int)
+        m = _json_field(obj, "m", "an integer", _is_integer)
         edges = _json_field(obj, "edges", "a list of pairs [i, j]",
                             _is_pairs, [])
         return cls(Graph(m, frozenset(map(tuple, edges))))
@@ -250,7 +249,7 @@ class DagModel(Model):
 
     @classmethod
     def from_json(cls, obj):
-        m = _json_field(obj, "m", "an integer", _is_int)
+        m = _json_field(obj, "m", "an integer", _is_integer)
         arcs = _json_field(obj, "arcs", "a list of pairs [i, j]",
                            _is_pairs, [])
         return cls(Digraph(m, frozenset(map(tuple, arcs))))
@@ -263,9 +262,9 @@ class _UnitDiagonal(Model):
     m: int
 
     def __post_init__(self):
-        if int(self.m) != self.m or self.m < 2:
-            raise DimensionMismatch(f"{self.kind} model needs m >= 2")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", _integer(
+            self.m, "m", 2, error=DimensionMismatch,
+            say=f"{self.kind} model needs m >= 2, got {{x}}"))
 
     @property
     def dim(self) -> int:
@@ -279,7 +278,7 @@ class _UnitDiagonal(Model):
 
     @classmethod
     def from_json(cls, obj):
-        return cls(_json_field(obj, "m", "an integer", _is_int))
+        return cls(_json_field(obj, "m", "an integer", _is_integer))
 
 
 @dataclass(frozen=True)
@@ -355,19 +354,25 @@ class CiUnion(Model):
         return (abs(A[0, 2]) <= tol
                 and min(abs(A[0, 1]), abs(A[1, 2])) <= tol)
 
+    @staticmethod
+    def _side(A) -> int:
+        """The component of ``A``, decided here alone: 1 if |sigma_12| <=
+        |sigma_23|, else 2; 0 if both are at most ``SINGULAR_TOL``."""
+        x, z = abs(A[0, 1]), abs(A[1, 2])
+        if min(x, z) > MODEL_TOL * max(1.0, float(A.diagonal().max())):
+            raise InvalidModel("Sigma lies in neither component of the union")
+        return 0 if max(x, z) <= SINGULAR_TOL else 1 if x <= z else 2
+
     def tangent_basis(self, A):
-        in_one = abs(A[0, 1]) <= SINGULAR_TOL   # sigma_12 = 0
-        in_two = abs(A[1, 2]) <= SINGULAR_TOL   # sigma_23 = 0
-        if in_one and in_two:
+        side = self._side(A)
+        if not side:
             raise SingularPoint(
                 "diagonal covariances are singular points of the union")
-        if in_one:
+        if side == 1:
             return [_diag_unit(0, 3), _diag_unit(1, 3),
                     _offdiag_unit(1, 2, 3), _diag_unit(2, 3)]
-        if in_two:
-            return [_diag_unit(0, 3), _offdiag_unit(0, 1, 3),
-                    _diag_unit(1, 3), _diag_unit(2, 3)]
-        raise InvalidModel("Sigma lies in neither component of the union")
+        return [_diag_unit(0, 3), _offdiag_unit(0, 1, 3),
+                _diag_unit(1, 3), _diag_unit(2, 3)]
 
     def critical_points(self, A, opts):
         from .mle import CriticalPoint, _sorted_points
@@ -381,7 +386,8 @@ class CiUnion(Model):
                              source="closed-form")
                for Sigma in (one, two) if _is_pd(Sigma)]
         # the two planes meet in the diagonals; drop duplicates there
-        if len(pts) == 2 and float(np.abs(pts[0].sigma - pts[1].sigma).max()) <= 1e-12:
+        gap = 1e-12 * float(A.diagonal().max())
+        if len(pts) == 2 and np.abs(pts[0].sigma - pts[1].sigma).max() <= gap:
             pts = pts[:1]
         return _sorted_points(pts)
 
@@ -408,10 +414,11 @@ class SemParams:
         if L.shape != (m, m):
             raise ShapeMismatch(
                 f"Lambda shape {L.shape} does not match omega length {m}")
-        if np.any(om <= 0):
-            raise OutOfRange("error variances must be positive")
-        if np.abs(np.tril(L)).max() > 0:
-            raise ShapeMismatch("Lambda must be strictly upper triangular")
+        if not np.all((om > 0) & (om < np.inf)):
+            raise OutOfRange("error variances must be positive and finite")
+        if not np.isfinite(L).all() or np.abs(np.tril(L)).max() > 0:
+            raise ShapeMismatch(
+                "Lambda must be finite and strictly upper triangular")
         object.__setattr__(self, "omega", om)
         object.__setattr__(self, "Lambda", L)
 
@@ -461,14 +468,12 @@ def trek_covariance(dag: Digraph, params: DagParams) -> np.ndarray:
     and Draisma, *Trek separation*, 2010), without listing treks.
     """
     m = dag.m
-    a = tuple(float(x) for x in params.a)
+    a = tuple(_positive(x, "diagonal parameters") for x in params.a)
     if len(a) != m:
         raise ShapeMismatch(f"expected {m} diagonal parameters, got {len(a)}")
-    if any(x <= 0 for x in a):
-        raise OutOfRange("diagonal parameters must be positive")
     lam = {tuple(k): float(v) for k, v in params.lam.items()}
-    if set(lam) != set(dag.arcs):
-        raise ShapeMismatch("arc weights must cover exactly the arcs of the DAG")
+    if set(lam) != set(dag.arcs) or not np.isfinite([*lam.values()]).all():
+        raise ShapeMismatch("arc weights must be finite, one per DAG arc")
     S = np.diag(a)
     for j in range(1, m + 1):
         pa = dag.parents(j)

@@ -28,7 +28,7 @@ import numpy as np
 from .core import _fits, _is_pd, _loglik, _matrix, _unit_scale, \
     check_symmetric, embed, pd_mask, principal_submatrix, sym_to_json
 from .errors import NotOnSlice, NotPD, PreconditionFailed, \
-    SamplingExhausted, _integer, _positive
+    SamplingExhausted, _integer, _positive, _real
 from .graphs import Graph, find_reducible_decomposition, induced_subgraph
 from .mle import SolverOptions, CriticalPoint, _frame_residual, \
     _tangent_frame
@@ -233,8 +233,7 @@ def cell_membership(model, Sigma, S, opts: Optional[SolverOptions] = None
     best_effort = model.best_effort
     points = model.critical_points(Ss, opts or SolverOptions())
     base_ll = _loglik(Sg, Ss)
-    others = [cp for cp in points    # Sigma itself, up to 1e-6 of its scale
-              if np.abs(cp.sigma - Sg).max() > 1e-6 * Sg.diagonal().max()]
+    others = [cp for cp in points if not _same_point(cp.sigma, Sg)]
     if not others:
         return MembershipVerdict(status=IN_CELL, best_effort=best_effort)
     best = others[0]          # points are sorted by descending log-likelihood
@@ -244,6 +243,12 @@ def cell_membership(model, Sigma, S, opts: Optional[SolverOptions] = None
                                  best_effort=best_effort)
     return MembershipVerdict(status=IN_SPECTRAHEDRON_NOT_CELL, witness=best,
                              margin=margin, best_effort=best_effort)
+
+
+def _same_point(P: np.ndarray, Sg: np.ndarray) -> bool:
+    """Is the critical point ``P`` the point ``Sg`` itself, up to 1e-6
+    of the largest diagonal entry of ``Sg``?"""
+    return bool(np.abs(P - Sg).max() <= 1e-6 * Sg.diagonal().max())
 
 
 def _equi_half_trace(m: int, c: float, b):
@@ -281,7 +286,7 @@ def bivariate_cell(c: float, S) -> bool:
     ``c > 0``, ``b <= 0`` for ``c < 0`` -- and by ``a >= 1/2`` for the
     diagonal point ``c = 0``.
     """
-    c = float(c)
+    c = _real(c, "c")
     A, a, b, _ = _equi_slice(2, c, S)
     if not _is_pd(A):
         raise NotOnSlice("S is not positive definite")
@@ -305,7 +310,7 @@ def equicorrelation_cell(m: int, c: float, S) -> bool:
     :func:`bivariate_cell`.
     """
     model = Equicorrelation(m)
-    c = float(c)
+    c = _real(c, "c")
     A, a, _, Sbar = _equi_slice(model.m, c, S)
     if not _is_pd(A):
         return False
@@ -353,7 +358,10 @@ def ci_union_cell(Sigma, S) -> bool:
             raise NotOnSlice(
                 f"S[{i + 1},{j + 1}] is not pinned to Sigma on the slice")
     if side:
-        return _is_pd(Ss) and _ci_union_strip(Sg, Ss)
+        # outside the strip the other component's critical point of S
+        # wins, unless it is Sigma itself, as cell_membership counts it
+        return _is_pd(Ss) and (_ci_union_strip(Sg, Ss) or _same_point(
+            CiUnion._planes(Ss)[2 - side], Sg))
     # singular (diagonal) point: x = S_12, y = S_13, z = S_23 free.
     # The pair of conditions does not imply that S itself is positive
     # definite (e.g. x = z = 0.9, y = 0 on the identity), so the

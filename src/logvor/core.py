@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, NotPD, \
-    ShapeMismatch, _brief, _integer, _is_integer
+    ShapeMismatch, _brief, _integer, _is_integer, _members
 
 #: Pivot tolerance of the positive-definiteness test, relative to the
 #: largest diagonal entry.
@@ -96,30 +96,29 @@ def pd_mask(M) -> np.ndarray:
     rule, run on all matrices at once.  Rows with a non-finite entry,
     or with an entry larger in magnitude than their largest diagonal
     entry, are ``False``.  The input is trusted to be symmetric and is not
-    validated; a row is reset to the identity as soon as it fails, so
-    no pivot of a rejected row is ever divided by.
+    validated.  All rows are eliminated in one pass, rejected ones too:
+    a row's pivots and updates touch no other row, and a row that has
+    failed stays failed whatever its later pivots (zero, infinite or
+    NaN, silently), so every verdict is the single-matrix one.
     """
-    A = np.array(M, dtype=float)
-    m = A.shape[-1]
-    eye = np.eye(m)
-    dmax = np.diagonal(A, axis1=1, axis2=2).max(axis=1)
+    # entry (i, j) of every row in one contiguous vector, for the
+    # elementwise steps; the results are those of any other layout
+    A = np.array(np.asarray(M, dtype=float).transpose(1, 2, 0), order="C")
+    m = len(A)
+    dmax = np.diagonal(A).max(axis=1)
     far = (dmax < 1.0 / _HUGE) | (dmax >= _HUGE)
     if far.any():
         e = np.frexp(dmax[far])[1]
-        A[far] = np.ldexp(A[far], -e[:, None, None])
+        A[:, :, far] = np.ldexp(A[:, :, far], -e)
         dmax[far] = np.ldexp(dmax[far], -e)
-    ok = (np.abs(A).max(axis=(1, 2)) <= dmax) & (0.0 < dmax) & (dmax < np.inf)
-    A[~ok] = eye
+    ok = (np.abs(A).max(axis=(0, 1)) <= dmax) & (0.0 < dmax) & (dmax < np.inf)
     thresh = PD_PIVOT_RTOL * dmax
-    for k in range(m):
-        fail = ok & ~(A[:, k, k] > thresh)
-        if fail.any():
-            ok &= ~fail
-            A[fail] = eye
-        v = A[:, k + 1:, k]
-        A[:, k + 1:, k + 1:] -= v[:, :, None] * v[:, None, :] \
-            / A[:, k, k, None, None]
-    return ok
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(m - 1):
+            ok &= A[k, k] > thresh
+            v = A[k + 1:, k]
+            A[k + 1:, k + 1:] -= v[:, None] * v / A[k, k]
+    return ok & (A[m - 1, m - 1] > thresh)
 
 
 def log_likelihood(Sigma, S) -> float:
@@ -193,12 +192,14 @@ def _score(K: np.ndarray, Ss: np.ndarray) -> np.ndarray:
     return (G + G.T) / 2.0
 
 
-def _as_index(I: Iterable[int], m: int) -> list[int]:
-    """1-based index collection -> validated 0-based list, order preserved.
+def _as_index(I: Iterable[int], m: int, name: str) -> list[int]:
+    """1-based index collection ``name`` -> validated 0-based list, order
+    preserved.
 
     Unordered collections (set/frozenset) are sorted ascending.
     """
-    out = [_integer(i, "index", 1, m, IndexOutOfRange) - 1 for i in I]
+    out = [_integer(i, "index", 1, m, IndexOutOfRange) - 1
+           for i in _members(I, name)]
     if isinstance(I, (set, frozenset)):
         out.sort()
     if len(set(out)) != len(out):
@@ -220,7 +221,7 @@ def embed(B, rows: Iterable[int], cols: Iterable[int], m: int) -> np.ndarray:
     if A.ndim != 2:
         raise ShapeMismatch(f"block must be 2-d, got shape {A.shape}")
     m = _integer(m, "m", 1)
-    r, c = _as_index(rows, m), _as_index(cols, m)
+    r, c = _as_index(rows, m, "rows"), _as_index(cols, m, "cols")
     if A.shape != (len(r), len(c)):
         raise ShapeMismatch(
             f"block shape {A.shape} does not match index sets "
@@ -235,7 +236,7 @@ def principal_submatrix(M, I: Iterable[int]) -> np.ndarray:
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {A.shape}")
-    idx = _as_index(I, A.shape[0])
+    idx = _as_index(I, A.shape[0], "I")
     return A[np.ix_(idx, idx)].copy()
 
 

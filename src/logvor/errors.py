@@ -5,6 +5,7 @@ exits 2); any other :class:`LogvorError` is a failed computation (exit 3).
 """
 
 import math
+import numbers
 import operator
 
 
@@ -118,6 +119,31 @@ def _positive(x, name: str) -> float:
     try:
         if not isinstance(x, bool) and 0.0 < x < math.inf:
             return float(x)
-    except (TypeError, ValueError):     # a string, None, an array
+    except (TypeError, ValueError,      # a string, None, an array
+            OverflowError):             # an int beyond the largest double
         pass
     raise OutOfRange(f"{name} must be positive and finite")
+
+
+def _real(x, name: str) -> float:
+    """``x`` as a float: :class:`InvalidModel` unless it is a real number
+    (a :class:`numbers.Real`, such as an int, a float or a numpy scalar,
+    but no bool), :class:`OutOfRange` if it is beyond the largest double.
+    Whether it may be infinite or NaN is left to the caller."""
+    # a float passes the first, fast test of the tuple
+    if isinstance(x, bool) or not isinstance(x, (float, numbers.Real)):
+        raise InvalidModel(f"{name} must be a real number, got {_brief(x)}")
+    try:
+        return float(x)
+    except OverflowError:               # an int or a fraction beyond 2^1024
+        raise OutOfRange(f"{name} is beyond the largest double") from None
+
+
+def _members(x, name: str) -> list:
+    """The items of the collection ``x``; :class:`InvalidModel` naming
+    ``name`` unless ``x`` can be iterated over."""
+    try:
+        return list(x)
+    except TypeError:
+        raise InvalidModel(f"{name} must be a collection of integers, got "
+                           f"{_brief(x)}") from None

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import IndexOutOfRange, InvalidModel, NotTopological, \
-    _brief, _integer
+    _brief, _integer, _members
 
 
 def _check_pairs(graph, field: str) -> None:
@@ -233,7 +233,7 @@ def find_reducible_decomposition(G: Graph) -> Optional[Decomposition]:
 def induced_subgraph(G: Graph, vertices: Iterable[int]) -> Graph:
     """Induced subgraph on ``vertices``, relabelled 1..k in sorted order."""
     vs = sorted({_integer(v, "vertex", 1, G.m, IndexOutOfRange)
-                 for v in vertices})
+                 for v in _members(vertices, "vertices")})
     relabel = {v: k + 1 for k, v in enumerate(vs)}
     edges = {(relabel[i], relabel[j]) for i, j in G.edges
              if i in relabel and j in relabel}

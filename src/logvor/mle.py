@@ -29,6 +29,7 @@ from .errors import (
     NotChordal,
     OutOfRange,
     _integer,
+    _real,
 )
 from .graphs import Graph, adjacency, is_chordal
 from .models import Equicorrelation, SemParams, _Concentration, _sem_fit, \
@@ -103,6 +104,7 @@ def equicorrelation_cubic(m: int, a: float, b: float) -> tuple[float, float, flo
     bivariate critical cubic ``x^3 - b x^2 - (1-2a) x - b``.
     """
     m = Equicorrelation(m).m            # checks m >= 2
+    a, b = _real(a, "a"), _real(b, "b")
     return (float(m - 1),
             float((m - 2) * (a - 1.0) - (m - 1) * b),
             float(2.0 * a - 1.0),
@@ -117,10 +119,13 @@ def bivariate_discriminant(a: float, b: float) -> float:
     sign determines the number of real critical correlation values:
     positive means three distinct real roots, negative means one.
     """
-    a = float(a)
-    b = float(b)
-    return -4.0 * (b ** 4 - (a * a + 8.0 * a - 11.0) * b ** 2
-                   + (2.0 * a - 1.0) ** 3)
+    a, b = _real(a, "a"), _real(b, "b")
+    try:
+        return -4.0 * (b ** 4 - (a * a + 8.0 * a - 11.0) * b ** 2
+                       + (2.0 * a - 1.0) ** 3)
+    except OverflowError:               # a float power beyond the largest double
+        raise OutOfRange("a and b give a discriminant too large for a "
+                         "double") from None
 
 
 def cubic_roots_in_interval(c3: float, c2: float, c1: float, c0: float,
@@ -129,11 +134,17 @@ def cubic_roots_in_interval(c3: float, c2: float, c1: float, c0: float,
 
     Roots are the eigenvalues of the companion matrix, polished by one
     Newton step, deduplicated at 1e-10 and returned sorted ascending.
+    The companion matrix holds ``c2 / c3``, ``c1 / c3`` and ``c0 / c3``;
+    unless ``c3`` and these are finite, :class:`OutOfRange` is raised.
     """
-    if not all(map(math.isfinite, (c3, c2, c1, c0))):
-        raise OutOfRange("cubic coefficients must be finite")
+    c3, c2, c1, c0, lo, hi = map(_real, (c3, c2, c1, c0, lo, hi),
+                                 ("c3", "c2", "c1", "c0", "lo", "hi"))
     if c3 == 0.0:
         raise DegenerateLeadingCoefficient("leading coefficient is zero")
+    if not (math.isfinite(c3)
+            and all(math.isfinite(c / c3) for c in (c2, c1, c0))):
+        raise OutOfRange("cubic coefficients must be finite, and c2 / c3, "
+                         "c1 / c3 and c0 / c3 within the largest double")
 
     def p(x):
         return ((c3 * x + c2) * x + c1) * x + c0
@@ -396,6 +407,10 @@ class _CorrChart:
 #: grouped into the blocks that are tested together.  Nearly every row
 #: takes the full step, and a row that backtracks deep reaches its step
 #: in four batched evaluations instead of up to fifteen sequential ones.
+#: A row whose last step came from the last block (at most 2^-7) is
+#: crawling and will most likely backtrack as deep again: it tests all
+#: fifteen steps in the first evaluation, beside the other rows' full
+#: steps, so it costs one evaluation rather than four.
 #: A row that needs a step below 2^-14 is dropped as stalled.  A row
 #: that keeps needing such steps covers under 0.3 % of its Newton step
 #: in the default 100 iterations, and each of them cost a full deep
@@ -456,15 +471,22 @@ def _corr_residuals(chart: _CorrChart, S: np.ndarray, Sig: np.ndarray):
 def _corr_candidates(chart: _CorrChart, S: np.ndarray, X: np.ndarray):
     """The largest absolute residual of each parameter row of ``X`` and
     its ``K``, ``W`` and ``F`` of :func:`_corr_residuals`, in row chunks.
-    A row that fails :func:`pd_mask` has residual inf and NaN arrays."""
+    A row that fails :func:`pd_mask` has residual inf and NaN arrays.
+    When ``X`` is one chunk and every row passes, the arrays of
+    :func:`_corr_residuals` are returned as they are."""
     n, m = len(X), chart.m
     rows = max(1, _CHUNK_ENTRIES // (m * m))
-    rc = np.full(n, np.inf)
-    K, W = np.full((2, n, m, m), np.nan)
-    F = np.full((n, chart.p), np.nan)
     for lo in range(0, n, rows):
         Sig = chart.matrices(X[lo:lo + rows])
-        ok = lo + np.flatnonzero(pd_mask(Sig))
+        ok = pd_mask(Sig)
+        if lo == 0:
+            if len(Sig) == n and ok.all():
+                K, W, F = _corr_residuals(chart, S, Sig)
+                return np.abs(F).max(axis=1), K, W, F
+            rc = np.full(n, np.inf)
+            K, W = np.full((2, n, m, m), np.nan)
+            F = np.full((n, chart.p), np.nan)
+        ok = lo + np.flatnonzero(ok)
         if ok.size:
             res = _corr_residuals(chart, S, Sig[ok - lo])
             K[ok], W[ok], F[ok] = res
@@ -507,7 +529,8 @@ def _newton_directions(chart: _CorrChart, K: np.ndarray, W: np.ndarray,
 
 
 def _line_search(x: np.ndarray, delta: np.ndarray, rnorm: np.ndarray,
-                 evaluate) -> tuple[np.ndarray, np.ndarray, list]:
+                 last: np.ndarray, evaluate
+                 ) -> tuple[np.ndarray, np.ndarray, list]:
     """Backtracking along each row's Newton step.
 
     ``evaluate(X)`` returns the residual norms ``rc`` of the rows of
@@ -516,33 +539,46 @@ def _line_search(x: np.ndarray, delta: np.ndarray, rnorm: np.ndarray,
     ``rc(x_r + t delta_r) <= (1 - 1e-4 t) rnorm_r``, exactly as a loop
     that halves ``t`` fifteen times would.  The steps are tested in the
     blocks of ``_STEP_BLOCKS``: every row still searching evaluates all
-    steps of the next block in one batched call.  Returns the steps
-    taken (0 where none of at least 2^-14 passed), the new rows
-    (unchanged where none passed) and the values of ``evaluate`` at
-    them (NaN where none passed).  The 2^-14 floor ends the search for
-    rows that crawl; see ``_STEP_BLOCKS``.
+    steps of the next block in one batched call.  A row whose ``last``
+    step was at most 2^-7 tests all fifteen steps in the first call,
+    together with the other rows' full steps.  Returns the steps taken
+    (0 where none of at least 2^-14 passed), the new rows (unchanged
+    where none passed) and the values of ``evaluate`` at them (NaN where
+    none passed).  The 2^-14 floor ends the search for rows that crawl;
+    see ``_STEP_BLOCKS``.
     """
     n, p = x.shape
     steps = np.zeros(n)
     x_new = x.copy()
     carry = None
-    rem = np.arange(n)
+    deep = last <= _STEP_BLOCKS[-1][0]
+    rem = np.flatnonzero(~deep)
+    crawl = [(np.flatnonzero(deep), np.concatenate(_STEP_BLOCKS))]
     for ts in _STEP_BLOCKS:
-        if rem.size == 0:
+        # the (rows, steps) of this call, each row tested at each step
+        groups = [(r, t) for r, t in crawl + [(rem, ts)] if r.size]
+        if not groups:
             break
-        cand = x[rem, None, :] + ts[:, None] * delta[rem, None, :]
-        rc, *values = evaluate(cand.reshape(-1, p))
-        good = (rc.reshape(rem.size, ts.size)
-                <= (1.0 - 1e-4 * ts) * rnorm[rem, None])
-        hit = good.any(axis=1)
-        first = good[hit].argmax(axis=1)
+        cands = [x[r, None, :] + t[:, None] * delta[r, None, :]
+                 for r, t in groups]
+        rc, *values = evaluate(np.concatenate(
+            [c.reshape(-1, p) for c in cands]))
         if carry is None:
             carry = [np.full((n,) + v.shape[1:], np.nan) for v in values]
-        for c, v in zip(carry, values):
-            c[rem[hit]] = v[np.flatnonzero(hit) * ts.size + first]
-        x_new[rem[hit]] = cand[hit, first]
-        steps[rem[hit]] = ts[first]
-        rem = rem[~hit]
+        off = 0
+        for (r, t), cand in zip(groups, cands):
+            good = (rc[off:off + r.size * t.size].reshape(r.size, t.size)
+                    <= (1.0 - 1e-4 * t) * rnorm[r, None])
+            hit = good.any(axis=1)
+            first = good[hit].argmax(axis=1)
+            pick = off + np.flatnonzero(hit) * t.size + first
+            for c, v in zip(carry, values):
+                c[r[hit]] = v[pick]
+            x_new[r[hit]] = cand[hit, first]
+            steps[r[hit]] = t[first]
+            off += good.size
+        rem = rem[steps[rem] == 0.0]
+        crawl = []
         del values                          # free before the next evaluation
     return steps, x_new, carry
 
@@ -564,7 +600,10 @@ def _correlation_multistart(m: int, S: np.ndarray,
     iteration computes the exact Jacobians and their solves with a few
     batched calls, then runs the blocked backtracking of
     :func:`_line_search`, in which a candidate must pass :func:`pd_mask`
-    and reduce the largest residual.  Each iterate is evaluated once:
+    and reduce the largest residual.  Each start's last step is kept, so
+    a start that crawled at its last iteration (a step of at most 2^-7)
+    tests all of its steps in the first batched call of the next line
+    search, and takes the same step.  Each iterate is evaluated once:
     the line search keeps ``K``, ``W = K S K`` and the residual of the
     candidates it tests (memory: see ``_CHUNK_ENTRIES``), and those of
     the accepted one feed the next Newton step.  Starts whose line
@@ -584,21 +623,24 @@ def _correlation_multistart(m: int, S: np.ndarray,
     tol = MULTISTART_TOL * max(1.0, float(np.abs(S).max()))
 
     idx = np.arange(len(x))
+    steps = np.ones(len(x))                 # each start's last step taken
     K, W, F = _corr_residuals(chart, S, chart.matrices(x))
     converged = np.zeros(len(x), dtype=bool)
     for _ in range(MULTISTART_MAX_ITER):
         rnorm = np.abs(F).max(axis=1)
         done = rnorm < tol
         converged[idx[done]] = True
-        idx, K, W, F, rnorm = (a[~done] for a in (idx, K, W, F, rnorm))
+        idx, K, W, F, rnorm, steps = (a[~done] for a in
+                                      (idx, K, W, F, rnorm, steps))
         if idx.size == 0:
             break
         delta = _newton_directions(chart, K, W, F)
         del K, W, F                         # the line search makes new ones
         steps, x[idx], (K, W, F) = _line_search(
-            x[idx], delta, rnorm, lambda X: _corr_candidates(chart, S, X))
+            x[idx], delta, rnorm, steps,
+            lambda X: _corr_candidates(chart, S, X))
         moved = steps != 0.0                # stalled starts are dropped
-        idx, K, W, F = (a[moved] for a in (idx, K, W, F))
+        idx, K, W, F, steps = (a[moved] for a in (idx, K, W, F, steps))
 
     # dedup in lexicographic order: keep the first row, drop all within 1e-6
     sols = x[converged]

@@ -31,6 +31,7 @@ from .errors import (
     _integer,
     _is_integer,
     _positive,
+    _real,
 )
 from .graphs import Digraph, Graph, is_chordal
 
@@ -374,17 +375,23 @@ class CiUnion(Model):
         return [_diag_unit(0, 3), _offdiag_unit(0, 1, 3),
                 _diag_unit(1, 3), _diag_unit(2, 3)]
 
-    def critical_points(self, A, opts):
-        from .mle import CriticalPoint, _sorted_points
+    @staticmethod
+    def _planes(A) -> tuple:
+        """The critical points of ``A`` on components one and two, PD
+        or not: ``A`` with the entries off the component set to zero."""
         one = np.array([[A[0, 0], 0.0, 0.0],
                         [0.0, A[1, 1], A[1, 2]],
                         [0.0, A[1, 2], A[2, 2]]])
         two = np.array([[A[0, 0], A[0, 1], 0.0],
                         [A[0, 1], A[1, 1], 0.0],
                         [0.0, 0.0, A[2, 2]]])
+        return one, two
+
+    def critical_points(self, A, opts):
+        from .mle import CriticalPoint, _sorted_points
         pts = [CriticalPoint(sigma=Sigma, loglik=_loglik(Sigma, A),
                              source="closed-form")
-               for Sigma in (one, two) if _is_pd(Sigma)]
+               for Sigma in self._planes(A) if _is_pd(Sigma)]
         # the two planes meet in the diagonals; drop duplicates there
         gap = 1e-12 * float(A.diagonal().max())
         if len(pts) == 2 and np.abs(pts[0].sigma - pts[1].sigma).max() <= gap:
@@ -471,15 +478,25 @@ def trek_covariance(dag: Digraph, params: DagParams) -> np.ndarray:
     a = tuple(_positive(x, "diagonal parameters") for x in params.a)
     if len(a) != m:
         raise ShapeMismatch(f"expected {m} diagonal parameters, got {len(a)}")
-    lam = {tuple(k): float(v) for k, v in params.lam.items()}
+    lam = {tuple(k): _real(v, "arc weight") for k, v in params.lam.items()}
     if set(lam) != set(dag.arcs) or not np.isfinite([*lam.values()]).all():
         raise ShapeMismatch("arc weights must be finite, one per DAG arc")
     S = np.diag(a)
-    for j in range(1, m + 1):
-        pa = dag.parents(j)
-        if pa:
-            col = S[:j - 1, [p - 1 for p in pa]] @ [lam[p, j] for p in pa]
-            S[:j - 1, j - 1] = S[j - 1, :j - 1] = col
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, m + 1):
+            pa = dag.parents(j)
+            if pa:
+                col = S[:j - 1, [p - 1 for p in pa]] @ [lam[p, j] for p in pa]
+                S[:j - 1, j - 1] = S[j - 1, :j - 1] = col
+    return _finite(S)
+
+
+def _finite(S: np.ndarray) -> np.ndarray:
+    """The covariance ``S`` built from ``params``; :class:`OutOfRange`
+    when an entry overflowed (in :func:`sem_covariance` also one of
+    2^1023 or more, which the symmetrisation doubles)."""
+    if not np.isfinite(S).all():
+        raise OutOfRange("params give a covariance too large for a double")
     return S
 
 
@@ -494,9 +511,10 @@ def sem_covariance(dag: Digraph, params: SemParams) -> np.ndarray:
     support = {(i + 1, j + 1) for i, j in zip(*np.nonzero(L))}
     if not support <= set(dag.arcs):
         raise ShapeMismatch("Lambda has entries off the arcs of the DAG")
-    M = np.linalg.inv(np.eye(m) - L)
-    S = M.T @ np.diag(params.omega) @ M
-    return (S + S.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = np.linalg.inv(np.eye(m) - L)
+        S = M.T @ np.diag(params.omega) @ M
+        return _finite((S + S.T) / 2.0)
 
 
 def sem_fit(dag: Digraph, S) -> SemParams:
@@ -547,7 +565,7 @@ def equicorrelation_matrix(m: int, x: float) -> np.ndarray:
     that open interval raise :class:`OutOfRange`.
     """
     m = Equicorrelation(m).m            # checks m >= 2
-    x = float(x)
+    x = _real(x, "x")
     if not -1.0 / (m - 1) < x < 1.0:
         raise OutOfRange(
             f"{x} outside the positive definite interval "

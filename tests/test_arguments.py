@@ -2,7 +2,8 @@
 gives a result or raises a typed :class:`LogvorError`.
 
 Each integer argument (counts, sizes, indices, vertices and seeds) goes
-through one check, and so does each positive real one; they are called
+through one check, and so does each real and each positive real one;
+they are called
 here with ints, bools, floats (NaN and +-inf among them), strings and
 None.  Small ints keep the work of a call small; the huge int is past
 Python's limit for printing one.
@@ -16,12 +17,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from logvor import CiUnion, DagParams, Digraph, DimensionMismatch, \
-    Equicorrelation, Graph, GraphModel, IndexOutOfRange, InvalidModel, \
-    LogvorError, OutOfRange, SemParams, ShapeMismatch, SolverOptions, \
-    UnrestrictedCorrelation, cell_membership, ci_union_cell, \
-    cubic_roots_in_interval, embed, in_spectrahedron, induced_subgraph, \
-    lognormal_basis, model_contains, principal_submatrix, \
-    sample_spectrahedron, sem_covariance, trek_covariance
+    Equicorrelation, Graph, GraphModel, IndexOutOfRange, InputError, \
+    InvalidModel, LogvorError, OutOfRange, SemParams, ShapeMismatch, \
+    SolverOptions, UnrestrictedCorrelation, bivariate_cell, \
+    bivariate_discriminant, cell_membership, ci_union_cell, \
+    cubic_roots_in_interval, embed, equicorrelation_cell, \
+    equicorrelation_cubic, equicorrelation_matrix, in_spectrahedron, \
+    induced_subgraph, lognormal_basis, model_contains, \
+    principal_submatrix, sample_spectrahedron, sem_covariance, \
+    trek_covariance
 
 FUZZ = settings(max_examples=150, deadline=None, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -74,6 +78,20 @@ def test_indices(rows, cols, m):
     result_or_typed_error(embed, np.ones((len(rows), len(cols))), rows, cols,
                           m)
     result_or_typed_error(induced_subgraph, PATH3.graph, rows)
+
+
+@FUZZ
+@given(big_values, big_values)
+def test_reals(x, c):
+    result_or_typed_error(equicorrelation_matrix, 3, x)
+    result_or_typed_error(bivariate_cell, c, np.eye(2))
+    result_or_typed_error(equicorrelation_cell, 3, c, np.eye(3))
+    result_or_typed_error(cubic_roots_in_interval, 1.0, x, c, 0.5, -1.0, 1.0)
+    result_or_typed_error(cubic_roots_in_interval, x, 1.0, 1.0, 1.0, c, 1.0)
+    result_or_typed_error(bivariate_discriminant, x, c)
+    result_or_typed_error(equicorrelation_cubic, 3, x, c)
+    result_or_typed_error(trek_covariance, Digraph(2, [(1, 2)]),
+                          DagParams(a=(1.0, 1.0), lam={(1, 2): x}))
 
 
 @FUZZ
@@ -150,6 +168,43 @@ def test_non_finite_reals_raise_typed_errors(call, error):
         call()
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: principal_submatrix(np.eye(3), 3), "I"),
+    (lambda: embed(np.eye(1), 1, [1], 2), "rows"),
+    (lambda: induced_subgraph(PATH3.graph, 3), "vertices"),
+    (lambda: bivariate_cell("a", np.eye(2)), "c"),
+    (lambda: equicorrelation_cell(3, None, np.eye(3)), "c"),
+    (lambda: equicorrelation_matrix(3, "x"), "x"),
+    (lambda: trek_covariance(Digraph(2, [(1, 2)]),
+                             DagParams(a=(1.0, 1.0), lam={(1, 2): "0.5"})),
+     "arc weight"),
+    (lambda: cubic_roots_in_interval(1.0, "0", 1.0, 1.0, -1.0, 1.0), "c2"),
+    (lambda: bivariate_discriminant(True, 0.5), "a"),
+], ids=["index-int", "rows-int", "vertices-int", "bivariate-c", "equi-c",
+        "equi-x", "arc-weight", "cubic-c2", "discriminant-bool"])
+def test_wrong_types_raise_input_errors_naming_the_argument(call, name):
+    with pytest.raises(InputError, match=f"^{name} must be a "):
+        call()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: trek_covariance(Digraph(2, [(1, 2)]), DagParams(
+        a=(1e200, 1.0), lam={(1, 2): 1e200})), "params"),
+    (lambda: sem_covariance(Digraph(2, [(1, 2)]), SemParams(
+        omega=[1e308, 1.0], Lambda=[[0.0, 1e308], [0.0, 0.0]])), "params"),
+    (lambda: cubic_roots_in_interval(1e-308, 1e308, 1e308, 1e308, -1.0, 1.0),
+     "c3"),
+    (lambda: equicorrelation_matrix(3, HUGE), "x"),
+    (lambda: bivariate_discriminant(0.0, 1e100), "a and b"),
+    (lambda: sample_spectrahedron(PATH3, SIGMA3, 1, radius=HUGE), "radius"),
+], ids=["trek", "sem", "cubic", "huge-int", "discriminant", "huge-radius"])
+def test_overflow_raises_out_of_range(call, name):
+    """Not a numpy warning (an error here), a raw OverflowError or an
+    infinite entry."""
+    with pytest.raises(OutOfRange, match=name):
+        call()
+
+
 # the golden ci-union point, with S_12 = 0.9 so that the sample is on the
 # spectrahedron but not in the cell
 CI_SIGMA = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.7], [0.0, 0.7, 3.0]])
@@ -172,3 +227,16 @@ def test_ci_union_point_near_both_components_has_one():
     assert cell_membership(CiUnion(), Sigma, Sigma).status == "InCell"
     assert in_spectrahedron(CiUnion(), Sigma, Sigma)
     assert lognormal_basis(CiUnion(), Sigma).dimension == 2
+
+
+def test_ci_union_rule_and_enumeration_agree_at_a_near_singular_point():
+    """S = Sigma, whose coupling entries are both within 1e-6 of its
+    scale: the other component's critical point of S counts as Sigma
+    itself, for the closed-form rule as for the enumeration."""
+    Sigma = np.array([[1.0, 2e-10, 0.0], [2e-10, 2.0, 3e-10],
+                      [0.0, 3e-10, 3.0]])
+    assert cell_membership(CiUnion(), Sigma, Sigma).status == "InCell"
+    assert ci_union_cell(Sigma, Sigma)
+    mirrored = Sigma[::-1, ::-1]            # a point of component two
+    assert cell_membership(CiUnion(), mirrored, mirrored).status == "InCell"
+    assert ci_union_cell(mirrored, mirrored)

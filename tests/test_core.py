@@ -148,6 +148,41 @@ class TestPdMask:
         assert pd_mask(np.stack([A, -A, np.eye(2)])).tolist() \
             == [False, False, True]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** 600, 2.0 ** -600])
+    def test_fails_at_each_pivot_position(self, scale):
+        """Rows ``L D L^T`` with L unit lower triangular with entries in
+        {0, +-1/2, +-1} and D powers of two are eliminated exactly, so
+        pivot k is D_k: a zero, negative or too small D_k (2^-45, below
+        1e-12 times the largest diagonal entry unless m = 1) fails there,
+        and the later pivots of that row divide by zero.  Other rows get
+        a NaN or +-inf entry at (k, k) or (k, j).  In one stack with PD
+        rows, at 2^0 and 2^+-600, the batched verdicts equal _is_pd's,
+        without a numpy warning."""
+        rng = np.random.default_rng(15)
+        for m in range(1, 7):
+            mats, want = [], []
+            for k in range(m):
+                for bad in (None, 0.0, -1.0, 2.0 ** -45):
+                    L = np.tril(rng.integers(-2, 3, (m, m)) / 2.0, -1) \
+                        + np.eye(m)
+                    d = np.ldexp(1.0, rng.integers(-3, 4, m))
+                    if bad is not None:
+                        d[k] = bad
+                    A = L * d @ L.T
+                    mats.append(A)
+                    want.append(bool(d.min() > 1e-12 * A.diagonal().max()))
+                for bad in (np.nan, np.inf, -np.inf):
+                    j = int(rng.integers(0, m))
+                    A = np.eye(m)
+                    A[k, j] = A[j, k] = bad
+                    mats.append(A)
+                    want.append(False)
+            M = scale * np.array(mats)
+            verdicts = pd_mask(M).tolist()
+            assert verdicts == [_is_pd(X) for X in M]
+            assert verdicts == want
+
     def test_non_finite_rows_are_not_pd(self):
         M = np.stack([np.eye(3)] * 5)
         M[1, 0, 0] = np.nan

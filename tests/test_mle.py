@@ -679,7 +679,12 @@ class TestBatchedMultistart:
     def test_blocked_line_search_takes_the_sequential_step(self, m):
         """Newton directions from random starts, and random directions
         scaled over six decades so that every block and outright failure
-        occur."""
+        occur; each row's last step is drawn from all fifteen, so that
+        rows flagged deep (last step at most 2^-7) pass at t = 1, pass
+        deep and stall, and some rows start from an infinite residual.
+        The steps are those of the sequential search whatever the last
+        steps, and the flagged rows test all their steps in the first
+        call."""
         rng = np.random.default_rng(90 + m)
         chart = _CorrChart(m)
         S = random_correlation(m, rng) + np.diag(rng.uniform(0.0, 1.0, m))
@@ -694,25 +699,72 @@ class TestBatchedMultistart:
         x = _onion_starts(chart, 600, rng)
         K, W, F = _corr_residuals(chart, S, chart.matrices(x))
         rnorm = np.abs(F).max(axis=1)
+        rnorm[rng.uniform(size=len(x)) < 0.05] = np.inf
         newton = _newton_directions(chart, K, W, F)
         scaled = rng.standard_normal(x.shape) \
             * 10.0 ** rng.uniform(-3.0, 3.0, size=(len(x), 1))
         delta = np.where(rng.uniform(size=(len(x), 1)) < 0.5, newton, scaled)
         t_seq, x_seq = _sequential_line_search(x, delta, rnorm, residual_norm,
                                                halvings=15)
-        t_blk, x_blk, (K, W, F) = _line_search(
-            x, delta, rnorm, lambda X: _corr_candidates(chart, S, X))
-        np.testing.assert_array_equal(t_blk, t_seq)
-        np.testing.assert_array_equal(x_blk, x_seq)
-        # the carried arrays are those of the new rows, bit for bit
-        moved = t_blk > 0
-        for got, want in zip((K, W, F), _corr_residuals(
-                chart, S, chart.matrices(x_blk[moved]))):
-            np.testing.assert_array_equal(got[moved], want)
-            assert np.isnan(got[~moved]).all()
+        last = np.ldexp(1.0, -rng.integers(0, 15, size=len(x)))
+        deep = last <= 2.0 ** -7
+        assert (deep & (t_seq == 1.0)).any() and (deep & (t_seq == 0.0)).any()
+        assert (deep & (t_seq > 0.0) & (t_seq < 1.0)).any()
+        calls = []
+
+        def evaluate(X):
+            calls.append(len(X))
+            return _corr_candidates(chart, S, X)
+
+        for lasts in (np.ones(len(x)), last):
+            calls.clear()
+            t_blk, x_blk, (K, W, F) = _line_search(x, delta, rnorm, lasts,
+                                                   evaluate)
+            np.testing.assert_array_equal(t_blk, t_seq)
+            np.testing.assert_array_equal(x_blk, x_seq)
+            # the carried arrays are those of the new rows, bit for bit;
+            # from an infinite residual the full step is taken also to a
+            # matrix that is not positive definite, which carries NaN
+            live = (t_blk > 0) & pd_mask(chart.matrices(x_blk))
+            np.testing.assert_array_equal(
+                (t_blk > 0) & ~live, (t_blk == 1.0) & (rnorm == np.inf)
+                & ~pd_mask(chart.matrices(x + delta)))
+            for got, want in zip((K, W, F), _corr_residuals(
+                    chart, S, chart.matrices(x_blk[live]))):
+                np.testing.assert_array_equal(got[live], want)
+                assert np.isnan(got[~live]).all()
+            assert len(calls) == 4
         k = np.full(len(x), 15)             # 15: no step passed
         k[t_seq > 0] = -np.log2(t_seq[t_seq > 0]).astype(int)
-        assert set(np.digitize(k, [1, 3, 7, 15])) == {0, 1, 2, 3, 4}
+        assert set(np.digitize(k[~deep], [1, 3, 7, 15])) == {0, 1, 2, 3, 4}
+        # a flagged row tests all fifteen steps in the first call
+        assert calls[0] == 15 * deep.sum() + (~deep).sum()
+
+    def test_crawling_row_costs_one_evaluation(self):
+        """A row whose last step was 2^-10 tests all fifteen steps in
+        one call, whether it passes at the first step, the last or none;
+        a row whose last step was 2^-6 searches block by block."""
+        chart = _CorrChart(3)
+        S = random_correlation(3, np.random.default_rng(96))
+        x, delta = np.zeros((1, 3)), np.ones((1, 3))
+        for floor, want in ((1.0, 1.0), (2.0 ** -14, 2.0 ** -14),
+                            (2.0 ** -15, 0.0)):
+            calls = []
+
+            def evaluate(X):
+                calls.append(len(X))
+                _, *carry = _corr_candidates(chart, S, X)
+                return (np.where(X[:, 0] <= floor, 0.0, np.inf), *carry)
+
+            steps, _, _ = _line_search(x, delta, np.ones(1),
+                                       np.array([2.0 ** -10]), evaluate)
+            np.testing.assert_array_equal(steps, [want])
+            assert calls == [15]
+            calls.clear()
+            steps, _, _ = _line_search(x, delta, np.ones(1),
+                                       np.array([2.0 ** -6]), evaluate)
+            np.testing.assert_array_equal(steps, [want])
+            assert calls == [1] if want == 1.0 else calls == [1, 2, 4, 8]
 
     def test_line_search_stops_at_two_to_the_minus_fourteen(self):
         """Row 0 passes only at t <= 2^-15 and takes no step; row 1
@@ -727,7 +779,8 @@ class TestBatchedMultistart:
             _, *carry = _corr_candidates(chart, S, X)
             return (np.where(X[:, 0] <= 2.0 ** -15, 0.0, np.inf), *carry)
 
-        steps, x_new, carry = _line_search(x, delta, np.ones(2), evaluate)
+        steps, x_new, carry = _line_search(x, delta, np.ones(2),
+                                           np.ones(2), evaluate)
         np.testing.assert_array_equal(steps, [0.0, 2.0 ** -14])
         np.testing.assert_array_equal(x_new, [[0.0] * 3, [2.0 ** -15] * 3])
         for got, want in zip(carry, _corr_residuals(
@@ -749,13 +802,14 @@ class TestBatchedMultistart:
         delta = np.full((1, 3), 2.0)        # off-diagonal 2: not PD
         assert not pd_mask(chart.matrices(x + delta))[0]
         steps, x_new, (K, W, F) = _line_search(x, delta, np.array([np.inf]),
-                                               evaluate)
+                                               np.ones(1), evaluate)
         np.testing.assert_array_equal(steps, [1.0])
         np.testing.assert_array_equal(x_new, x + delta)
         assert np.isnan(K).all() and np.isnan(W).all() and np.isnan(F).all()
         rnorm = np.abs(F).max(axis=1)
         assert not (rnorm < MULTISTART_TOL).any()
-        steps, x_next, _ = _line_search(x_new, -delta / 2.0, rnorm, evaluate)
+        steps, x_next, _ = _line_search(x_new, -delta / 2.0, rnorm,
+                                        np.ones(1), evaluate)
         np.testing.assert_array_equal(steps, [0.0])
         np.testing.assert_array_equal(x_next, x_new)
 

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import _fits, _is_pd, _loglik, _matrix, _unit_scale, \
+from .core import _fits, _is_pd, _loglik, _matrix, _reals, _unit_scale, \
     check_symmetric, embed, pd_mask, principal_submatrix, sym_to_json
 from .errors import NotOnSlice, NotPD, PreconditionFailed, \
     SamplingExhausted, _integer, _positive, _real
@@ -170,10 +170,10 @@ class _Point:
 
 def _point(model, Sigma) -> _Point:
     """The record of ``model`` at ``Sigma``: the one the model keeps when
-    ``np.asarray(Sigma, dtype=float)`` has the shape and bytes of the
+    ``Sigma`` as a float array has the shape and bytes of the
     last point it was asked about, else a new one, which it then keeps.
     A ``Sigma`` that fails a check leaves the kept record as it was."""
-    A = np.asarray(Sigma, dtype=float)
+    A = _reals(Sigma, "Sigma")
     key = (A.shape, A.tobytes())
     point = vars(model).get("_last_point")
     if point is None or point.key != key:

@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -40,21 +41,49 @@ _GRID_RANGE = (2, 1001)
 _Z_MAX = 1e6
 
 
-def _round15(x):
-    """Round floats (recursively) to 15 significant digits for stable
-    output, and write a float that is then not finite as None."""
+def _float(x) -> str:
+    """The float ``x`` in JSON, rounded to 15 significant digits so that
+    repeated runs print the same bytes; null when that is not finite."""
+    x = float(f"{x:.15g}")
+    return repr(x) if math.isfinite(x) else "null"
+
+
+def _json(x, pad: str = "") -> str:
+    """``x`` as ``json.dumps(x, indent=2)`` writes it, on a line that
+    starts with ``pad``, with each float written by :func:`_float`.
+    ``x`` is a report: dicts with string keys, lists, tuples, strings,
+    ints, floats, bools and None.  A list of floats or of ints is
+    written with one join."""
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None:
+        return "null"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
     if isinstance(x, float):
-        x = float(f"{x:.15g}")
-        return x if math.isfinite(x) else None
-    if isinstance(x, dict):
-        return {k: _round15(v) for k, v in x.items()}
+        return _float(x)
+    inner = pad + "  "
     if isinstance(x, (list, tuple)):
-        return [_round15(v) for v in x]
-    return x
+        if not x:
+            return "[]"
+        kinds = set(map(type, x))
+        items = (map(_float, x) if kinds == {float} else
+                 map(int.__repr__, x) if kinds == {int} else
+                 [_json(v, inner) for v in x])
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        return "{\n" + ",\n".join(f"{inner}{_quote(k)}: {_json(v, inner)}"
+                                   for k, v in x.items()) + f"\n{pad}}}"
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON "
+                    "serializable")
 
 
 def _emit(obj) -> None:
-    print(json.dumps(_round15(obj), indent=2, allow_nan=False))
+    print(_json(obj))
 
 
 def _read(path: str, *fields: str) -> tuple:

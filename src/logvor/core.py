@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, NotPD, \
-    ShapeMismatch, _brief, _integer, _is_integer, _members
+    ShapeMismatch, _brief, _integer, _is_integer, _members, _real
 
 #: Pivot tolerance of the positive-definiteness test, relative to the
 #: largest diagonal entry.
@@ -34,13 +34,32 @@ SYMMETRY_RTOL = 1e-8
 _HUGE = 2.0 ** 500
 
 
+def _reals(M, name: str) -> np.ndarray:
+    """The argument ``name`` as a float array.  Its entries must be real
+    numbers as :func:`errors._real` takes them, so a bool, a string or a
+    complex number raises :class:`InvalidModel`, and a number beyond the
+    largest double :class:`OutOfRange`; rows of different lengths raise
+    :class:`ShapeMismatch`."""
+    if type(M) is np.ndarray and M.dtype == float:
+        return M                        # a float array, as most are
+    try:
+        A = np.asarray(M)
+    except ValueError:
+        raise ShapeMismatch(f"{name} has rows of different lengths") from None
+    if A.dtype.kind not in "iuf":       # any other kind is tested entry by entry
+        A = np.array([_real(x, f"an entry of {name}")
+                      for x in A.ravel().tolist()]).reshape(A.shape)
+    return np.asarray(A, dtype=float)
+
+
 def check_symmetric(M) -> np.ndarray:
     """Validate and return a square, finite, symmetric float matrix.
 
     Asymmetries up to ``SYMMETRY_RTOL`` times the largest entry are
-    averaged away; anything larger raises :class:`ShapeMismatch`.
+    averaged away; anything larger raises :class:`ShapeMismatch`.  The
+    entries must be real numbers, as :func:`_reals` checks them.
     """
-    A = np.asarray(M, dtype=float)
+    A = _reals(M, "the matrix")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {A.shape}")
     if A.shape[0] == 0:
@@ -132,8 +151,9 @@ def log_likelihood(Sigma, S) -> float:
 
 def _matrix(M, name: str, dim: Optional[int] = None,
             pd: bool = False) -> np.ndarray:
-    """:func:`_fits` of ``check_symmetric(M)``."""
-    return _fits(check_symmetric(M), name, dim, pd)
+    """:func:`_fits` of ``check_symmetric(M)``, whose entries are
+    checked under the name ``name`` first."""
+    return _fits(check_symmetric(_reals(M, name)), name, dim, pd)
 
 
 def _fits(A: np.ndarray, name: str, dim: Optional[int] = None,
@@ -217,7 +237,7 @@ def embed(B, rows: Iterable[int], cols: Iterable[int], m: int) -> np.ndarray:
     ``rows == cols`` with symmetric ``B``, or add the transposed
     placement themselves).
     """
-    A = np.asarray(B, dtype=float)
+    A = _reals(B, "B")
     if A.ndim != 2:
         raise ShapeMismatch(f"block must be 2-d, got shape {A.shape}")
     m = _integer(m, "m", 1)
@@ -233,7 +253,7 @@ def embed(B, rows: Iterable[int], cols: Iterable[int], m: int) -> np.ndarray:
 
 def principal_submatrix(M, I: Iterable[int]) -> np.ndarray:
     """Submatrix of ``M`` with rows and columns ``I`` (1-based, order preserved)."""
-    A = np.asarray(M, dtype=float)
+    A = _reals(M, "M")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {A.shape}")
     idx = _as_index(I, A.shape[0], "I")
@@ -266,7 +286,10 @@ def _parse_entry(x) -> float:
 def sym_from_json(obj) -> np.ndarray:
     """Decode ``{"dim": m, "upper": [...]}`` into a symmetric matrix.
 
-    ``upper`` lists the upper triangle (diagonal included) row-major.
+    ``upper`` lists the upper triangle (diagonal included) row-major.  A
+    list of plain floats, as ``json`` reads one, is converted in one
+    call; any other entries go through :func:`_parse_entry` one by one,
+    in order, so the first bad one is the one reported.
     """
     if not isinstance(obj, dict) or "dim" not in obj or "upper" not in obj:
         raise ShapeMismatch('symmetric matrix JSON needs "dim" and "upper"')
@@ -279,12 +302,12 @@ def sym_from_json(obj) -> np.ndarray:
         got = len(upper) if isinstance(upper, list) else _brief(upper)
         raise ShapeMismatch(f'"upper" must be a list of {_brief(n)} entries '
                             f"for dim {_brief(m)}, got {got}")
-    A = np.zeros((m, m))
-    pos = 0
-    for i in range(m):
-        for j in range(i, m):
-            A[i, j] = A[j, i] = _parse_entry(upper[pos])
-            pos += 1
+    if set(map(type, upper)) != {float}:
+        upper = [_parse_entry(x) for x in upper]
+    values = np.array(upper, dtype=float)
+    A = np.empty((m, m))
+    iu = np.triu_indices(m)
+    A[iu] = A.T[iu] = values
     return check_symmetric(A)
 
 
@@ -292,6 +315,5 @@ def sym_to_json(M) -> dict:
     """Encode a symmetric matrix as ``{"dim": m, "upper": [...]}``."""
     A = check_symmetric(M)
     m = A.shape[0]
-    upper = [float(A[i, j]) for i in range(m) for j in range(i, m)]
-    return {"dim": m, "upper": upper}
+    return {"dim": m, "upper": A[np.triu_indices(m)].tolist()}
 

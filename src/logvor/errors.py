@@ -139,11 +139,11 @@ def _real(x, name: str) -> float:
         raise OutOfRange(f"{name} is beyond the largest double") from None
 
 
-def _members(x, name: str) -> list:
+def _members(x, name: str, what: str = "integers") -> list:
     """The items of the collection ``x``; :class:`InvalidModel` naming
-    ``name`` unless ``x`` can be iterated over."""
+    ``name`` and the ``what`` it holds unless ``x`` can be iterated over."""
     try:
         return list(x)
     except TypeError:
-        raise InvalidModel(f"{name} must be a collection of integers, got "
+        raise InvalidModel(f"{name} must be a collection of {what}, got "
                            f"{_brief(x)}") from None

@@ -199,7 +199,7 @@ def _concentration_point(model, S: np.ndarray) -> CriticalPoint:
     k = -math.frexp(float(S.diagonal().max()))[1]
     A = np.ldexp(S, k)
     m = model.dim
-    B = np.stack(model.basis)               # (d, m, m)
+    B = model._stack                        # (d, m, m)
     d = B.shape[0]
     Bf = B.reshape(d, -1)
     gram = Bf @ Bf.T
@@ -287,7 +287,11 @@ def mle_graph_decomposable(G: Graph, S) -> CriticalPoint:
 
 def _decomposable_point(G: Graph, A: np.ndarray, order) -> CriticalPoint:
     """:func:`mle_graph_decomposable` on a validated sample and a perfect
-    elimination order of ``G``, at the scale of :func:`_unit_scale`."""
+    elimination order of ``G``, at the scale of :func:`_unit_scale`.  The
+    blocks of one size are inverted in one call (one LAPACK solve per
+    block, as for a single matrix), and every ``w inv(S_block)`` is added
+    into ``K`` in one call, block after block in the order of the
+    weights: each entry gets the sums of a loop over the blocks."""
     m = G.m
     if G.is_complete():
         Sigma = A.copy()
@@ -300,13 +304,20 @@ def _decomposable_point(G: Graph, A: np.ndarray, order) -> CriticalPoint:
             weight[tuple(sorted(pa + (v,)))] += 1
             if pa:
                 weight[pa] -= 1
-        K = np.zeros((m, m))
+        blocks = [(b, w) for b, w in weight.items() if w]
         k, B = _unit_scale(A)
-        for block, w in weight.items():
-            if w:
-                idx = np.ix_([v - 1 for v in block], [v - 1 for v in block])
-                K[idx] += w * np.linalg.inv(B[idx])
-        Sigma = np.ldexp(np.linalg.inv(K), -k)
+        at, terms = [None] * len(blocks), [None] * len(blocks)
+        for size in {len(b) for b, _ in blocks}:
+            ns = [n for n, (b, _) in enumerate(blocks) if len(b) == size]
+            idx = np.array([blocks[n][0] for n in ns]) - 1  # (nb, size)
+            w = np.array([blocks[n][1] for n in ns], dtype=float)
+            inv = np.linalg.inv(B[idx[:, :, None], idx[:, None, :]])
+            flat = idx[:, :, None] * m + idx[:, None, :]
+            for n, f, t in zip(ns, flat, w[:, None, None] * inv):
+                at[n], terms[n] = f.ravel(), t.ravel()
+        K = np.zeros(m * m)
+        np.add.at(K, np.concatenate(at), np.concatenate(terms))
+        Sigma = np.ldexp(np.linalg.inv(K.reshape(m, m)), -k)
         Sigma = (Sigma + Sigma.T) / 2.0
     return _critical_point(Sigma, A, "unique")
 
@@ -341,27 +352,40 @@ def _residual(model, Sg: np.ndarray, Ss: np.ndarray) -> float:
 
 
 def _tangent_frame(model, Sg: np.ndarray) -> tuple:
-    """``K = Sigma^{-1}`` at the model point ``Sg`` and the tangent
-    directions there of nonzero Frobenius norm, each with its norm."""
+    """``(K, T, nrm)`` at the model point ``Sg``: ``K = Sigma^{-1}``, the
+    tangent directions of nonzero Frobenius norm as the rows of one
+    ``(d, m * m)`` array ``T``, and their norms ``nrm``.  Each norm is
+    the square root of one dot product of the row with itself, as
+    :func:`numpy.linalg.norm` takes it."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.linalg.inv(Sg), [
-            (T, nrm) for T in model.tangent_basis(Sg)
-            if (nrm := float(np.linalg.norm(T))) != 0.0]
+        K = np.linalg.inv(Sg)
+        T = np.asarray(model.tangent_basis(Sg), dtype=float)
+        T = T.reshape(len(T), -1)
+        nrm = np.sqrt(T[:, None, :] @ T[:, :, None]).ravel()
+    if np.count_nonzero(nrm) < len(nrm):
+        keep = nrm != 0.0
+        T, nrm = T[keep], nrm[keep]
+    return K, T, nrm
 
 
 def _frame_residual(frame: tuple, Ss: np.ndarray) -> float:
-    """The largest normalised score component of the validated ``Ss``
-    along the directions of a :func:`_tangent_frame`.  A score that
-    overflows gives an infinite or NaN residual, with no warning."""
-    K, directions = frame
-    worst = 0.0
+    """The largest normalised score component ``|tr(score T)| / nrm`` of
+    the validated ``Ss`` over the directions of a :func:`_tangent_frame`,
+    0.0 when it has none.  Each trace is the sum of one contiguous row
+    of ``score * T``, the pairwise sum that :func:`numpy.sum` takes of an
+    ``m x m`` array, formed for a few directions at a time to bound the
+    temporary.  A score that overflows gives an infinite or NaN
+    residual, with no warning; a NaN component wins over any other."""
+    K, T, nrm = frame
+    if not len(T):
+        return 0.0
+    step = max(1, 2 ** 14 // K.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        sc = _score(K, Ss)
-        for T, nrm in directions:
-            x = abs(float(np.sum(sc * T))) / nrm
-            if x > worst or x != x:     # a NaN, once found, is kept
-                worst = x
-    return worst
+        sc = _score(K, Ss).ravel()
+        sums = [np.add.reduce(sc * T[s:s + step], axis=1)
+                for s in range(0, len(T), step)]
+        x = np.abs(np.concatenate(sums) if len(sums) > 1 else sums[0]) / nrm
+        return float(np.maximum.reduce(x))
 
 
 def _critical_point(Sigma: np.ndarray, A: np.ndarray,

@@ -18,7 +18,7 @@ from typing import ClassVar, Mapping
 
 import numpy as np
 
-from .core import _is_pd, _loglik, _matrix, _unit_scale, \
+from .core import _is_pd, _loglik, _matrix, _reals, _unit_scale, \
     check_symmetric, sym_from_json, sym_to_json
 from .errors import (
     DimensionMismatch,
@@ -30,6 +30,7 @@ from .errors import (
     _brief,
     _integer,
     _is_integer,
+    _members,
     _positive,
     _real,
 )
@@ -54,11 +55,11 @@ def _offdiag_unit(i: int, j: int, m: int) -> np.ndarray:
     return E
 
 
-def _read_only(mats) -> tuple[np.ndarray, ...]:
-    """The arrays ``mats``, which the caller owns, made read-only."""
-    for M in mats:
-        M.setflags(write=False)
-    return tuple(mats)
+def _read_only(B: np.ndarray) -> np.ndarray:
+    """The array ``B``, which the caller owns, made read-only: so are the
+    slices taken of it."""
+    B.setflags(write=False)
+    return B
 
 
 def _is_pairs(x) -> bool:
@@ -81,7 +82,8 @@ class Model:
 
     A family sets ``kind`` (its JSON tag), ``dim`` and the two flags, and
     implements ``contains(A, tol)`` (does ``A`` satisfy the model
-    equations within ``tol``?), ``tangent_basis(A)`` at a model point,
+    equations within ``tol``?), ``tangent_basis(A)`` at a model point (a
+    list of ``m x m`` arrays or one ``(d, m, m)`` array),
     ``critical_points(A, opts)`` of a sample, best first, and, where it
     has fields, ``to_json`` and ``from_json``.  The methods take arrays
     that the public functions have validated: symmetric, finite, of
@@ -105,20 +107,31 @@ class Model:
 
 class _Concentration(Model):
     """Shared part of the families whose concentration lies in the span
-    of ``basis``: linear concentration and undirected graphical models."""
+    of ``basis``: linear concentration and undirected graphical models.
+    A family keeps its basis as one read-only ``(d, dim, dim)`` array,
+    ``_stack``, built once; ``basis`` is the tuple of its slices."""
 
     degree_one = True
 
     def contains(self, A, tol):
         K = np.linalg.inv(_unit_scale(A)[1])
         scale = max(1.0, float(np.abs(K).max()))
-        stack = np.stack([B.ravel() for B in self.basis]).T
+        stack = self._stack.reshape(len(self._stack), -1).T
         coeff, *_ = np.linalg.lstsq(stack, K.ravel(), rcond=None)
         resid = float(np.abs(stack @ coeff - K.ravel()).max())
         return resid <= tol * scale
 
     def tangent_basis(self, A):
-        return [-(A @ K @ A) for K in self.basis]
+        """The directions ``-(A B A)``, B in the basis, as one ``(d, m, m)``
+        array: one gemm per product, as for a single matrix, taken for a
+        few directions at a time, so that the temporary ``A B`` stays
+        within 2^14 entries."""
+        B = self._stack
+        T = np.empty(B.shape)
+        step = max(1, 2 ** 14 // A.size)
+        for s in range(0, len(B), step):
+            np.matmul(A @ B[s:s + step], A, out=T[s:s + step])
+        return np.negative(T, out=T)
 
     def critical_points(self, A, opts):
         from .mle import _concentration_point
@@ -135,18 +148,21 @@ class LinearConcentration(_Concentration):
     basis: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        mats = tuple(check_symmetric(K) for K in self.basis)
+        mats = tuple(check_symmetric(_reals(K, "basis"))
+                     for K in self.basis)
         if not mats:
             raise InvalidModel("concentration model needs at least one basis matrix")
         m = mats[0].shape[0]
         if any(K.shape != (m, m) for K in mats):
             raise ShapeMismatch("basis matrices must share one dimension")
-        stack = np.stack([K.ravel() for K in mats])
+        stack = np.stack(mats)
+        flat = stack.reshape(len(mats), -1)
         # exact scaling to a largest entry in [1/2, 1) keeps the SVD finite
-        stack = np.ldexp(stack, -np.frexp(np.abs(stack).max())[1])
-        if np.linalg.matrix_rank(stack) < len(mats):
+        flat = np.ldexp(flat, -np.frexp(np.abs(flat).max())[1])
+        if np.linalg.matrix_rank(flat) < len(mats):
             raise InvalidModel("basis matrices are linearly dependent")
-        object.__setattr__(self, "basis", _read_only(mats))
+        object.__setattr__(self, "_stack", _read_only(stack))
+        object.__setattr__(self, "basis", tuple(self._stack))
 
     @property
     def dim(self) -> int:
@@ -177,8 +193,12 @@ class GraphModel(_Concentration):
         return self.graph.m
 
     @cached_property
-    def basis(self) -> tuple[np.ndarray, ...]:
+    def _stack(self) -> np.ndarray:
         return _read_only(concentration_basis(self.graph))
+
+    @cached_property
+    def basis(self) -> tuple[np.ndarray, ...]:
+        return tuple(self._stack)
 
     def contains(self, A, tol):
         K = np.linalg.inv(_unit_scale(A)[1])
@@ -415,8 +435,8 @@ class SemParams:
     Lambda: np.ndarray
 
     def __post_init__(self):
-        om = np.asarray(self.omega, dtype=float).reshape(-1)
-        L = np.asarray(self.Lambda, dtype=float)
+        om = _reals(self.omega, "omega").reshape(-1)
+        L = _reals(self.Lambda, "Lambda")
         m = om.shape[0]
         if L.shape != (m, m):
             raise ShapeMismatch(
@@ -430,12 +450,16 @@ class SemParams:
         object.__setattr__(self, "Lambda", L)
 
 
-def concentration_basis(G: Graph) -> list[np.ndarray]:
-    """Concentration span of a graph: diagonal units plus one unit per edge."""
+def concentration_basis(G: Graph) -> np.ndarray:
+    """Concentration span of a graph as one ``(d, m, m)`` array: the
+    diagonal units, then one symmetric unit per edge in sorted order."""
     m = G.m
-    basis = [_diag_unit(i, m) for i in range(m)]
-    basis += [_offdiag_unit(i - 1, j - 1, m) for i, j in G.sorted_edges()]
-    return basis
+    pairs = [(v, v) for v in range(1, m + 1)] + G.sorted_edges()
+    i, j = np.array(pairs).T - 1
+    k = np.arange(len(pairs))
+    B = np.zeros((len(pairs), m, m))
+    B[k, i, j] = B[k, j, i] = 1.0
+    return B
 
 
 def model_contains(model, Sigma) -> bool:
@@ -451,7 +475,8 @@ def model_contains(model, Sigma) -> bool:
 
 
 def tangent_basis(model, Sigma) -> list[np.ndarray]:
-    """Basis of the tangent space of the model at the point ``Sigma``.
+    """Basis of the tangent space of the model at the point ``Sigma``, as
+    a list of ``m x m`` arrays.
 
     For concentration-type families the basis is the pushforward
     ``-Sigma K_j Sigma`` of the concentration span; for DAG models the
@@ -460,7 +485,8 @@ def tangent_basis(model, Sigma) -> list[np.ndarray]:
     the correlation families the fixed coordinate directions.  At a
     singular point of a union model :class:`SingularPoint` is raised.
     """
-    return model.tangent_basis(_matrix(Sigma, "Sigma", model.dim, pd=True))
+    return list(model.tangent_basis(_matrix(Sigma, "Sigma", model.dim,
+                                            pd=True)))
 
 
 def trek_covariance(dag: Digraph, params: DagParams) -> np.ndarray:
@@ -475,10 +501,14 @@ def trek_covariance(dag: Digraph, params: DagParams) -> np.ndarray:
     and Draisma, *Trek separation*, 2010), without listing treks.
     """
     m = dag.m
-    a = tuple(_positive(x, "diagonal parameters") for x in params.a)
+    a = tuple(_positive(x, "diagonal parameters")
+              for x in _members(params.a, "params.a", "positive reals"))
     if len(a) != m:
         raise ShapeMismatch(f"expected {m} diagonal parameters, got {len(a)}")
-    lam = {tuple(k): _real(v, "arc weight") for k, v in params.lam.items()}
+    if not isinstance(params.lam, Mapping):
+        raise InvalidModel("params.lam must be a mapping from arcs to "
+                           f"weights, got {_brief(params.lam)}")
+    lam = {k: _real(v, "arc weight") for k, v in params.lam.items()}
     if set(lam) != set(dag.arcs) or not np.isfinite([*lam.values()]).all():
         raise ShapeMismatch("arc weights must be finite, one per DAG arc")
     S = np.diag(a)
@@ -583,7 +613,7 @@ def symmetrize(S) -> tuple[float, float, np.ndarray]:
     full average over the symmetric group produces.  These are the
     statistics of the equicorrelation critical cubic.
     """
-    return _symmetrize(check_symmetric(S))
+    return _symmetrize(_matrix(S, "S"))
 
 
 def _symmetrize(A: np.ndarray) -> tuple[float, float, np.ndarray]:

@@ -10,6 +10,7 @@ Python's limit for printing one.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,10 +21,10 @@ from logvor import CiUnion, DagParams, Digraph, DimensionMismatch, \
     Equicorrelation, Graph, GraphModel, IndexOutOfRange, InputError, \
     InvalidModel, LogvorError, OutOfRange, SemParams, ShapeMismatch, \
     SolverOptions, UnrestrictedCorrelation, bivariate_cell, \
-    bivariate_discriminant, cell_membership, ci_union_cell, \
-    cubic_roots_in_interval, embed, equicorrelation_cell, \
+    bivariate_discriminant, cell_membership, check_symmetric, \
+    ci_union_cell, cubic_roots_in_interval, embed, equicorrelation_cell, \
     equicorrelation_cubic, equicorrelation_matrix, in_spectrahedron, \
-    induced_subgraph, lognormal_basis, model_contains, \
+    induced_subgraph, log_likelihood, lognormal_basis, model_contains, \
     principal_submatrix, sample_spectrahedron, sem_covariance, \
     trek_covariance
 
@@ -92,6 +93,21 @@ def test_reals(x, c):
     result_or_typed_error(equicorrelation_cubic, 3, x, c)
     result_or_typed_error(trek_covariance, Digraph(2, [(1, 2)]),
                           DagParams(a=(1.0, 1.0), lam={(1, 2): x}))
+
+
+@FUZZ
+@given(st.lists(st.lists(big_values | st.complex_numbers(), max_size=3),
+                max_size=3) | big_values,
+       st.sampled_from([(1.0, 1.0), 1.0, None, "ab", [1.0, "x"]]),
+       st.sampled_from([{(1, 2): 0.5}, None, {1: 0.5}, [((1, 2), 0.5)]]))
+def test_matrices_and_dag_params(M, a, lam):
+    """Matrix entries of any type, and trek-rule parameters that are no
+    collection or no mapping."""
+    result_or_typed_error(check_symmetric, M)
+    result_or_typed_error(log_likelihood, M, M)
+    result_or_typed_error(embed, M, [1], [1], 2)
+    result_or_typed_error(trek_covariance, Digraph(2, [(1, 2)]),
+                          DagParams(a=a, lam=lam))
 
 
 @FUZZ
@@ -180,11 +196,31 @@ def test_non_finite_reals_raise_typed_errors(call, error):
      "arc weight"),
     (lambda: cubic_roots_in_interval(1.0, "0", 1.0, 1.0, -1.0, 1.0), "c2"),
     (lambda: bivariate_discriminant(True, 0.5), "a"),
+    (lambda: log_likelihood("a", np.eye(2)), "an entry of Sigma"),
+    # a ComplexWarning, which would drop the imaginary part, is an error here
+    (lambda: check_symmetric([[1, 2j], [2j, 1]]), "an entry of the matrix"),
+    (lambda: embed([[True]], [1], [1], 2), "an entry of B"),
+    (lambda: trek_covariance(Digraph(2, [(1, 2)]),
+                             DagParams(a=1.0, lam={(1, 2): 0.5})), "params.a"),
+    (lambda: trek_covariance(Digraph(2, [(1, 2)]),
+                             DagParams(a=(1.0, 1.0), lam=None)), "params.lam"),
 ], ids=["index-int", "rows-int", "vertices-int", "bivariate-c", "equi-c",
-        "equi-x", "arc-weight", "cubic-c2", "discriminant-bool"])
+        "equi-x", "arc-weight", "cubic-c2", "discriminant-bool",
+        "matrix-string", "matrix-complex", "block-bool", "dag-params-a",
+        "dag-params-lam"])
 def test_wrong_types_raise_input_errors_naming_the_argument(call, name):
     with pytest.raises(InputError, match=f"^{name} must be a "):
         call()
+
+
+def test_matrix_entries_are_real_numbers():
+    """Ragged rows and numbers beyond a double raise typed errors; real
+    numbers of other types, such as fractions, are converted."""
+    with pytest.raises(ShapeMismatch, match="^S has rows of different"):
+        log_likelihood(np.eye(2), [[1.0, 0.0], [0.0]])
+    with pytest.raises(OutOfRange, match="^an entry of Sigma is beyond"):
+        log_likelihood([[10 ** 400]], [[1.0]])
+    assert check_symmetric([[Fraction(1, 3)]])[0, 0] == 1 / 3
 
 
 @pytest.mark.parametrize("call, name", [

@@ -1,0 +1,331 @@
+"""Bit-identity of the bulk graph paths against the loops they replaced.
+
+The tangent frame of a concentration model, the chordal fit, the JSON
+matrix codec and the CLI emitter work on whole stacks and lists.  The
+loops below are the code they replaced, kept here as oracles: every
+result must equal theirs bit for bit (``==`` and ``array_equal``, no
+tolerance), which is what keeps every CLI golden byte-identical.  CI
+runs this file once more with one BLAS thread, as the benchmark does.
+"""
+
+import json
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import random_chordal_graph
+from logvor import Graph, GraphModel, ShapeMismatch, is_chordal
+from logvor.cli import _json
+from logvor.core import _loglik, _parse_entry, _score, _unit_scale, \
+    check_symmetric, sym_from_json, sym_to_json
+from logvor.graphs import adjacency
+from logvor.mle import _decomposable_point, _frame_residual, _tangent_frame
+
+SCALES = (1e-3, 1.0, 1e3)
+
+
+# ----------------------------------------------------------------------
+# the loops, as they were
+
+
+def basis_loop(G):
+    """The diagonal units, then one symmetric unit per sorted edge."""
+    def unit(i, j):
+        E = np.zeros((G.m, G.m))
+        E[i - 1, j - 1] = E[j - 1, i - 1] = 1.0
+        return E
+
+    return [unit(i, i) for i in range(1, G.m + 1)] + [
+        unit(i, j) for i, j in G.sorted_edges()]
+
+
+def frame_loop(model, Sg):
+    """K and the directions ``-(Sg B Sg)`` of nonzero norm, one by one."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.inv(Sg), [
+            (T, nrm) for T in [-(Sg @ B @ Sg) for B in model.basis]
+            if (nrm := float(np.linalg.norm(T))) != 0.0]
+
+
+def frame_residual_loop(frame, Ss):
+    K, directions = frame
+    worst = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        sc = _score(K, Ss)
+        for T, nrm in directions:
+            x = abs(float(np.sum(sc * T))) / nrm
+            if x > worst or x != x:     # a NaN, once found, is kept
+                worst = x
+    return worst
+
+
+def decomposable_loop(G, A, order):
+    """The chordal fit with one inverse and one ``+=`` per block."""
+    m = G.m
+    adj = adjacency(G)
+    pos = {v: k for k, v in enumerate(order)}
+    weight = Counter()
+    for v in order:
+        pa = tuple(sorted(u for u in adj[v] if pos[u] > pos[v]))
+        weight[tuple(sorted(pa + (v,)))] += 1
+        if pa:
+            weight[pa] -= 1
+    K = np.zeros((m, m))
+    k, B = _unit_scale(A)
+    for block, w in weight.items():
+        if w:
+            idx = np.ix_([v - 1 for v in block], [v - 1 for v in block])
+            K[idx] += w * np.linalg.inv(B[idx])
+    Sigma = np.ldexp(np.linalg.inv(K), -k)
+    return (Sigma + Sigma.T) / 2.0
+
+
+def sym_from_json_loop(obj):
+    m, upper = obj["dim"], obj["upper"]
+    A = np.zeros((m, m))
+    pos = 0
+    for i in range(m):
+        for j in range(i, m):
+            A[i, j] = A[j, i] = _parse_entry(upper[pos])
+            pos += 1
+    return check_symmetric(A)
+
+
+def round15(x):
+    if isinstance(x, float):
+        x = float(f"{x:.15g}")
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: round15(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [round15(v) for v in x]
+    return x
+
+
+def emit_oracle(obj):
+    return json.dumps(round15(obj), indent=2, allow_nan=False)
+
+
+# ----------------------------------------------------------------------
+# seeded graphs and their points
+
+
+def path(m, rng):
+    return Graph(m, {(i, i + 1) for i in range(1, m)})
+
+
+def tree(m, rng):
+    return Graph(m, {(int(rng.integers(1, v)), v) for v in range(2, m + 1)})
+
+
+def clique_chain(m, rng):
+    """Cliques of 2 to 6 vertices, each sharing 1 to 3 with the last."""
+    edges, start = set(), 1
+    while True:
+        size = int(rng.integers(2, 7))
+        block = range(start, min(start + size, m + 1))
+        edges |= {(i, j) for i in block for j in block if i < j}
+        if block[-1] == m:
+            return Graph(m, edges)
+        start = max(block[-1] - int(rng.integers(0, 3)), start + 1)
+
+
+def grid(m, rng):
+    c = max(2, m // 4)
+
+    def v(i, j):
+        return i * c + j + 1
+
+    edges = {(v(i, j), v(i + 1, j)) for i in range(3) for j in range(c)}
+    edges |= {(v(i, j), v(i, j + 1)) for i in range(4) for j in range(c - 1)}
+    return Graph(4 * c, edges)
+
+
+def random_graph(m, rng):
+    p = float(rng.uniform(0.05, 0.9))
+    return Graph(m, {(i, j) for i in range(1, m + 1)
+                     for j in range(i + 1, m + 1) if rng.uniform() < p})
+
+
+KINDS = {"path": path, "tree": tree, "clique-chain": clique_chain,
+         "grid": grid, "random": random_graph,
+         "random-chordal": random_chordal_graph}
+
+
+def graph_point(G, rng):
+    """A point of the graph model: the inverse of a diagonally dominant
+    concentration supported on the edges."""
+    K = np.zeros((G.m, G.m))
+    for i, j in G.edges:
+        K[i - 1, j - 1] = K[j - 1, i - 1] = rng.uniform(-1.0, 1.0)
+    K += np.diag(np.abs(K).sum(axis=1) + rng.uniform(0.5, 2.0, G.m))
+    Sigma = np.linalg.inv(K)
+    return (Sigma + Sigma.T) / 2.0
+
+
+def sample(m, rng):
+    X = rng.standard_normal((m, m + 3))
+    return X @ X.T / (m + 3) + 0.1 * np.eye(m)
+
+
+def graphs(kind, count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m = int(rng.integers(2, 46))
+        yield KINDS[kind](m, rng), rng
+
+
+# ----------------------------------------------------------------------
+# tangent frame and residual
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_frame_and_residual_match_the_loop(kind):
+    for G, rng in graphs(kind, 16, seed=len(kind)):
+        model = GraphModel(G)
+        assert np.array_equal(model._stack, basis_loop(G))
+        Sigma, S = graph_point(G, rng), sample(G.m, rng)
+        for scale in SCALES:
+            Sg, Ss = scale * Sigma, scale * S
+            K, T, nrm = _tangent_frame(model, Sg)
+            K0, directions = frame_loop(model, Sg)
+            assert np.array_equal(K, K0)
+            assert len(T) == len(nrm) == len(directions)
+            for t, n, (t0, n0) in zip(T, nrm, directions):
+                assert np.array_equal(t, t0.ravel()) and n == n0
+            frame = (K, T, nrm)
+            assert _frame_residual(frame, Ss) \
+                == frame_residual_loop((K0, directions), Ss)
+            # a score that overflows: infinite or NaN, as the loop says
+            with np.errstate(over="ignore"):
+                huge = 1e305 * Ss
+            got = _frame_residual(frame, huge)
+            want = frame_residual_loop((K0, directions), huge)
+            assert got == want or (got != got and want != want)
+
+
+def test_empty_frame_has_residual_zero():
+    K = np.eye(2)
+    frame = (K, np.empty((0, 4)), np.empty(0))
+    assert _frame_residual(frame, K) == 0.0 == frame_residual_loop((K, []), K)
+
+
+def test_nan_component_wins():
+    """A NaN score component is the residual, wherever it comes."""
+    K = np.eye(2)
+    T = np.stack([np.eye(2), np.ones((2, 2)), np.eye(2)])
+    nrm = np.array([1.0, np.nan, 1e-300])
+    assert math.isnan(_frame_residual((K, T.reshape(3, 4), nrm), 2.0 * K))
+    directions = list(zip(T, nrm.tolist()))
+    assert math.isnan(frame_residual_loop((K, directions), 2.0 * K))
+
+
+# ----------------------------------------------------------------------
+# the chordal fit
+
+
+@pytest.mark.parametrize("kind", ["path", "tree", "clique-chain",
+                                  "random-chordal"])
+def test_chordal_fit_matches_the_loop(kind):
+    fitted = 0
+    for G, rng in graphs(kind, 20, seed=10 + len(kind)):
+        chordal, order = is_chordal(G)
+        if not chordal or G.is_complete():
+            continue
+        for scale in SCALES + (1e-300,):
+            A = scale * sample(G.m, rng)
+            point = _decomposable_point(G, A, order)
+            Sigma = decomposable_loop(G, A, order)
+            assert np.array_equal(point.sigma, Sigma)
+            assert point.loglik == _loglik(Sigma, A)
+        fitted += 1
+    assert fitted >= 3
+
+
+# ----------------------------------------------------------------------
+# the matrix codec
+
+
+def upper_lists(m, rng):
+    """Upper triangles of random symmetric matrices, as floats, with
+    -0.0, subnormals and numbers near the largest double among them."""
+    n = m * (m + 1) // 2
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    x[rng.uniform(size=n) < 0.1] = -0.0
+    x[rng.uniform(size=n) < 0.05] = 5e-324
+    x[rng.uniform(size=n) < 0.05] = np.finfo(float).max
+    return x.tolist()
+
+
+def test_matrix_codec_matches_the_loop():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        m = int(rng.integers(1, 46))
+        doc = {"dim": m, "upper": upper_lists(m, rng)}
+        A = sym_from_json(doc)
+        assert np.array_equal(A, sym_from_json_loop(doc))
+        assert np.array_equal(np.signbit(A), np.signbit(sym_from_json_loop(doc)))
+        upper = sym_to_json(A)["upper"]
+        loop = [float(A[i, j]) for i in range(m) for j in range(i, m)]
+        assert list(map(repr, upper)) == list(map(repr, loop))
+        assert all(type(x) is float for x in upper)
+
+
+@pytest.mark.parametrize("upper", [
+    [1, 0.5, 2], ["1/3", 0.25, "2"], [1.0, True, 2.0], [1.0, "x", None],
+    [1.0, 0.5, "1e400"], [np.float64(1.0), 0.5, 2.0], [1.0, 0.5, math.nan],
+], ids=["ints", "strings", "bool", "first-bad", "too-large", "numpy",
+        "nan"])
+def test_matrix_decoder_on_other_entries_matches_the_loop(upper):
+    """Entries that are not all plain floats give the loop's matrix, or
+    its error with its message."""
+    doc = {"dim": 2, "upper": upper}
+    try:
+        want = sym_from_json_loop(doc)
+    except ShapeMismatch as exc:
+        with pytest.raises(ShapeMismatch) as info:
+            sym_from_json(doc)
+        assert str(info.value) == str(exc)
+    else:
+        assert np.array_equal(sym_from_json(doc), want)
+
+
+# ----------------------------------------------------------------------
+# the CLI emitter
+
+FUZZ = settings(max_examples=300, deadline=None, database=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+floats = st.floats() | st.sampled_from([
+    math.nan, math.inf, -math.inf, -0.0, 1e15, 1e16, 1e-5, 5e-324,
+    123456789012345678.0, np.finfo(float).max, 1.79769313486231e308])
+scalars = (floats | st.integers() | st.booleans() | st.none() | st.text()
+           | st.builds(np.float64, st.floats()))
+reports = st.recursive(
+    scalars | st.lists(floats) | st.lists(st.integers()),
+    lambda kids: (st.lists(kids, max_size=5)
+                  | st.tuples(kids, kids)
+                  | st.dictionaries(st.text(max_size=4), kids, max_size=5)),
+    max_leaves=40)
+
+
+@FUZZ
+@given(reports)
+def test_emitter_writes_the_bytes_of_json_dumps(report):
+    assert _json(report) == emit_oracle(report)
+
+
+@pytest.mark.parametrize("report", [
+    {}, [], {"a": []}, {"a": {}}, [[], {}], {"é": "ü☃"},
+    {"points": [{"sigma": {"dim": 1, "upper": [math.nan]},
+                 "loglik": -math.inf, "source": "unique"}]},
+    {"decomposition": {"U": [1, 2], "T": [2], "W": [2, 3]}},
+    {"decomposition": None, "best_effort": True, "x": [True, False, 0]},
+], ids=["empty-dict", "empty-list", "nested-list", "nested-dict",
+        "empties", "non-ascii", "non-finite", "ints", "mixed"])
+def test_emitter_on_report_shapes(report):
+    assert _json(report) == emit_oracle(report)

@@ -108,14 +108,18 @@ class TestModelConstruction:
             LinearConcentration((np.eye(2),))
 
     def test_basis_arrays_are_read_only(self, path_graph):
-        """A model's basis is a read-only copy: the caller's arrays stay
-        writable, and writing to the model's raises ValueError."""
+        """A model's basis is a read-only copy, kept as one stack whose
+        slices are ``basis``: the caller's arrays stay writable, and
+        writing to a slice or to the stack raises ValueError."""
         given = [np.eye(3), np.ones((3, 3)) - np.eye(3)]
         for model in (LinearConcentration(tuple(given)),
                       GraphModel(path_graph)):
             for K in model.basis:
+                assert np.shares_memory(K, model._stack)
                 with pytest.raises(ValueError):
                     K[0, 0] = 5.0
+            with pytest.raises(ValueError):
+                model._stack[0, 0, 0] = 5.0
         given[0][0, 0] = 5.0
 
     def test_graph_basis_is_built_once_on_first_use(self, path_graph,
@@ -199,6 +203,16 @@ class TestTangentBasis:
         assert len(tangent_basis(Equicorrelation(4), Sg)) == 1
         assert len(tangent_basis(UnrestrictedCorrelation(3),
                                  elliptope_sigma)) == 3
+
+    def test_concentration_basis_is_a_list_of_matrices(self, path_graph,
+                                                       path_sigma):
+        """The family keeps its tangent directions as one stack; the
+        public function still returns a list of m x m arrays."""
+        for model in (GraphModel(path_graph),
+                      LinearConcentration(concentration_basis(path_graph))):
+            basis = tangent_basis(model, path_sigma)
+            assert type(basis) is list and len(basis) == 7
+            assert all(T.shape == (4, 4) for T in basis)
 
     def test_correlation_directions(self, elliptope_sigma):
         T = tangent_basis(BivariateCorrelation(), np.eye(2))[0]

@@ -401,7 +401,9 @@ class _CorrChart:
 
     Parameter ``l`` is the ``l``-th entry ``(i_l, j_l)`` of the strict
     upper triangle in row-major order.  The index arrays are built once
-    per problem and shared by every batched call of the multistart.
+    per problem and shared by every batched call of the multistart, the
+    four ``(p, p)`` ones of :func:`_newton_directions` among them: ``ai``
+    holds the flat position of ``(i_l, i_k)`` at ``[l, k]``, and so on.
     """
 
     def __init__(self, m: int):
@@ -410,10 +412,8 @@ class _CorrChart:
         self.p = iu.size
         self.upper = iu * m + ju            # flat positions of the parameters
         self.lower = ju * m + iu
-        # Jacobian gather: rows (i_l then j_l) by columns (i_l then j_l)
-        pairs = np.concatenate([iu, ju])
-        self.rows = pairs[:, None]
-        self.cols = pairs[None, :]
+        a, b = iu[:, None] * m, ju[:, None] * m
+        self.ai, self.aj, self.bi, self.bj = a + iu, a + ju, b + iu, b + ju
 
     def matrices(self, X: np.ndarray) -> np.ndarray:
         """(N, p) parameter rows -> (N, m, m) unit-diagonal matrices."""
@@ -444,12 +444,12 @@ class _CorrChart:
 _STEP_BLOCKS = tuple(np.ldexp(1.0, -np.arange(lo, hi))
                      for lo, hi in ((0, 1), (1, 3), (3, 7), (7, 15)))
 
-#: Float entries per batched temporary of the Jacobian gathers and the
-#: line-search candidate evaluations, which run in row chunks of this
-#: size.  The starts and the ``K``, ``W`` and ``F`` carried from one
-#: Newton iteration to the next are (starts, m, m) arrays, and the line
-#: search holds them for every candidate of a block, so memory grows
-#: linearly with the number of starts: 2 m^2 + p floats per candidate.
+#: Float entries held by a row chunk of the Jacobians (four (rows, p, p)
+#: arrays live at once) and of the line-search candidate evaluations,
+#: which bounds their temporaries.  The ``K``, ``W`` and ``F``
+#: carried from one Newton iteration to the next are kept for every
+#: candidate of a line-search call, so memory grows linearly with the
+#: number of starts: 2 m^2 + p floats per candidate.
 _CHUNK_ENTRIES = 1 << 15
 
 
@@ -506,7 +506,7 @@ def _corr_candidates(chart: _CorrChart, S: np.ndarray, X: np.ndarray):
         if lo == 0:
             if len(Sig) == n and ok.all():
                 K, W, F = _corr_residuals(chart, S, Sig)
-                return np.abs(F).max(axis=1), K, W, F
+                return np.maximum.reduce(np.abs(F), axis=1), K, W, F
             rc = np.full(n, np.inf)
             K, W = np.full((2, n, m, m), np.nan)
             F = np.full((n, chart.p), np.nan)
@@ -514,7 +514,7 @@ def _corr_candidates(chart: _CorrChart, S: np.ndarray, X: np.ndarray):
         if ok.size:
             res = _corr_residuals(chart, S, Sig[ok - lo])
             K[ok], W[ok], F[ok] = res
-            rc[ok] = np.abs(res[2]).max(axis=1)
+            rc[ok] = np.maximum.reduce(np.abs(res[2]), axis=1)
     return rc, K, W, F
 
 
@@ -524,25 +524,31 @@ def _newton_directions(chart: _CorrChart, K: np.ndarray, W: np.ndarray,
 
     ``J`` is the exact Jacobian of ``F = upper(K - K S K)`` in the
     parameters.  Along ``E_ij + E_ji`` the derivative of ``K`` is
-    ``-K (E_ij + E_ji) K``, so
+    ``-K (E_ij + E_ji) K``, so with ``G = W - K``
 
-        J[(a,b),(i,j)] = -(K_ai K_jb + K_aj K_ib)
-                         + K_ai W_jb + K_aj W_ib + W_ai K_jb + W_aj K_ib,
+        J[(a,b),(i,j)] = K_ai G_jb + K_aj G_ib + W_ai K_jb + W_aj K_ib,
 
-    read off one gather of ``K`` and ``W`` at rows ``(a, b)`` and
-    columns ``(i, j)``, in row chunks.  A chunk holding a singular
-    Jacobian falls back to least squares row by row.
+    each term the product of two :func:`numpy.take` gathers of the flat
+    ``(n, m^2)`` rows at the positions of :class:`_CorrChart`, summed in
+    place in this order, in row chunks (four ``(rows, p, p)`` temporaries).
+    A chunk holding a singular Jacobian falls back to least squares row by row.
     """
-    p = chart.p
-    rows = max(1, _CHUNK_ENTRIES // (8 * p * p))
+    n, p = F.shape
+    K, W = K.reshape(n, -1), W.reshape(n, -1)
+    G = W - K
+    rows = max(1, _CHUNK_ENTRIES // (4 * p * p))
     delta = np.empty_like(F)
-    for lo in range(0, len(F), rows):
+    for lo in range(0, n, rows):
         sl = slice(lo, lo + rows)
-        Z = np.stack((K[sl], W[sl]), axis=1)[:, :, chart.rows, chart.cols]
-        Ka, Kb = Z[:, 0, :p], Z[:, 0, p:]   # rows a / rows b; columns i, j
-        Wa, Gb = Z[:, 1, :p], Z[:, 1, p:] - Kb
-        J = (Ka[..., :p] * Gb[..., p:] + Ka[..., p:] * Gb[..., :p]
-             + Wa[..., :p] * Kb[..., p:] + Wa[..., p:] * Kb[..., :p])
+        Kc, Wc, Gc = K[sl], W[sl], G[sl]
+        J = Kc.take(chart.ai, axis=1)
+        J *= Gc.take(chart.bj, axis=1)
+        t = Kc.take(chart.aj, axis=1)
+        t *= Gc.take(chart.bi, axis=1)
+        J += t
+        for u, v in ((chart.ai, chart.bj), (chart.aj, chart.bi)):
+            np.multiply(Wc.take(u, axis=1), Kc.take(v, axis=1), out=t)
+            J += t
         try:
             delta[sl] = np.linalg.solve(J, -F[sl, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
@@ -562,23 +568,37 @@ def _line_search(x: np.ndarray, delta: np.ndarray, rnorm: np.ndarray,
     ``t = 2^-k``, ``k = 0..14``, with
     ``rc(x_r + t delta_r) <= (1 - 1e-4 t) rnorm_r``, exactly as a loop
     that halves ``t`` fifteen times would.  The steps are tested in the
-    blocks of ``_STEP_BLOCKS``: every row still searching evaluates all
-    steps of the next block in one batched call.  A row whose ``last``
-    step was at most 2^-7 tests all fifteen steps in the first call,
-    together with the other rows' full steps.  Returns the steps taken
-    (0 where none of at least 2^-14 passed), the new rows (unchanged
-    where none passed) and the values of ``evaluate`` at them (NaN where
-    none passed).  The 2^-14 floor ends the search for rows that crawl;
-    see ``_STEP_BLOCKS``.
+    blocks of ``_STEP_BLOCKS``, read at each call: every row still
+    searching evaluates all steps of the next block in one batched call.
+    A row whose ``last`` step was at most 2^-7 tests all fifteen steps in
+    the first call, beside the other rows' full steps.  With no such row
+    the first call evaluates ``x + delta``, and the rows and the arrays
+    of ``evaluate`` it made are kept as the result.  Returns the steps
+    taken (0 where none of at least 2^-14 passed), the new rows
+    (unchanged where none passed) and the values of ``evaluate`` at them
+    (NaN where none passed).  The 2^-14 floor ends the search for rows
+    that crawl; see ``_STEP_BLOCKS``.
     """
     n, p = x.shape
-    steps = np.zeros(n)
-    x_new = x.copy()
-    carry = None
     deep = last <= _STEP_BLOCKS[-1][0]
     rem = np.flatnonzero(~deep)
-    crawl = [(np.flatnonzero(deep), np.concatenate(_STEP_BLOCKS))]
-    for ts in _STEP_BLOCKS:
+    steps = np.zeros(n)
+    if deep.any():
+        crawl = [(np.flatnonzero(deep), np.concatenate(_STEP_BLOCKS))]
+        x_new, carry, blocks = x.copy(), None, _STEP_BLOCKS
+    else:
+        x_new = x + delta
+        rc, *carry = evaluate(x_new)
+        good = rc <= (1.0 - 1e-4) * rnorm
+        if good.all():
+            return np.ones(n), x_new, carry
+        steps[good] = 1.0                   # the others search on from 1/2
+        rem = rem[~good]
+        x_new[rem] = x[rem]
+        for c in carry:
+            c[rem] = np.nan
+        crawl, blocks = [], _STEP_BLOCKS[1:]
+    for ts in blocks:
         # the (rows, steps) of this call, each row tested at each step
         groups = [(r, t) for r, t in crawl + [(rem, ts)] if r.size]
         if not groups:
@@ -646,25 +666,28 @@ def _correlation_multistart(m: int, S: np.ndarray,
     # the residual scales with S, and so does the rounding of K S K
     tol = MULTISTART_TOL * max(1.0, float(np.abs(S).max()))
 
-    idx = np.arange(len(x))
-    steps = np.ones(len(x))                 # each start's last step taken
+    # the indices, rows and last steps of the starts still iterating
+    idx, xa, steps = np.arange(len(x)), x, np.ones(len(x))
     K, W, F = _corr_residuals(chart, S, chart.matrices(x))
     converged = np.zeros(len(x), dtype=bool)
     for _ in range(MULTISTART_MAX_ITER):
-        rnorm = np.abs(F).max(axis=1)
+        rnorm = np.maximum.reduce(np.abs(F), axis=1)
         done = rnorm < tol
-        converged[idx[done]] = True
-        idx, K, W, F, rnorm, steps = (a[~done] for a in
-                                      (idx, K, W, F, rnorm, steps))
+        if done.any():
+            converged[idx[done]] = True
+            x[idx[done]] = xa[done]
+            idx, xa, K, W, F, rnorm, steps = (
+                a[~done] for a in (idx, xa, K, W, F, rnorm, steps))
         if idx.size == 0:
             break
         delta = _newton_directions(chart, K, W, F)
         del K, W, F                         # the line search makes new ones
-        steps, x[idx], (K, W, F) = _line_search(
-            x[idx], delta, rnorm, steps,
-            lambda X: _corr_candidates(chart, S, X))
+        steps, xa, (K, W, F) = _line_search(
+            xa, delta, rnorm, steps, lambda X: _corr_candidates(chart, S, X))
         moved = steps != 0.0                # stalled starts are dropped
-        idx, K, W, F, steps = (a[moved] for a in (idx, K, W, F, steps))
+        if not moved.all():
+            idx, xa, K, W, F, steps = (
+                a[moved] for a in (idx, xa, K, W, F, steps))
 
     # dedup in lexicographic order: keep the first row, drop all within 1e-6
     sols = x[converged]

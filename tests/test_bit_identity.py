@@ -1,11 +1,12 @@
-"""Bit-identity of the bulk graph paths against the loops they replaced.
+"""Bit-identity of the bulk paths against the code they replaced.
 
 The tangent frame of a concentration model, the chordal fit, the JSON
-matrix codec and the CLI emitter work on whole stacks and lists.  The
-loops below are the code they replaced, kept here as oracles: every
-result must equal theirs bit for bit (``==`` and ``array_equal``, no
-tolerance), which is what keeps every CLI golden byte-identical.  CI
-runs this file once more with one BLAS thread, as the benchmark does.
+matrix codec, the CLI emitter and the Jacobians of the correlation
+multistart work on whole stacks and lists.  The code below is what they
+replaced, kept here as oracles: every result must equal theirs bit for
+bit (``==`` and ``array_equal``, no tolerance), which is what keeps
+every CLI golden byte-identical.  CI runs this file once more with one
+BLAS thread, as the benchmark does.
 """
 
 import json
@@ -23,7 +24,8 @@ from logvor.cli import _json
 from logvor.core import _loglik, _parse_entry, _score, _unit_scale, \
     check_symmetric, sym_from_json, sym_to_json
 from logvor.graphs import adjacency
-from logvor.mle import _decomposable_point, _frame_residual, _tangent_frame
+from logvor.mle import _CorrChart, _corr_residuals, _decomposable_point, \
+    _frame_residual, _newton_directions, _onion_starts, _tangent_frame
 
 SCALES = (1e-3, 1.0, 1e3)
 
@@ -82,6 +84,32 @@ def decomposable_loop(G, A, order):
             K[idx] += w * np.linalg.inv(B[idx])
     Sigma = np.ldexp(np.linalg.inv(K), -k)
     return (Sigma + Sigma.T) / 2.0
+
+
+def newton_directions_stacked(chart, K, W, F):
+    """The Newton steps of the correlation multistart from one stacked
+    gather of ``K`` and ``W`` at rows ``(i_l then j_l)`` by columns
+    ``(i_k then j_k)``, in chunks of 2^15 // (8 p^2) rows."""
+    p = chart.p
+    iu, ju = np.triu_indices(chart.m, 1)
+    pairs = np.concatenate([iu, ju])
+    rows = max(1, (1 << 15) // (8 * p * p))
+    delta = np.empty_like(F)
+    for lo in range(0, len(F), rows):
+        sl = slice(lo, lo + rows)
+        Z = np.stack((K[sl], W[sl]), axis=1)[:, :, pairs[:, None],
+                                             pairs[None, :]]
+        Ka, Kb = Z[:, 0, :p], Z[:, 0, p:]   # rows a / rows b; columns i, j
+        Wa, Gb = Z[:, 1, :p], Z[:, 1, p:] - Kb
+        J = (Ka[..., :p] * Gb[..., p:] + Ka[..., p:] * Gb[..., :p]
+             + Wa[..., :p] * Kb[..., p:] + Wa[..., p:] * Kb[..., :p])
+        try:
+            delta[sl] = np.linalg.solve(J, -F[sl, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            for r in range(len(J)):
+                delta[lo + r] = np.linalg.lstsq(J[r], -F[lo + r],
+                                                rcond=None)[0]
+    return delta
 
 
 def sym_from_json_loop(obj):
@@ -244,6 +272,43 @@ def test_chordal_fit_matches_the_loop(kind):
             assert point.loglik == _loglik(Sigma, A)
         fitted += 1
     assert fitted >= 3
+
+
+# ----------------------------------------------------------------------
+# the Jacobians of the correlation multistart
+
+
+def corr_rows(m, n, seed):
+    """``K``, ``W`` and ``F`` at ``n`` random elliptope points, for a
+    slice-like sample."""
+    rng = np.random.default_rng(seed)
+    chart = _CorrChart(m)
+    A = rng.standard_normal((m, m + 2))
+    S = A @ A.T / (m + 2) + 0.1 * np.eye(m)
+    return chart, _corr_residuals(chart, S, chart.matrices(
+        _onion_starts(chart, n, rng)))
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_newton_directions_match_the_stacked_gather(m):
+    """One row, and rows across the chunk boundaries of both chunkings."""
+    p = m * (m - 1) // 2
+    for n in (1, (1 << 15) // (4 * p * p) + 1):
+        chart, (K, W, F) = corr_rows(m, n, seed=m)
+        assert np.array_equal(_newton_directions(chart, K, W, F),
+                              newton_directions_stacked(chart, K, W, F))
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_singular_jacobian_takes_least_squares_as_before(m):
+    """A chunk holding a zero Jacobian solves each row by least squares;
+    five rows are one chunk under both chunkings."""
+    chart, (K, W, F) = corr_rows(m, 5, seed=20 + m)
+    K[2] = W[2] = 0.0                   # J = 0 at row 2: solve raises
+    delta = _newton_directions(chart, K, W, F)
+    assert np.array_equal(delta, newton_directions_stacked(chart, K, W, F))
+    assert np.array_equal(delta[2], np.zeros(chart.p))   # least norm
+    assert np.isfinite(delta).all()
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ from logvor import (
     Graph,
     InvalidModel,
     LinearConcentration,
+    NoConvergence,
     NotChordal,
     NotPD,
     OutOfRange,
@@ -42,6 +43,7 @@ from logvor.mle import MULTISTART_MAX_ITER, MULTISTART_TOL, _CorrChart, \
     _line_search, _newton_directions, _onion_starts
 
 from conftest import random_chordal_graph, random_correlation, random_pd
+from test_bit_identity import newton_directions_stacked
 
 # the three real elliptope critical points, as (sigma_12, sigma_23, sigma_13)
 ELLIPTOPE_TRIPLES = [
@@ -582,8 +584,8 @@ def _twice_evaluated_multistart(m, S, opts):
     """Deduplicated converged parameter rows of the multistart loop that
     evaluated each accepted iterate twice: once in the line search, and
     again at the top of the next Newton step.  It converges at the
-    absolute ``MULTISTART_TOL``, and its line search is the sequential
-    one cut at 2^-14."""
+    absolute ``MULTISTART_TOL``, its Jacobians are those of one stacked
+    gather, and its line search is the sequential one cut at 2^-14."""
     chart = _CorrChart(m)
     x = _onion_starts(chart, opts.starts, np.random.default_rng(opts.seed))
 
@@ -609,7 +611,7 @@ def _twice_evaluated_multistart(m, S, opts):
         idx, K, W, F, rnorm = (a[~done] for a in (idx, K, W, F, rnorm))
         if idx.size == 0:
             break
-        delta = _newton_directions(chart, K, W, F)
+        delta = newton_directions_stacked(chart, K, W, F)
         t, x[idx] = _sequential_line_search(x[idx], delta, rnorm,
                                             residual_norm, halvings=15)
         active[idx[t == 0.0]] = False
@@ -688,14 +690,7 @@ class TestBatchedMultistart:
         rng = np.random.default_rng(90 + m)
         chart = _CorrChart(m)
         S = random_correlation(m, rng) + np.diag(rng.uniform(0.0, 1.0, m))
-
-        def residual_norm(X):
-            rc = np.full(len(X), np.inf)
-            Sig = chart.matrices(X)
-            ok = pd_mask(Sig)
-            rc[ok] = np.abs(_corr_residuals(chart, S, Sig[ok])[2]).max(axis=1)
-            return rc
-
+        residual_norm = _pd_residual_norm(chart, S)
         x = _onion_starts(chart, 600, rng)
         K, W, F = _corr_residuals(chart, S, chart.matrices(x))
         rnorm = np.abs(F).max(axis=1)
@@ -849,8 +844,6 @@ class TestBatchedMultistart:
         search finds; a point that only such a start reaches is lost.
         On slice samples S = Sigma + Sigma D Sigma with D in (-0.4, 0.8)
         none is; D in (-1, 0) gives samples with more critical points."""
-        deep = tuple(np.ldexp(1.0, -np.arange(lo, hi)) for lo, hi in
-                     ((0, 1), (1, 3), (3, 7), (7, 15), (15, 30)))
         rng = np.random.default_rng(130 + m)
         iu = np.triu_indices(m, 1)
         model = UnrestrictedCorrelation(m)
@@ -861,7 +854,7 @@ class TestBatchedMultistart:
                 S = sigma + sigma @ np.diag(rng.uniform(lo, hi, m)) @ sigma
             floor = critical_points(model, S)
             with monkeypatch.context() as mp:
-                mp.setattr("logvor.mle._STEP_BLOCKS", deep)
+                mp.setattr("logvor.mle._STEP_BLOCKS", DEEP_STEP_BLOCKS)
                 ref = critical_points(model, S)
             for p in floor:
                 assert min(np.abs(p.sigma[iu] - q.sigma[iu]).max()
@@ -869,6 +862,130 @@ class TestBatchedMultistart:
             if hi > 0.0:
                 assert len(floor) == len(ref)
                 assert abs(floor[0].loglik - ref[0].loglik) <= 1e-10
+
+    def test_full_step_returns_the_evaluated_arrays(self):
+        """Every row passes at t = 1: the steps and rows are those of the
+        sequential search, made in one call, and the evaluator's arrays
+        come back as it made them."""
+        m = 4
+        rng = np.random.default_rng(150)
+        chart = _CorrChart(m)
+        S = random_correlation(m, rng) + np.diag(rng.uniform(0.0, 1.0, m))
+        x = _onion_starts(chart, 300, rng)
+        delta = 1e-3 * rng.standard_normal(x.shape)
+        residual_norm = _pd_residual_norm(chart, S)
+        rnorm = 2.0 * residual_norm(x + delta)
+        rnorm[::7] = np.inf
+        made = []
+
+        def evaluate(X):
+            made.append(_corr_candidates(chart, S, X))
+            return made[-1]
+
+        steps, x_new, values = _line_search(x, delta, rnorm,
+                                            np.ones(len(x)), evaluate)
+        t_seq, x_seq = _sequential_line_search(x, delta, rnorm,
+                                               residual_norm, halvings=15)
+        assert (t_seq == 1.0).all() and len(made) == 1
+        np.testing.assert_array_equal(steps, t_seq)
+        np.testing.assert_array_equal(x_new, x_seq)
+        assert len(values) == 3
+        assert all(got is want for got, want in zip(values, made[0][1:]))
+
+    @pytest.mark.parametrize("deep", [False, True])
+    def test_mixed_rows_take_the_sequential_steps(self, deep):
+        """Rows that pass at t = 1, deeper, only below 2^-14 or never,
+        rows at infinite ``rnorm``, and, when ``deep``, flagged rows of
+        each kind beside them: the steps and rows are those of the
+        sequential search, bit for bit, and each row that moved carries
+        the arrays of its new row."""
+        chart, S, x, delta, rnorm, evaluate, rc = _synthetic_rows(
+            [0, 3, 20, 15, 1, 10, 0, 20], [1, 1, np.inf, 1, 1, 1, 1, np.inf])
+        last = np.ones(len(x))
+        if deep:
+            last[4:] = 2.0 ** -9
+        steps, x_new, carry = _line_search(x, delta, rnorm, last, evaluate)
+        t_seq, x_seq = _sequential_line_search(x, delta, rnorm, rc,
+                                               halvings=15)
+        np.testing.assert_array_equal(t_seq, [1.0, 2.0 ** -3, 1.0, 0.0, 0.5,
+                                              2.0 ** -10, 1.0, 1.0])
+        np.testing.assert_array_equal(steps, t_seq)
+        np.testing.assert_array_equal(x_new, x_seq)
+        moved = steps > 0
+        for got, want in zip(carry, _corr_residuals(
+                chart, S, chart.matrices(x_new[moved]))):
+            np.testing.assert_array_equal(got[moved], want)
+            assert np.isnan(got[~moved]).all()
+
+    @pytest.mark.parametrize("last", [1.0, 2.0 ** -16])
+    def test_patched_schedule_is_read_at_each_call(self, last, monkeypatch):
+        """A row whose first passing step is 2^-20 takes it under a
+        schedule down to 2^-29 set after import, whether or not it is
+        flagged deep (last step at most 2^-15 there); under the default
+        schedule it takes none."""
+        _, _, x, delta, rnorm, evaluate, _ = _synthetic_rows([20], [1.0])
+        steps, _, _ = _line_search(x, delta, rnorm, np.array([last]),
+                                   evaluate)
+        np.testing.assert_array_equal(steps, [0.0])
+        with monkeypatch.context() as mp:
+            mp.setattr("logvor.mle._STEP_BLOCKS", DEEP_STEP_BLOCKS)
+            steps, x_new, _ = _line_search(x, delta, rnorm,
+                                           np.array([last]), evaluate)
+        np.testing.assert_array_equal(steps, [2.0 ** -20])
+        np.testing.assert_array_equal(x_new, x + 2.0 ** -20 * delta)
+
+    def test_every_start_stalling_at_once_is_no_convergence(self,
+                                                            monkeypatch):
+        """When every start stalls in the first iteration, before any
+        converges, the loop ends on the empty stack and reports that no
+        critical point was found."""
+        def stall(x, delta, rnorm, last, evaluate):
+            _, *values = evaluate(x)
+            return np.zeros(len(x)), x, values
+
+        monkeypatch.setattr("logvor.mle._line_search", stall)
+        S = random_correlation(4, np.random.default_rng(160))
+        with pytest.raises(NoConvergence,
+                           match="multistart found no critical point"):
+            _correlation_multistart(4, S, SolverOptions(starts=64))
+
+
+#: The line-search schedule down to 2^-29, before the 2^-14 floor.
+DEEP_STEP_BLOCKS = tuple(np.ldexp(1.0, -np.arange(lo, hi)) for lo, hi in
+                         ((0, 1), (1, 3), (3, 7), (7, 15), (15, 30)))
+
+
+def _pd_residual_norm(chart, S):
+    """Largest absolute residual of each row, inf where not PD."""
+    def residual_norm(X):
+        rc = np.full(len(X), np.inf)
+        Sig = chart.matrices(X)
+        ok = pd_mask(Sig)
+        rc[ok] = np.abs(_corr_residuals(chart, S, Sig[ok])[2]).max(axis=1)
+        return rc
+    return residual_norm
+
+
+def _synthetic_rows(k, rnorm):
+    """Rows ``r`` at ``(0, 0, r / 64)`` stepping along ``(1/2, 0, 0)``,
+    whose residual is 0 at a step of at most 2^-k[r] and 1 beyond; an
+    evaluator that returns it with the arrays of the rows, and the
+    residual alone."""
+    chart = _CorrChart(3)
+    S = random_correlation(3, np.random.default_rng(97))
+    x = np.zeros((len(k), 3))
+    x[:, 2] = np.arange(len(k)) / 64.0
+    delta = np.zeros_like(x)
+    delta[:, 0] = 0.5
+    lim = np.ldexp(0.5, -np.asarray(k))
+
+    def rc(X):
+        return np.where(X[:, 0] <= lim[np.rint(X[:, 2] * 64).astype(int)],
+                        0.0, 1.0)
+
+    def evaluate(X):
+        return (rc(X), *_corr_candidates(chart, S, X)[1:])
+    return chart, S, x, delta, np.array(rnorm, dtype=float), evaluate, rc
 
 
 class TestSolverOptions:

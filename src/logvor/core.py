@@ -119,17 +119,11 @@ def pd_mask(M) -> np.ndarray:
     a row's pivots and updates touch no other row, and a row that has
     failed stays failed whatever its later pivots (zero, infinite or
     NaN, silently), so every verdict is the single-matrix one.  No step
-    changes an earlier pivot: all are tested on the final diagonal.  A
-    stack of one matrix goes to the single-matrix test, which costs fewer
-    numpy calls.
+    changes an earlier pivot: all are tested on the final diagonal.
     """
-    M = np.asarray(M, dtype=float)
-    if len(M) == 1:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return np.array([_is_pd(M[0])])
     # entry (i, j) of every row in one contiguous vector, for the
     # elementwise steps; the results are those of any other layout
-    A = np.array(M.transpose(1, 2, 0), order="C")
+    A = np.array(np.asarray(M, dtype=float).transpose(1, 2, 0), order="C")
     dmax = np.maximum.reduce(A.diagonal(), axis=1)
     far = (dmax < 1.0 / _HUGE) | (dmax >= _HUGE)
     if far.any():

@@ -531,16 +531,17 @@ def _newton_directions(chart: _CorrChart, K: np.ndarray, W: np.ndarray,
     each term the product of two :func:`numpy.take` gathers of the flat
     ``(n, m^2)`` rows at the positions of :class:`_CorrChart`, summed in
     place in this order, in row chunks (four ``(rows, p, p)`` temporaries).
-    A chunk holding a singular Jacobian falls back to least squares row by row.
+    Each half of a chunk, ``_CHUNK_ENTRIES // (8 p^2)`` rows, is solved
+    in one call, and a half holding a singular Jacobian by least squares
+    row by row.
     """
     n, p = F.shape
     K, W = K.reshape(n, -1), W.reshape(n, -1)
-    G = W - K
-    rows = max(1, _CHUNK_ENTRIES // (4 * p * p))
+    half = max(1, _CHUNK_ENTRIES // (8 * p * p))
     delta = np.empty_like(F)
-    for lo in range(0, n, rows):
-        sl = slice(lo, lo + rows)
-        Kc, Wc, Gc = K[sl], W[sl], G[sl]
+    for lo in range(0, n, 2 * half):
+        Kc, Wc = K[lo:lo + 2 * half], W[lo:lo + 2 * half]
+        Gc = Wc - Kc
         J = Kc.take(chart.ai, axis=1)
         J *= Gc.take(chart.bj, axis=1)
         t = Kc.take(chart.aj, axis=1)
@@ -549,12 +550,15 @@ def _newton_directions(chart: _CorrChart, K: np.ndarray, W: np.ndarray,
         for u, v in ((chart.ai, chart.bj), (chart.aj, chart.bi)):
             np.multiply(Wc.take(u, axis=1), Kc.take(v, axis=1), out=t)
             J += t
-        try:
-            delta[sl] = np.linalg.solve(J, -F[sl, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            for r in range(len(J)):
-                delta[lo + r] = np.linalg.lstsq(J[r], -F[lo + r],
-                                                rcond=None)[0]
+        for h in range(0, len(J), half):
+            Jh, Fh = J[h:h + half], F[lo + h:lo + h + half]
+            try:
+                delta[lo + h:lo + h + half] = np.linalg.solve(
+                    Jh, -Fh[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:
+                for r in range(len(Jh)):
+                    delta[lo + h + r] = np.linalg.lstsq(Jh[r], -Fh[r],
+                                                        rcond=None)[0]
     return delta
 
 

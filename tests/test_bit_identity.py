@@ -311,6 +311,22 @@ def test_singular_jacobian_takes_least_squares_as_before(m):
     assert np.isfinite(delta).all()
 
 
+@pytest.mark.parametrize("m", range(2, 8))
+def test_singular_jacobian_sends_only_its_half_chunk_to_least_squares(m):
+    """Rows filling one chunk of 2^15 // (4 p^2) rows, which are two of
+    2^15 // (8 p^2), with a zero Jacobian in the first or the last row:
+    only the rows of its half take least squares, the others the batched
+    solve, both as the stacked gather solved them."""
+    p = m * (m - 1) // 2
+    half = (1 << 15) // (8 * p * p)
+    for bad in (0, 2 * half - 1):
+        chart, (K, W, F) = corr_rows(m, 2 * half, seed=40 + m)
+        K[bad] = W[bad] = 0.0
+        delta = _newton_directions(chart, K, W, F)
+        assert np.array_equal(delta, newton_directions_stacked(chart, K, W, F))
+        assert np.array_equal(delta[bad], np.zeros(p))
+
+
 # ----------------------------------------------------------------------
 # the matrix codec
 

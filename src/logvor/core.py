@@ -118,26 +118,26 @@ def pd_mask(M) -> np.ndarray:
     validated.  All rows are eliminated in one pass, rejected ones too:
     a row's pivots and updates touch no other row, and a row that has
     failed stays failed whatever its later pivots (zero, infinite or
-    NaN, silently), so every verdict is the single-matrix one.  No step
-    changes an earlier pivot: all are tested on the final diagonal.
+    NaN, silently), so every verdict is the single-matrix one.
     """
     # entry (i, j) of every row in one contiguous vector, for the
     # elementwise steps; the results are those of any other layout
     A = np.array(np.asarray(M, dtype=float).transpose(1, 2, 0), order="C")
-    dmax = np.maximum.reduce(A.diagonal(), axis=1)
+    m = len(A)
+    dmax = np.diagonal(A).max(axis=1)
     far = (dmax < 1.0 / _HUGE) | (dmax >= _HUGE)
     if far.any():
         e = np.frexp(dmax[far])[1]
         A[:, :, far] = np.ldexp(A[:, :, far], -e)
         dmax[far] = np.ldexp(dmax[far], -e)
-    ok = ((np.maximum.reduce(np.abs(A), axis=(0, 1)) <= dmax)
-          & (0.0 < dmax) & (dmax < np.inf))
+    ok = (np.abs(A).max(axis=(0, 1)) <= dmax) & (0.0 < dmax) & (dmax < np.inf)
+    thresh = PD_PIVOT_RTOL * dmax
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(len(A) - 1):
+        for k in range(m - 1):
+            ok &= A[k, k] > thresh
             v = A[k + 1:, k]
             A[k + 1:, k + 1:] -= v[:, None] * v / A[k, k]
-    pivots = A.diagonal() > PD_PIVOT_RTOL * dmax[:, None]
-    return ok & np.logical_and.reduce(pivots, axis=1)
+    return ok & (A[m - 1, m - 1] > thresh)
 
 
 def log_likelihood(Sigma, S) -> float:

@@ -506,7 +506,7 @@ def _corr_candidates(chart: _CorrChart, S: np.ndarray, X: np.ndarray):
         if lo == 0:
             if len(Sig) == n and ok.all():
                 K, W, F = _corr_residuals(chart, S, Sig)
-                return np.maximum.reduce(np.abs(F), axis=1), K, W, F
+                return np.abs(F).max(axis=1), K, W, F
             rc = np.full(n, np.inf)
             K, W = np.full((2, n, m, m), np.nan)
             F = np.full((n, chart.p), np.nan)
@@ -514,7 +514,7 @@ def _corr_candidates(chart: _CorrChart, S: np.ndarray, X: np.ndarray):
         if ok.size:
             res = _corr_residuals(chart, S, Sig[ok - lo])
             K[ok], W[ok], F[ok] = res
-            rc[ok] = np.maximum.reduce(np.abs(res[2]), axis=1)
+            rc[ok] = np.abs(res[2]).max(axis=1)
     return rc, K, W, F
 
 
@@ -675,7 +675,7 @@ def _correlation_multistart(m: int, S: np.ndarray,
     K, W, F = _corr_residuals(chart, S, chart.matrices(x))
     converged = np.zeros(len(x), dtype=bool)
     for _ in range(MULTISTART_MAX_ITER):
-        rnorm = np.maximum.reduce(np.abs(F), axis=1)
+        rnorm = np.abs(F).max(axis=1)
         done = rnorm < tol
         if done.any():
             converged[idx[done]] = True

@@ -301,30 +301,20 @@ def test_newton_directions_match_the_stacked_gather(m):
 
 @pytest.mark.parametrize("m", range(2, 8))
 def test_singular_jacobian_takes_least_squares_as_before(m):
-    """A chunk holding a zero Jacobian solves each row by least squares;
-    five rows are one chunk under both chunkings."""
-    chart, (K, W, F) = corr_rows(m, 5, seed=20 + m)
-    K[2] = W[2] = 0.0                   # J = 0 at row 2: solve raises
-    delta = _newton_directions(chart, K, W, F)
-    assert np.array_equal(delta, newton_directions_stacked(chart, K, W, F))
-    assert np.array_equal(delta[2], np.zeros(chart.p))   # least norm
-    assert np.isfinite(delta).all()
-
-
-@pytest.mark.parametrize("m", range(2, 8))
-def test_singular_jacobian_sends_only_its_half_chunk_to_least_squares(m):
-    """Rows filling one chunk of 2^15 // (4 p^2) rows, which are two of
-    2^15 // (8 p^2), with a zero Jacobian in the first or the last row:
-    only the rows of its half take least squares, the others the batched
-    solve, both as the stacked gather solved them."""
+    """A zero Jacobian sends the rows of its 2^15 // (8 p^2)-row half of
+    a chunk to least squares and the other half to the batched solve:
+    five rows, one half under both chunkings, with the zero at row 2;
+    then one full chunk, two halves, with the zero in its first or its
+    last row."""
     p = m * (m - 1) // 2
     half = (1 << 15) // (8 * p * p)
-    for bad in (0, 2 * half - 1):
-        chart, (K, W, F) = corr_rows(m, 2 * half, seed=40 + m)
-        K[bad] = W[bad] = 0.0
+    for n, bad in ((5, 2), (2 * half, 0), (2 * half, 2 * half - 1)):
+        chart, (K, W, F) = corr_rows(m, n, seed=20 + m)
+        K[bad] = W[bad] = 0.0           # J = 0 at row bad: solve raises
         delta = _newton_directions(chart, K, W, F)
         assert np.array_equal(delta, newton_directions_stacked(chart, K, W, F))
-        assert np.array_equal(delta[bad], np.zeros(p))
+        assert np.array_equal(delta[bad], np.zeros(p))   # least norm
+        assert np.isfinite(delta).all()
 
 
 # ----------------------------------------------------------------------

@@ -81,24 +81,6 @@ class MembershipVerdict:
     best_effort: bool = False
 
 
-def _sym_coords(m: int):
-    """Orthonormal coordinates of Sym(m) under the trace inner product."""
-    iu = np.triu_indices(m, 1)
-    sqrt2 = np.sqrt(2.0)
-
-    def vec(M):
-        return np.concatenate([np.diag(M), sqrt2 * M[iu]])
-
-    def unvec(v):
-        M = np.zeros((m, m))
-        M[np.diag_indices(m)] = v[:m]
-        M[iu] = v[m:] / sqrt2
-        M[(iu[1], iu[0])] = v[m:] / sqrt2
-        return M
-
-    return vec, unvec
-
-
 class _Point:
     """What the cell queries need of one point ``Sigma`` of a model.
 
@@ -149,17 +131,21 @@ class _Point:
         with ``Sigma`` as its base."""
         if self._slice is None:
             B = _unit_scale(self.sigma)[1]
-            tangent = model.tangent_basis(B)
             K = np.linalg.inv(B)
-            vec, unvec = _sym_coords(B.shape[0])
-            rows = np.stack([vec(K @ T @ K) for T in tangent])
+            # orthonormal coordinates of Sym(m): the diagonal, then the
+            # upper entries times sqrt(2)
+            m = len(B)
+            i, j = np.concatenate([np.diag_indices(m), np.triu_indices(m, 1)],
+                                  axis=1)
+            w = np.where(i == j, 1.0, np.sqrt(2.0))
+            rows = (K @ model.tangent_basis(B) @ K)[:, i, j] * w
             _, svals, vh = np.linalg.svd(rows)
             cutoff = max(rows.shape) * np.finfo(float).eps \
                 * (svals[0] if svals.size else 0.0)
             rank = int(np.sum(svals > cutoff))
-            self._slice = AffineSlice(
-                base=self.sigma,
-                directions=tuple(unvec(row) for row in vh[rank:]))
+            D = np.zeros((len(vh) - rank, m, m))
+            D[:, i, j] = D[:, j, i] = vh[rank:] / w
+            self._slice = AffineSlice(base=self.sigma, directions=tuple(D))
         return self._slice
 
     @cached_property
@@ -352,7 +338,9 @@ def ci_union_cell(Sigma, S) -> bool:
         raise NotOnSlice("Sigma is not a union-model point")
     # the slice pins the diagonal and the free entry of Sigma's component
     side = CiUnion._side(Sg)
-    pinned = [(0, 0), (1, 1), (2, 2)] + [[], [(1, 2)], [(0, 1)]][side]
+    pinned = [(0, 0), (1, 1), (2, 2)]
+    if side:
+        pinned.append(CiUnion._FREE[side])
     for (i, j) in sorted(pinned):
         if abs(Ss[i, j] - Sg[i, j]) > tol:
             raise NotOnSlice(

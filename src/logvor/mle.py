@@ -359,7 +359,7 @@ def _tangent_frame(model, Sg: np.ndarray) -> tuple:
     :func:`numpy.linalg.norm` takes it."""
     with np.errstate(over="ignore", invalid="ignore"):
         K = np.linalg.inv(Sg)
-        T = np.asarray(model.tangent_basis(Sg), dtype=float)
+        T = model.tangent_basis(Sg)
         T = T.reshape(len(T), -1)
         nrm = np.sqrt(T[:, None, :] @ T[:, :, None]).ravel()
     if np.count_nonzero(nrm) < len(nrm):

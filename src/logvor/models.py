@@ -43,16 +43,14 @@ SINGULAR_TOL = 1e-10
 MODEL_TOL = 1e-8
 
 
-def _diag_unit(i: int, m: int) -> np.ndarray:
-    E = np.zeros((m, m))
-    E[i, i] = 1.0
-    return E
-
-
-def _offdiag_unit(i: int, j: int, m: int) -> np.ndarray:
-    E = np.zeros((m, m))
-    E[i, j] = E[j, i] = 1.0
-    return E
+def _units(m: int, pairs) -> np.ndarray:
+    """One symmetric unit of Sym(m) per 0-based pair ``(i, j)``, with ones
+    at ``(i, j)`` and ``(j, i)``, as one ``(d, m, m)`` array."""
+    i, j = np.array(pairs).T
+    k = np.arange(len(pairs))
+    B = np.zeros((len(pairs), m, m))
+    B[k, i, j] = B[k, j, i] = 1.0
+    return B
 
 
 def _read_only(B: np.ndarray) -> np.ndarray:
@@ -82,12 +80,12 @@ class Model:
 
     A family sets ``kind`` (its JSON tag), ``dim`` and the two flags, and
     implements ``contains(A, tol)`` (does ``A`` satisfy the model
-    equations within ``tol``?), ``tangent_basis(A)`` at a model point (a
-    list of ``m x m`` arrays or one ``(d, m, m)`` array),
-    ``critical_points(A, opts)`` of a sample, best first, and, where it
-    has fields, ``to_json`` and ``from_json``.  The methods take arrays
-    that the public functions have validated: symmetric, finite, of
-    dimension ``dim`` and positive definite.
+    equations within ``tol``?), ``tangent_basis(A)`` at a model point (the
+    d directions as one float ``(d, m, m)`` array, which the caller does
+    not write to), ``critical_points(A, opts)`` of a sample, best first,
+    and, where it has fields, ``to_json`` and ``from_json``.  The methods
+    take arrays that the public functions have validated: symmetric,
+    finite, of dimension ``dim`` and positive definite.
     """
 
     kind: ClassVar[str]
@@ -246,18 +244,15 @@ class DagModel(Model):
         return float(np.abs(fitted - A).max()) <= tol * scale
 
     def tangent_basis(self, A):
-        m = self.dim
-        params = _sem_fit(self.dag, A)
-        M = np.linalg.inv(np.eye(m) - params.Lambda)
-        out = []
-        for k in range(m):
-            out.append(M.T @ _diag_unit(k, m) @ M)
-        for (u, v) in self.dag.sorted_arcs():
-            E = np.zeros((m, m))
-            E[u - 1, v - 1] = 1.0
-            C = A @ E @ M
-            out.append(C + C.T)
-        return out
+        """The derivatives ``M^T E_kk M``, k a vertex, then ``C + C^T``
+        with ``C = A E_uv M``, u -> v an arc in sorted order, where ``M =
+        (I - Lambda)^{-1}``: as outer products of row k of M, and of
+        column u of A with row v of M."""
+        M = np.linalg.inv(np.eye(self.dim) - _sem_fit(self.dag, A).Lambda)
+        u, v = np.array(self.dag.sorted_arcs(), dtype=int).reshape(-1, 2).T - 1
+        C = A.T[u, :, None] * M[v, None, :]
+        return np.concatenate([M[:, :, None] * M[:, None, :],
+                               C + C.transpose(0, 2, 1)])
 
     def critical_points(self, A, opts):
         from .mle import _critical_point
@@ -315,7 +310,7 @@ class Equicorrelation(_UnitDiagonal):
         return float(np.abs(off - off.mean()).max()) <= tol
 
     def tangent_basis(self, A):
-        return [np.ones((self.m, self.m)) - np.eye(self.m)]
+        return (np.ones((self.m, self.m)) - np.eye(self.m))[None]
 
     def critical_points(self, A, opts):
         from .mle import _critical_point, _sorted_points, \
@@ -349,8 +344,7 @@ class UnrestrictedCorrelation(_UnitDiagonal):
     best_effort = True
 
     def tangent_basis(self, A):
-        return [_offdiag_unit(i, j, self.m)
-                for i in range(self.m) for j in range(i + 1, self.m)]
+        return _units(self.m, np.transpose(np.triu_indices(self.m, 1)))
 
     def critical_points(self, A, opts):
         from .mle import _correlation_multistart, _sorted_points
@@ -361,15 +355,15 @@ class UnrestrictedCorrelation(_UnitDiagonal):
 class CiUnion(Model):
     """Union of two conditional-independence planes in 3 x 3 covariances.
 
-    Component one fixes ``sigma_12 = sigma_13 = 0`` (free parameters at
-    positions 11, 22, 23, 33); component two fixes ``sigma_13 =
-    sigma_23 = 0`` (free parameters at 11, 12, 22, 33).  The components
-    meet in the diagonal matrices, which are singular points of the
-    union.
+    Each component frees the diagonal and the one off-diagonal entry
+    that ``_FREE`` gives it (0-based), and fixes the other two at zero.
+    The components meet in the diagonal matrices, which are singular
+    points of the union.
     """
 
     kind = "ci-union"
     dim = 3
+    _FREE: ClassVar[dict] = {1: (1, 2), 2: (0, 1)}
 
     def contains(self, A, tol):
         return (abs(A[0, 2]) <= tol
@@ -389,23 +383,18 @@ class CiUnion(Model):
         if not side:
             raise SingularPoint(
                 "diagonal covariances are singular points of the union")
-        if side == 1:
-            return [_diag_unit(0, 3), _diag_unit(1, 3),
-                    _offdiag_unit(1, 2, 3), _diag_unit(2, 3)]
-        return [_diag_unit(0, 3), _offdiag_unit(0, 1, 3),
-                _diag_unit(1, 3), _diag_unit(2, 3)]
+        return _units(3, sorted([(0, 0), (1, 1), (2, 2), self._FREE[side]]))
 
-    @staticmethod
-    def _planes(A) -> tuple:
+    @classmethod
+    def _planes(cls, A) -> tuple:
         """The critical points of ``A`` on components one and two, PD
         or not: ``A`` with the entries off the component set to zero."""
-        one = np.array([[A[0, 0], 0.0, 0.0],
-                        [0.0, A[1, 1], A[1, 2]],
-                        [0.0, A[1, 2], A[2, 2]]])
-        two = np.array([[A[0, 0], A[0, 1], 0.0],
-                        [A[0, 1], A[1, 1], 0.0],
-                        [0.0, 0.0, A[2, 2]]])
-        return one, two
+        planes = []
+        for i, j in cls._FREE.values():
+            P = np.diag(A.diagonal())
+            P[i, j] = P[j, i] = A[i, j]
+            planes.append(P)
+        return tuple(planes)
 
     def critical_points(self, A, opts):
         from .mle import CriticalPoint, _sorted_points
@@ -453,13 +442,8 @@ class SemParams:
 def concentration_basis(G: Graph) -> np.ndarray:
     """Concentration span of a graph as one ``(d, m, m)`` array: the
     diagonal units, then one symmetric unit per edge in sorted order."""
-    m = G.m
-    pairs = [(v, v) for v in range(1, m + 1)] + G.sorted_edges()
-    i, j = np.array(pairs).T - 1
-    k = np.arange(len(pairs))
-    B = np.zeros((len(pairs), m, m))
-    B[k, i, j] = B[k, j, i] = 1.0
-    return B
+    return _units(G.m, [(v, v) for v in range(G.m)]
+                  + [(i - 1, j - 1) for i, j in G.sorted_edges()])
 
 
 def model_contains(model, Sigma) -> bool:
@@ -476,7 +460,7 @@ def model_contains(model, Sigma) -> bool:
 
 def tangent_basis(model, Sigma) -> list[np.ndarray]:
     """Basis of the tangent space of the model at the point ``Sigma``, as
-    a list of ``m x m`` arrays.
+    a list of ``m x m`` arrays, each a copy that the caller owns.
 
     For concentration-type families the basis is the pushforward
     ``-Sigma K_j Sigma`` of the concentration span; for DAG models the
@@ -485,8 +469,8 @@ def tangent_basis(model, Sigma) -> list[np.ndarray]:
     the correlation families the fixed coordinate directions.  At a
     singular point of a union model :class:`SingularPoint` is raised.
     """
-    return list(model.tangent_basis(_matrix(Sigma, "Sigma", model.dim,
-                                            pd=True)))
+    return [T.copy() for T in model.tangent_basis(
+        _matrix(Sigma, "Sigma", model.dim, pd=True))]
 
 
 def trek_covariance(dag: Digraph, params: DagParams) -> np.ndarray:
@@ -617,14 +601,15 @@ def symmetrize(S) -> tuple[float, float, np.ndarray]:
 
 
 def _symmetrize(A: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """:func:`symmetrize` of a validated matrix."""
+    """:func:`symmetrize` of a validated matrix; :class:`OutOfRange` when
+    a sum of its entries overflows, so that ``a`` or ``b`` is not finite."""
     m = A.shape[0]
-    a = float(np.trace(A)) / m
-    if m == 1:
-        b = 0.0
-    else:
-        iu = np.triu_indices(m, 1)
-        b = float(A[iu].mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = float(np.trace(A)) / m
+        b = float(A[np.triu_indices(m, 1)].mean()) if m > 1 else 0.0
+    if not np.isfinite([a, b]).all():
+        raise OutOfRange("S is too large: the mean of its diagonal or of "
+                         "its off-diagonal entries overflows")
     Sbar = a * np.eye(m) + b * (np.ones((m, m)) - np.eye(m))
     return a, b, Sbar
 

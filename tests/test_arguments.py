@@ -25,13 +25,14 @@ from logvor import CiUnion, DagParams, Digraph, DimensionMismatch, \
     ci_union_cell, cubic_roots_in_interval, embed, equicorrelation_cell, \
     equicorrelation_cubic, equicorrelation_matrix, in_spectrahedron, \
     induced_subgraph, log_likelihood, lognormal_basis, model_contains, \
-    principal_submatrix, sample_spectrahedron, sem_covariance, \
+    principal_submatrix, sample_spectrahedron, sem_covariance, symmetrize, \
     trek_covariance
 
 FUZZ = settings(max_examples=150, deadline=None, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
 HUGE = 10 ** 5000
+MAX = np.finfo(float).max
 values = (st.integers(-3, 8) | st.booleans() | st.floats()
           | st.sampled_from([math.nan, math.inf, -math.inf, 3.0, -0.0])
           | st.text(max_size=3) | st.none())
@@ -233,7 +234,11 @@ def test_matrix_entries_are_real_numbers():
     (lambda: equicorrelation_matrix(3, HUGE), "x"),
     (lambda: bivariate_discriminant(0.0, 1e100), "a and b"),
     (lambda: sample_spectrahedron(PATH3, SIGMA3, 1, radius=HUGE), "radius"),
-], ids=["trek", "sem", "cubic", "huge-int", "discriminant", "huge-radius"])
+    (lambda: symmetrize([[MAX, -0.05], [-0.05, MAX]]), "^S "),
+    (lambda: equicorrelation_cell(3, 0.3, np.full((3, 3), MAX)), "^S "),
+    (lambda: bivariate_cell(0.5, [[MAX, -0.05], [-0.05, MAX]]), "^S "),
+], ids=["trek", "sem", "cubic", "huge-int", "discriminant", "huge-radius",
+        "symmetrize", "equicorrelation-cell", "bivariate-cell"])
 def test_overflow_raises_out_of_range(call, name):
     """Not a numpy warning (an error here), a raw OverflowError or an
     infinite entry."""

@@ -1,12 +1,13 @@
 """Bit-identity of the bulk paths against the code they replaced.
 
-The tangent frame of a concentration model, the chordal fit, the JSON
-matrix codec, the CLI emitter and the Jacobians of the correlation
-multistart work on whole stacks and lists.  The code below is what they
-replaced, kept here as oracles: every result must equal theirs bit for
-bit (``==`` and ``array_equal``, no tolerance), which is what keeps
-every CLI golden byte-identical.  CI runs this file once more with one
-BLAS thread, as the benchmark does.
+The tangent frame of a concentration model, the tangent directions of
+every family and the log-normal slice solved on them, the chordal fit,
+the JSON matrix codec, the CLI emitter and the Jacobians of the
+correlation multistart work on whole stacks and lists.  The code below
+is what they replaced, kept here as oracles: every result must equal
+theirs bit for bit (``==`` and ``array_equal``, no tolerance), which is
+what keeps every CLI golden byte-identical.  CI runs this file once
+more with one BLAS thread, as the benchmark does.
 """
 
 import json
@@ -18,12 +19,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_chordal_graph
-from logvor import Graph, GraphModel, ShapeMismatch, is_chordal
+from conftest import random_chordal_graph, random_correlation, random_pd
+from logvor import BivariateCorrelation, CiUnion, DagModel, Digraph, \
+    Equicorrelation, Graph, GraphModel, LinearConcentration, SemParams, \
+    ShapeMismatch, UnrestrictedCorrelation, equicorrelation_matrix, \
+    is_chordal, lognormal_basis, sem_covariance, tangent_basis
 from logvor.cli import _json
 from logvor.core import _loglik, _parse_entry, _score, _unit_scale, \
     check_symmetric, sym_from_json, sym_to_json
 from logvor.graphs import adjacency
+from logvor.models import FAMILIES, _sem_fit
 from logvor.mle import _CorrChart, _corr_residuals, _decomposable_point, \
     _frame_residual, _newton_directions, _onion_starts, _tangent_frame
 
@@ -63,6 +68,77 @@ def frame_residual_loop(frame, Ss):
             if x > worst or x != x:     # a NaN, once found, is kept
                 worst = x
     return worst
+
+
+def diag_unit(i, m):
+    E = np.zeros((m, m))
+    E[i, i] = 1.0
+    return E
+
+
+def offdiag_unit(i, j, m):
+    E = np.zeros((m, m))
+    E[i, j] = E[j, i] = 1.0
+    return E
+
+
+def tangent_loop(model, A):
+    """The tangent directions of ``model`` at ``A`` as a list, one
+    product or unit at a time."""
+    m = model.dim
+    if isinstance(model, DagModel):
+        M = np.linalg.inv(np.eye(m) - _sem_fit(model.dag, A).Lambda)
+        out = [M.T @ diag_unit(k, m) @ M for k in range(m)]
+        for (u, v) in model.dag.sorted_arcs():
+            E = np.zeros((m, m))
+            E[u - 1, v - 1] = 1.0
+            C = A @ E @ M
+            out.append(C + C.T)
+        return out
+    if isinstance(model, Equicorrelation):
+        return [np.ones((m, m)) - np.eye(m)]
+    if isinstance(model, UnrestrictedCorrelation):
+        return [offdiag_unit(i, j, m)
+                for i in range(m) for j in range(i + 1, m)]
+    if isinstance(model, CiUnion):
+        if CiUnion._side(A) == 1:
+            return [diag_unit(0, 3), diag_unit(1, 3),
+                    offdiag_unit(1, 2, 3), diag_unit(2, 3)]
+        return [diag_unit(0, 3), offdiag_unit(0, 1, 3),
+                diag_unit(1, 3), diag_unit(2, 3)]
+    return [-(A @ B @ A) for B in model.basis]
+
+
+def sym_coords(m):
+    """Orthonormal coordinates of Sym(m) under the trace inner product."""
+    iu = np.triu_indices(m, 1)
+    sqrt2 = np.sqrt(2.0)
+
+    def vec(M):
+        return np.concatenate([np.diag(M), sqrt2 * M[iu]])
+
+    def unvec(v):
+        M = np.zeros((m, m))
+        M[np.diag_indices(m)] = v[:m]
+        M[iu] = v[m:] / sqrt2
+        M[(iu[1], iu[0])] = v[m:] / sqrt2
+        return M
+
+    return vec, unvec
+
+
+def slice_loop(model, Sigma):
+    """The directions of the log-normal slice, with one row of the
+    system ``tr(K D K T_k) = 0`` per tangent direction."""
+    B = _unit_scale(Sigma)[1]
+    K = np.linalg.inv(B)
+    vec, unvec = sym_coords(B.shape[0])
+    rows = np.stack([vec(K @ T @ K) for T in tangent_loop(model, B)])
+    _, svals, vh = np.linalg.svd(rows)
+    cutoff = max(rows.shape) * np.finfo(float).eps \
+        * (svals[0] if svals.size else 0.0)
+    rank = int(np.sum(svals > cutoff))
+    return [unvec(row) for row in vh[rank:]]
 
 
 def decomposable_loop(G, A, order):
@@ -250,6 +326,78 @@ def test_nan_component_wins():
     assert math.isnan(_frame_residual((K, T.reshape(3, 4), nrm), 2.0 * K))
     directions = list(zip(T, nrm.tolist()))
     assert math.isnan(frame_residual_loop((K, directions), 2.0 * K))
+
+
+# ----------------------------------------------------------------------
+# tangent directions and the log-normal slice of every family
+
+
+def random_dag(m, rng):
+    p = float(rng.uniform(0.0, 1.0))
+    return Digraph(m, {(i, j) for i in range(1, m + 1)
+                       for j in range(i + 1, m + 1) if rng.uniform() < p})
+
+
+def dag_point(dag, rng):
+    L = np.zeros((dag.m, dag.m))
+    for i, j in dag.arcs:
+        L[i - 1, j - 1] = rng.uniform(-0.9, 0.9)
+    return sem_covariance(dag, SemParams(rng.uniform(0.5, 2.0, dag.m), L))
+
+
+def ci_union_point(side, rng):
+    """A point of component ``side``: the coupling of its free entry
+    below the geometric mean of the two diagonal entries."""
+    d = rng.uniform(0.5, 3.0, 3)
+    c = rng.uniform(-0.9, 0.9) * math.sqrt(d[1] * d[2])
+    Sigma = np.diag(d)
+    Sigma[1, 2] = Sigma[2, 1] = c
+    return Sigma if side == 1 else Sigma[::-1, ::-1].copy()
+
+
+def family_points(kind, count, seed):
+    """``count`` models of the family ``kind`` with a random point each;
+    the CI union alternates between its components, and the first DAG
+    has no arcs."""
+    rng = np.random.default_rng(seed)
+    for n in range(count):
+        m = int(rng.integers(2, 7))
+        if kind == "concentration":
+            K = random_pd(m, rng)
+            extra = [(A + A.T) / 2.0 for A in rng.standard_normal(
+                (int(rng.integers(0, m)), m, m))]
+            yield LinearConcentration((K, *extra)), np.linalg.inv(K)
+        elif kind == "graph":
+            G = random_graph(m, rng)
+            yield GraphModel(G), graph_point(G, rng)
+        elif kind == "dag":
+            dag = Digraph(m) if n == 0 else random_dag(m, rng)
+            yield DagModel(dag), dag_point(dag, rng)
+        elif kind == "bivariate-correlation":
+            yield BivariateCorrelation(), equicorrelation_matrix(
+                2, rng.uniform(-0.95, 0.95))
+        elif kind == "equicorrelation":
+            yield Equicorrelation(m), equicorrelation_matrix(
+                m, rng.uniform(-0.9 / (m - 1), 0.95))
+        elif kind == "correlation":
+            yield UnrestrictedCorrelation(m), random_correlation(m, rng)
+        else:
+            yield CiUnion(), ci_union_point(1 + n % 2, rng)
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_tangent_directions_and_slice_match_the_loop(kind):
+    for model, Sigma in family_points(kind, 12, seed=30 + len(kind)):
+        Sigma = check_symmetric(Sigma)      # as the public functions see it
+        T = model.tangent_basis(Sigma)
+        want = tangent_loop(model, Sigma)
+        assert T.shape == (len(want), model.dim, model.dim)
+        assert all(map(np.array_equal, T, want))
+        assert all(map(np.array_equal, tangent_basis(model, Sigma), want))
+        got = lognormal_basis(model, Sigma).directions
+        want = slice_loop(model, Sigma)
+        assert len(got) == len(want)
+        assert all(map(np.array_equal, got, want))
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from logvor.cli import main
@@ -108,6 +108,11 @@ def commands(draw):
 @settings(max_examples=400, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(built_problems() | perturbed_goldens(), commands())
+# a mean diagonal entry beyond the largest double: exit 2
+@example({"model": {"kind": "bivariate-correlation"},
+          "sample": {"dim": 2, "upper": [1.7976931348623157e+308, -0.05,
+                                         1.7976931348623157e+308]},
+          "options": {"starts": 1}}, ["mle"])
 def test_every_input_exits_zero_to_three(doc, argv):
     with tempfile.TemporaryDirectory() as tmp:
         file = Path(tmp) / "problem.json"

@@ -30,6 +30,7 @@ from logvor import (
     sem_fit,
     critical_points,
     list_treks,
+    lognormal_basis,
     mle_concentration,
     tangent_basis,
     trek_covariance,
@@ -265,12 +266,25 @@ class TestTangentBasis:
         assert np.linalg.matrix_rank(stack) == len(tangents)
 
     def test_ci_union_charts(self):
-        one = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 3.0]])
-        tangents = tangent_basis(CiUnion(), one)
-        assert len(tangents) == 4
-        # the free directions of component one: diagonal plus the 23 entry
-        for T in tangents:
-            assert T[0, 1] == 0.0 and T[0, 2] == 0.0
+        """On each component the tangent units are the diagonal and that
+        component's free entry, in row-major order, and its plane of a
+        sample zeroes exactly the other off-diagonal entries."""
+        S = np.array([[4.0, 1.0, 2.0], [1.0, 5.0, 3.0], [2.0, 3.0, 6.0]])
+        for side, free, Sigma in [
+                (1, (1, 2), [[1.0, 0.0, 0.0], [0.0, 2.0, 1.0],
+                             [0.0, 1.0, 3.0]]),
+                (2, (0, 1), [[1.0, 0.5, 0.0], [0.5, 2.0, 0.0],
+                             [0.0, 0.0, 3.0]])]:
+            entries = sorted([(0, 0), (1, 1), (2, 2), free])
+            keep = np.zeros((3, 3), dtype=bool)
+            for T, (i, j) in zip(tangent_basis(CiUnion(), Sigma), entries,
+                                 strict=True):
+                E = np.zeros((3, 3))
+                E[i, j] = E[j, i] = 1.0
+                assert np.array_equal(T, E)
+                keep |= E == 1.0
+            plane = CiUnion._planes(S)[side - 1]
+            assert np.array_equal(plane, np.where(keep, S, 0.0))
 
     def test_ci_union_singular_point_raises(self):
         with pytest.raises(SingularPoint):
@@ -451,6 +465,38 @@ class TestFamilyProtocol:
                              strict=True):
             assert np.array_equal(got.sigma, want.sigma)
             assert got.loglik == want.loglik
+
+    def test_tangent_contract(self, path_graph, collider_dag, path_sigma,
+                              collider_sigma, elliptope_sigma):
+        """Every family hands over its tangent directions as one float
+        ``(d, m, m)`` array.  The public functions hand back arrays that
+        the caller owns: writing into them changes no later result."""
+        points = {
+            "concentration": path_sigma, "graph": path_sigma,
+            "dag": collider_sigma,
+            "bivariate-correlation": equicorrelation_matrix(2, 0.5),
+            "equicorrelation": equicorrelation_matrix(4, 0.2),
+            "correlation": elliptope_sigma,
+            "ci-union": np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.7],
+                                  [0.0, 0.7, 3.0]])}
+        models = one_model_per_kind(path_graph, collider_dag)
+        assert points.keys() == models.keys() == FAMILIES.keys()
+        for kind, model in models.items():
+            Sigma, m = points[kind], model.dim
+            T = model.tangent_basis(Sigma)
+            assert type(T) is np.ndarray and T.dtype == np.float64
+            assert T.ndim == 3 and T.shape[1:] == (m, m)
+            for get in (lambda: tangent_basis(model, Sigma),
+                        lambda: [lognormal_basis(model, Sigma).base,
+                                 *lognormal_basis(model, Sigma).directions]):
+                first = get()
+                want = [A.copy() for A in first]
+                for A in first:
+                    assert A.flags.writeable
+                    A += 1.0
+                assert all(np.array_equal(A, B)
+                           for A, B in zip(get(), want, strict=True))
+            assert np.array_equal(model.tangent_basis(Sigma), T)
 
     def test_flags(self, path_graph, collider_dag):
         models = one_model_per_kind(path_graph, collider_dag)

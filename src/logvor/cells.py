@@ -85,13 +85,11 @@ class _Point:
     """What the cell queries need of one point ``Sigma`` of a model.
 
     Made at once: the check that the validated ``Sigma`` is a point of
-    the model (:class:`PreconditionFailed` otherwise) and, for a
-    ``degree_one`` family, the exponent ``e`` of its largest diagonal
-    entry with ``Sigma`` scaled by ``2^-e``.  Made on first need, so
-    each error comes where it came when nothing was kept: ``K`` with the
-    tangent directions (:func:`_tangent_frame`), the log-normal slice and
-    the default sampling radius.  The methods take the model, which the
-    record does not hold.  No array of the record is handed out.
+    the model (:class:`PreconditionFailed` otherwise).  Made on first
+    need, so each error comes where it came when nothing was kept: the
+    :func:`_tangent_frame`, the log-normal slice and the default
+    sampling radius.  The methods take the model, which the record does
+    not hold.  No array of the record is handed out.
     """
 
     def __init__(self, model, A: np.ndarray, key=None):
@@ -99,28 +97,21 @@ class _Point:
                               MODEL_TOL):
             raise PreconditionFailed("Sigma is not a point of the model")
         self.key, self.sigma = key, A
-        self.e, self.unit = 0, A        # the scale of the residuals
-        if model.degree_one:
-            self.e = math.frexp(float(A.diagonal().max()))[1]
-            self.unit = np.ldexp(A, -self.e)
         self._frame = self._slice = None
 
     def status(self, model, Ss: np.ndarray, tol: float):
         """Place the validated ``Ss`` against the spectrahedron:
-        ``NOT_PD``, ``NOT_IN_SPECTRAHEDRON``, or ``None`` inside.  A
-        ``degree_one`` family's residual scales as 1/t with
-        (t Sigma, t Ss), so it is compared at the scale of ``unit``.  No
-        diagonal entry of a slice point exceeds m^2 times the largest of
-        ``Sigma``, so a sample 2^64 times larger is off the slice, before
-        any overflow."""
+        ``NOT_PD``, ``NOT_IN_SPECTRAHEDRON``, or ``None`` inside, by the
+        residual at the frame's scale.  No diagonal entry of a slice point
+        of a ``degree_one`` family exceeds m^2 times the largest of
+        ``Sigma``, so a sample 2^64 times larger is off the slice."""
         if not _is_pd(Ss):
             return NOT_PD
-        if model.degree_one:
-            if math.frexp(float(Ss.diagonal().max()))[1] > self.e + 64:
-                return NOT_IN_SPECTRAHEDRON
-            Ss = np.ldexp(Ss, -self.e)
         if self._frame is None:
-            self._frame = _tangent_frame(model, self.unit)
+            self._frame = _tangent_frame(model, self.sigma)
+        if model.degree_one and (math.frexp(float(Ss.diagonal().max()))[1]
+                                 > self._frame[0] + 64):
+            return NOT_IN_SPECTRAHEDRON
         if not _frame_residual(self._frame, Ss) < tol:
             return NOT_IN_SPECTRAHEDRON
         return None
@@ -187,8 +178,9 @@ def in_spectrahedron(model, Sigma, S, tol: float = CRITICAL_TOL) -> bool:
 
     True when ``S`` is positive definite and the score of ``S`` at
     ``Sigma`` is trace-orthogonal to the tangent space within ``tol``
-    (largest normalised component).  ``Sigma`` must be a point of the
-    model.
+    (largest normalised component) at ``(Sigma, S) 2^-e``, with the
+    largest diagonal entry of ``Sigma 2^-e`` in [1/2, 1): for a
+    correlation family, ``e = 1``.  ``Sigma`` must be a point of the model.
     """
     point = _point(model, Sigma)
     return point.status(model, _matrix(S, "S", model.dim),
@@ -333,14 +325,14 @@ def ci_union_cell(Sigma, S) -> bool:
     """
     Sg = _matrix(Sigma, "Sigma", 3, pd=True)
     Ss = _matrix(S, "S", 3)
-    tol = SLICE_TOL * max(1.0, float(np.abs(Sg).max()))
-    if not CiUnion().contains(Sg, tol):
+    if not CiUnion().contains(Sg, SLICE_TOL):
         raise NotOnSlice("Sigma is not a union-model point")
     # the slice pins the diagonal and the free entry of Sigma's component
     side = CiUnion._side(Sg)
     pinned = [(0, 0), (1, 1), (2, 2)]
     if side:
         pinned.append(CiUnion._FREE[side])
+    tol = SLICE_TOL * float(Sg.diagonal().max())
     for (i, j) in sorted(pinned):
         if abs(Ss[i, j] - Sg[i, j]) > tol:
             raise NotOnSlice(

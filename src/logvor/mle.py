@@ -335,28 +335,32 @@ def criticality_residual(model, Sigma, S) -> float:
     Tangent matrices are normalised to unit Frobenius norm, so the
     residual is scale-invariant in the tangent basis.  Zero residual
     means ``Sigma`` is a critical point of the likelihood of ``S``
-    restricted to the model.
+    restricted to the model.  It is taken at the scale of
+    :func:`_tangent_frame` and scaled back.
     """
     return _residual(model, _matrix(Sigma, "Sigma", model.dim, pd=True),
                      _matrix(S, "S", model.dim))
 
 
 def _residual(model, Sg: np.ndarray, Ss: np.ndarray) -> float:
-    """:func:`criticality_residual` of validated matrices, taken for the
-    scale-invariant degree-one families at :func:`_unit_scale`."""
-    k, Sg, Ss = _unit_scale(Sg, Ss) if model.degree_one else (0, Sg, Ss)
+    """:func:`criticality_residual` of validated matrices."""
+    frame = _tangent_frame(model, Sg)
     try:
-        return math.ldexp(_frame_residual(_tangent_frame(model, Sg), Ss), k)
+        return math.ldexp(_frame_residual(frame, Ss), -frame[0])
     except OverflowError:               # a residual beyond the largest double
         return math.inf
 
 
 def _tangent_frame(model, Sg: np.ndarray) -> tuple:
-    """``(K, T, nrm)`` at the model point ``Sg``: ``K = Sigma^{-1}``, the
+    """``(e, K, T, nrm)`` of the model point ``Sg``, built at ``Sg 2^-e``,
+    whose largest diagonal entry is in [1/2, 1): ``K = Sigma^{-1}``, the
     tangent directions of nonzero Frobenius norm as the rows of one
     ``(d, m * m)`` array ``T``, and their norms ``nrm``.  Each norm is
     the square root of one dot product of the row with itself, as
-    :func:`numpy.linalg.norm` takes it."""
+    :func:`numpy.linalg.norm` takes it.  The scaling is exact, so the
+    frame of ``2^k Sg`` differs only in ``e``."""
+    e = math.frexp(float(Sg.diagonal().max()))[1]
+    Sg = np.ldexp(Sg, -e)
     with np.errstate(over="ignore", invalid="ignore"):
         K = np.linalg.inv(Sg)
         T = model.tangent_basis(Sg)
@@ -365,23 +369,23 @@ def _tangent_frame(model, Sg: np.ndarray) -> tuple:
     if np.count_nonzero(nrm) < len(nrm):
         keep = nrm != 0.0
         T, nrm = T[keep], nrm[keep]
-    return K, T, nrm
+    return e, K, T, nrm
 
 
 def _frame_residual(frame: tuple, Ss: np.ndarray) -> float:
     """The largest normalised score component ``|tr(score T)| / nrm`` of
-    the validated ``Ss`` over the directions of a :func:`_tangent_frame`,
+    the validated ``Ss 2^-e`` over the directions of a :func:`_tangent_frame`,
     0.0 when it has none.  Each trace is the sum of one contiguous row
     of ``score * T``, the pairwise sum that :func:`numpy.sum` takes of an
     ``m x m`` array, formed for a few directions at a time to bound the
     temporary.  A score that overflows gives an infinite or NaN
     residual, with no warning; a NaN component wins over any other."""
-    K, T, nrm = frame
+    e, K, T, nrm = frame
     if not len(T):
         return 0.0
     step = max(1, 2 ** 14 // K.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        sc = _score(K, Ss).ravel()
+        sc = _score(K, np.ldexp(Ss, -e) if e else Ss).ravel()
         sums = [np.add.reduce(sc * T[s:s + step], axis=1)
                 for s in range(0, len(T), step)]
         x = np.abs(np.concatenate(sums) if len(sums) > 1 else sums[0]) / nrm

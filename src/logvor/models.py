@@ -36,8 +36,9 @@ from .errors import (
 )
 from .graphs import Digraph, Graph, is_chordal
 
-#: Off-diagonal entries below this are treated as exact zeros when
-#: deciding which chart of a union model a point belongs to.
+#: Off-diagonal entries below this, relative to the smallest diagonal
+#: entry, are treated as exact zeros when deciding which chart of a
+#: union model a point belongs to.
 SINGULAR_TOL = 1e-10
 #: Tolerance of the model equations, as tested by :func:`model_contains`.
 MODEL_TOL = 1e-8
@@ -366,17 +367,18 @@ class CiUnion(Model):
     _FREE: ClassVar[dict] = {1: (1, 2), 2: (0, 1)}
 
     def contains(self, A, tol):
-        return (abs(A[0, 2]) <= tol
-                and min(abs(A[0, 1]), abs(A[1, 2])) <= tol)
+        return bool(max(abs(A[0, 2]), min(abs(A[0, 1]), abs(A[1, 2])))
+                    <= tol * A.diagonal().max())
 
     @staticmethod
     def _side(A) -> int:
         """The component of ``A``, decided here alone: 1 if |sigma_12| <=
-        |sigma_23|, else 2; 0 if both are at most ``SINGULAR_TOL``."""
-        x, z = abs(A[0, 1]), abs(A[1, 2])
-        if min(x, z) > MODEL_TOL * max(1.0, float(A.diagonal().max())):
+        |sigma_23|, else 2; 0 if both are at most ``SINGULAR_TOL`` times
+        the smallest diagonal entry, so ``2^k A`` is in the same chart."""
+        x, z, d = abs(A[0, 1]), abs(A[1, 2]), A.diagonal()
+        if min(x, z) > MODEL_TOL * d.max():
             raise InvalidModel("Sigma lies in neither component of the union")
-        return 0 if max(x, z) <= SINGULAR_TOL else 1 if x <= z else 2
+        return 0 if max(x, z) <= SINGULAR_TOL * d.min() else 1 if x <= z else 2
 
     def tangent_basis(self, A):
         side = self._side(A)
@@ -451,8 +453,9 @@ def model_contains(model, Sigma) -> bool:
 
     Residuals are compared against ``MODEL_TOL`` scaled by
     ``max(1, |.|)`` of the quantity being tested (concentration entries
-    for inverse-based families, covariance entries for the DAG family);
-    the correlation and union families compare unscaled entries.
+    for inverse-based families, covariance entries for the DAG family),
+    the union by the largest diagonal entry; the correlation families
+    compare unscaled entries.
     """
     return model.contains(_matrix(Sigma, "Sigma", model.dim, pd=True),
                           MODEL_TOL)

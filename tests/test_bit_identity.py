@@ -30,7 +30,8 @@ from logvor.core import _loglik, _parse_entry, _score, _unit_scale, \
 from logvor.graphs import adjacency
 from logvor.models import FAMILIES, _sem_fit
 from logvor.mle import _CorrChart, _corr_residuals, _decomposable_point, \
-    _frame_residual, _newton_directions, _onion_starts, _tangent_frame
+    _frame_residual, _newton_directions, _onion_starts, _residual, \
+    _tangent_frame
 
 SCALES = (1e-3, 1.0, 1e3)
 
@@ -293,28 +294,32 @@ def test_frame_and_residual_match_the_loop(kind):
         model = GraphModel(G)
         assert np.array_equal(model._stack, basis_loop(G))
         Sigma, S = graph_point(G, rng), sample(G.m, rng)
-        for scale in SCALES:
+        for scale in SCALES + (2.0 ** 300,):
             Sg, Ss = scale * Sigma, scale * S
-            K, T, nrm = _tangent_frame(model, Sg)
-            K0, directions = frame_loop(model, Sg)
+            # the frame and its residual are those of the loops at the
+            # point scaled by 2^-e, and the residual is scaled back
+            e, K, T, nrm = frame = _tangent_frame(model, Sg)
+            assert e == math.frexp(float(Sg.diagonal().max()))[1]
+            K0, directions = frame_loop(model, np.ldexp(Sg, -e))
             assert np.array_equal(K, K0)
             assert len(T) == len(nrm) == len(directions)
             for t, n, (t0, n0) in zip(T, nrm, directions):
                 assert np.array_equal(t, t0.ravel()) and n == n0
-            frame = (K, T, nrm)
-            assert _frame_residual(frame, Ss) \
-                == frame_residual_loop((K0, directions), Ss)
+            want = frame_residual_loop((K0, directions), np.ldexp(Ss, -e))
+            assert _frame_residual(frame, Ss) == want
+            assert _residual(model, Sg, Ss) == math.ldexp(want, -e)
             # a score that overflows: infinite or NaN, as the loop says
             with np.errstate(over="ignore"):
                 huge = 1e305 * Ss
+                want = frame_residual_loop((K0, directions),
+                                           np.ldexp(huge, -e))
             got = _frame_residual(frame, huge)
-            want = frame_residual_loop((K0, directions), huge)
             assert got == want or (got != got and want != want)
 
 
 def test_empty_frame_has_residual_zero():
     K = np.eye(2)
-    frame = (K, np.empty((0, 4)), np.empty(0))
+    frame = (0, K, np.empty((0, 4)), np.empty(0))
     assert _frame_residual(frame, K) == 0.0 == frame_residual_loop((K, []), K)
 
 
@@ -323,7 +328,7 @@ def test_nan_component_wins():
     K = np.eye(2)
     T = np.stack([np.eye(2), np.ones((2, 2)), np.eye(2)])
     nrm = np.array([1.0, np.nan, 1e-300])
-    assert math.isnan(_frame_residual((K, T.reshape(3, 4), nrm), 2.0 * K))
+    assert math.isnan(_frame_residual((0, K, T.reshape(3, 4), nrm), 2.0 * K))
     directions = list(zip(T, nrm.tolist()))
     assert math.isnan(frame_residual_loop((K, directions), 2.0 * K))
 

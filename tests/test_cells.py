@@ -1088,7 +1088,7 @@ class TestKeptPoint:
 
 class TestScaledModelPoints:
     """Model points far from unit scale are tested, sliced and sampled
-    at the exact scale of _unit_scale."""
+    exactly, at a power-of-two scale."""
 
     @pytest.mark.parametrize("t", [1e-310, 1e160])
     def test_path_model_at_scale(self, path_graph, t):
@@ -1141,6 +1141,22 @@ class TestScaledModelPoints:
         assert not in_spectrahedron(model, t * Sigma, t * off)
         assert cell_membership(model, t * Sigma, 1e300 * Sigma).status \
             == NOT_IN_SPECTRAHEDRON
+
+    @pytest.mark.parametrize("t", [1e-300, 1e-9, 1e-6, 1.0, 1e300])
+    def test_ci_union_cell_pins_at_the_scale_of_sigma(self, t):
+        """A sample whose S_11 is 1.5 Sigma_11, or whose S_23 is off
+        Sigma_23, is off the slice at every scale, and a sample on it
+        keeps its verdict."""
+        Sigma = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.7], [0.0, 0.7, 3.0]])
+        for (i, j), x in (((0, 0), 1.5), ((1, 2), 0.6)):
+            off = Sigma.copy()
+            off[i, j] = off[j, i] = x
+            with pytest.raises(NotOnSlice,
+                               match=rf"S\[{i + 1},{j + 1}\] is not pinned"):
+                ci_union_cell(t * Sigma, t * off)
+        on = Sigma.copy()
+        on[0, 1] = on[1, 0] = 0.3
+        assert ci_union_cell(t * Sigma, t * on) == ci_union_cell(Sigma, on)
 
     def test_overflowing_score_is_off_the_slice(self):
         """At a nearly singular union point the score of S = 1e300 I

@@ -183,6 +183,18 @@ class TestMle:
         point = strict_json(out)["points"][0]
         assert point["residual"] is None and '"residual": null' in out
 
+    def test_residual_scales_with_the_sample(self, tmp_path, capsys):
+        """The path golden sample times 2^300: the printed residual is
+        the scale-1 residual, 4.4938673322673e-17, times 2^-300."""
+        doc = json.loads((GOLDEN / "graph-path.json").read_text())
+        doc["sample"] = sym_to_json(
+            np.ldexp(logvor.sym_from_json(doc["sample"]), 300))
+        code, out, err = run_cli(capsys, ["mle", write_problem(tmp_path, doc)])
+        assert (code, err) == (0, "")
+        assert '"residual": 2.20608147547483e-107' in out
+        assert strict_json(out)["points"][0]["residual"] == pytest.approx(
+            math.ldexp(4.4938673322673e-17, -300), rel=1e-14)
+
     def test_all_flag_is_gone(self, tmp_path, capsys, path_sigma):
         file = write_problem(tmp_path, path_problem(path_sigma))
         with pytest.raises(SystemExit) as exc:

@@ -6,13 +6,16 @@ verdict.  The oracle needs no second solver.  The unrestricted
 correlation family is left out: its multistart is not a complete
 enumeration, so two labellings may find different point sets.
 
-Scaling a sample of a cone family (concentration, graph and DAG models)
-by 2^k scales its critical point by 2^k, bit for bit, and scaling the
-model point with it keeps every cell-membership verdict.
+Scaling a sample of a cone family (concentration, graph and DAG models
+and the union of two CI planes) by 2^k scales its critical points by
+2^k, bit for bit; scaling the model point with it scales the
+criticality residual by 2^-k, bit for bit, and keeps every
+cell-membership verdict.
 """
 
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from logvor import (
     GraphModel,
     LinearConcentration,
     cell_membership,
+    criticality_residual,
     critical_points,
     equicorrelation_matrix,
     is_chordal,
@@ -49,6 +53,11 @@ CONCENTRATION = LinearConcentration(
                [0.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]])))
 #: Component one of the union, at (t1, t2, t3, t4) = (1, 2, 1, 3).
 CI_SIGMA = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 3.0]])
+#: Component one of the union at (1, 2, 0.7, 3): its on-slice samples
+#: have residuals near 1e-16, so a residual that is not taken at the
+#: scale of Sigma leaves CRITICAL_TOL from Sigma * 2^-27 down.
+CI_CONE_SIGMA = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.7],
+                          [0.0, 0.7, 3.0]])
 FAMILIES = ["chordal", "non-chordal", "concentration", "equicorrelation",
             "ci-union"]
 
@@ -144,24 +153,28 @@ def test_cell_verdicts_match(name):
 CONES = {"concentration": CONCENTRATION,
          "chordal": GraphModel(CHORDAL),
          "4-cycle": GraphModel(Graph(4, ((1, 2), (2, 3), (3, 4), (1, 4)))),
-         "dag": DagModel(Digraph(4, ((1, 2), (2, 4), (3, 4))))}
+         "dag": DagModel(Digraph(4, ((1, 2), (2, 4), (3, 4)))),
+         "ci-union": CiUnion()}
 
 
 @functools.cache
 def cone_case(name):
     """Random samples with their critical points, a model point Sigma
-    (the first of them), and samples with their verdicts at Sigma: on
-    its slice, random, and not PD.  All are computed at scale 1 on a
-    new model object."""
+    (the first of them, or ``CI_CONE_SIGMA`` for the union), and
+    samples with their verdicts and residuals at Sigma: on its slice,
+    random, and not PD.  All are computed at scale 1 on a new model
+    object."""
     model = model_from_json(CONES[name].to_json())
     rng = np.random.default_rng(RNG_SEED)
     samples = [random_pd(model.dim, rng) for _ in range(3)]
-    points = [critical_points(model, S)[0].sigma for S in samples]
-    Sigma = points[0]
+    points = [[cp.sigma for cp in critical_points(model, S)]
+              for S in samples]
+    Sigma = CI_CONE_SIGMA if name == "ci-union" else points[0][0]
     queries = sample_spectrahedron(model, Sigma, 3, seed=2) \
         + samples[1:] + [-Sigma]
     verdicts = [cell_membership(model, Sigma, S).status for S in queries]
-    return samples, points, Sigma, queries, verdicts
+    residuals = [criticality_residual(model, Sigma, S) for S in queries]
+    return samples, points, Sigma, queries, verdicts, residuals
 
 
 @pytest.mark.parametrize("name", sorted(CONES))
@@ -169,13 +182,20 @@ def cone_case(name):
 @given(k=st.integers(-1000, 1000))
 @example(k=-1000)
 @example(k=1000)
+@example(k=-27)
+@example(k=-40)
+@example(k=300)
 def test_critical_points_scale_by_powers_of_two(name, k):
     model = CONES[name]
-    samples, points, Sigma, queries, verdicts = cone_case(name)
+    samples, points, Sigma, queries, verdicts, residuals = cone_case(name)
     for S, P in zip(samples, points):
         got = critical_points(model, np.ldexp(S, k))
-        assert len(got) == 1
-        np.testing.assert_array_equal(got[0].sigma, np.ldexp(P, k))
-    assert IN_CELL in verdicts and len(set(verdicts)) == 3
+        assert len(got) == len(P) == (1 if model.degree_one else 2)
+        for cp, want in zip(got, P):
+            np.testing.assert_array_equal(cp.sigma, np.ldexp(want, k))
+    assert IN_CELL in verdicts \
+        and len(set(verdicts)) == (3 if model.degree_one else 4)
     assert [cell_membership(model, np.ldexp(Sigma, k), np.ldexp(S, k)).status
             for S in queries] == verdicts
+    assert [criticality_residual(model, np.ldexp(Sigma, k), np.ldexp(S, k))
+            for S in queries] == [math.ldexp(r, -k) for r in residuals]

@@ -190,6 +190,18 @@ class TestModelContains:
         D[0, 2] = D[2, 0] = 0.5          # sigma_13 must vanish
         assert not model_contains(CiUnion(), D)
 
+    @pytest.mark.parametrize("t", [1e-300, 1e-9, 1.0, 1e300])
+    def test_ci_union_equations_are_relative(self, t):
+        """The zero tests are relative to the diagonal, so a point in
+        neither component stays out, and a point of component one keeps
+        its chart, at every scale."""
+        P = np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]])
+        A = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.7], [0.0, 0.7, 3.0]])
+        assert model_contains(CiUnion(), t * P) is False
+        assert model_contains(CiUnion(), t * A) is True
+        assert np.array_equal(tangent_basis(CiUnion(), t * A),
+                              tangent_basis(CiUnion(), A))
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             model_contains(BivariateCorrelation(), np.eye(3))

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import _fits, _is_pd, _loglik, _matrix, _reals, _unit_scale, \
+from .core import _fits, _is_pd, _loglik, _matrix, _reals, \
     check_symmetric, embed, pd_mask, principal_submatrix, sym_to_json
 from .errors import NotOnSlice, NotPD, PreconditionFailed, \
     SamplingExhausted, _integer, _positive, _real
@@ -107,29 +107,33 @@ class _Point:
         ``Sigma``, so a sample 2^64 times larger is off the slice."""
         if not _is_pd(Ss):
             return NOT_PD
-        if self._frame is None:
-            self._frame = _tangent_frame(model, self.sigma)
+        frame = self.frame(model)
         if model.degree_one and (math.frexp(float(Ss.diagonal().max()))[1]
-                                 > self._frame[0] + 64):
+                                 > frame[0] + 64):
             return NOT_IN_SPECTRAHEDRON
-        if not _frame_residual(self._frame, Ss) < tol:
+        if not _frame_residual(frame, Ss) < tol:
             return NOT_IN_SPECTRAHEDRON
         return None
 
+    def frame(self, model) -> tuple:
+        """The :func:`_tangent_frame` of ``Sigma``, built on first need."""
+        if self._frame is None:
+            self._frame = _tangent_frame(model, self.sigma)
+        return self._frame
+
     def slice(self, model) -> AffineSlice:
         """The log-normal matrix space: the system ``tr(K D K T_k) = 0``
-        over symmetric ``D``, solved at the scale of :func:`_unit_scale`,
+        over symmetric ``D``, on ``K`` and ``T`` of the :func:`frame`,
         with ``Sigma`` as its base."""
         if self._slice is None:
-            B = _unit_scale(self.sigma)[1]
-            K = np.linalg.inv(B)
+            _, K, T, _ = self.frame(model)
             # orthonormal coordinates of Sym(m): the diagonal, then the
             # upper entries times sqrt(2)
-            m = len(B)
+            m = len(K)
             i, j = np.concatenate([np.diag_indices(m), np.triu_indices(m, 1)],
                                   axis=1)
             w = np.where(i == j, 1.0, np.sqrt(2.0))
-            rows = (K @ model.tangent_basis(B) @ K)[:, i, j] * w
+            rows = (K @ T.reshape(-1, m, m) @ K)[:, i, j] * w
             _, svals, vh = np.linalg.svd(rows)
             cutoff = max(rows.shape) * np.finfo(float).eps \
                 * (svals[0] if svals.size else 0.0)
@@ -166,7 +170,8 @@ def lognormal_basis(model, Sigma) -> AffineSlice:
     directions ``D`` (with ``K = Sigma^{-1}`` and ``T_k`` the tangent
     basis) and returns ``Sigma`` plus an orthonormal basis of the
     solution space.  ``Sigma`` must be a point of the model; the system
-    is solved at the scale of :func:`_unit_scale`.
+    is solved at the scale of :func:`_unit_scale`, so ``2^k Sigma`` has
+    the directions of ``Sigma``.
     """
     slice_ = _point(model, Sigma).slice(model)
     return AffineSlice(base=slice_.base.copy(),
@@ -373,10 +378,10 @@ def compose_cell(G: Graph, Sigma, S1, S2, M) -> np.ndarray:
     Given the separator decomposition ``(U, T, W)`` of ``G``, cell
     members ``S1`` (for the U side at ``Sigma_UU``) and ``S2`` (for the
     W side at ``Sigma_WW``), and a symmetric ``M`` vanishing on the
-    ``U x U`` and ``W x W`` blocks, returns
-    ``inv([inv(S1)] + [inv(S2)] - [inv(Sigma_TT)]) + M``.  Invalid
-    pieces raise :class:`PreconditionFailed`; a result outside the
-    positive definite cone raises :class:`NotPD`.
+    ``U x U`` and ``W x W`` blocks (to 1e-12 of Sigma's largest diagonal
+    entry), returns ``inv([inv(S1)] + [inv(S2)] - [inv(Sigma_TT)]) + M``.
+    Invalid pieces raise :class:`PreconditionFailed`; a result outside
+    the positive definite cone raises :class:`NotPD`.
     """
     Sg = _matrix(Sigma, "Sigma", G.m)
     dec = find_reducible_decomposition(G)
@@ -395,9 +400,9 @@ def compose_cell(G: Graph, Sigma, S1, S2, M) -> np.ndarray:
         if status is not None:
             raise PreconditionFailed(
                 f"{name} is not in the {side}-side cell ({status})")
-    scale = max(1.0, float(np.abs(Mk).max()))
+    tol = 1e-12 * float(Sg.diagonal().max())
     for block in (U, W):
-        if float(np.abs(principal_submatrix(Mk, block)).max()) > 1e-12 * scale:
+        if float(np.abs(principal_submatrix(Mk, block)).max()) > tol:
             raise PreconditionFailed(
                 "M must vanish on the U x U and W x W blocks")
 

@@ -28,9 +28,8 @@ PD_PIVOT_RTOL = 1e-12
 #: Asymmetry averaged away by :func:`check_symmetric`, relative to the
 #: largest entry (at least 1).
 SYMMETRY_RTOL = 1e-8
-#: Largest diagonal entry from which the PD tests and :func:`_unit_scale`
-#: scale a matrix down by a power of two, so products of entries stay
-#: finite; the PD tests also scale one below ``1 / _HUGE`` up.
+#: Largest diagonal entry from which the PD tests scale a matrix down by a
+#: power of two, so products stay finite; below 1/_HUGE they scale it up.
 _HUGE = 2.0 ** 500
 
 
@@ -176,15 +175,10 @@ def _loglik(Sg: np.ndarray, Ss: np.ndarray) -> float:
 
 def _unit_scale(A: np.ndarray, *others: np.ndarray) -> tuple:
     """The ``k`` that puts the largest diagonal entry of ``2^k A`` in
-    [1/2, 1) when it is below 1/2 or at least ``_HUGE``, else 0, then
-    ``A`` and ``others`` times ``2^k``.  Scaling by ``2^k`` is exact:
-    homogeneous solves and fits keep every bit."""
-    dmax = float(A.diagonal().max())
-    e = math.frexp(dmax)[1]
-    k = -e if e < 0 or dmax >= _HUGE else 0
-    if k:
-        A, *others = (np.ldexp(M, k) for M in (A, *others))
-    return (k, A, *others)
+    [1/2, 1), then ``A`` and ``others`` times ``2^k``: the one scale of a
+    model point.  It is exact, so homogeneous arithmetic keeps every bit."""
+    k = -math.frexp(float(A.diagonal().max()))[1]
+    return (k, *(np.ldexp(M, k) for M in (A, *others)))
 
 
 def _logdet(K: np.ndarray) -> float:

@@ -193,11 +193,9 @@ def mle_concentration(model, S) -> CriticalPoint:
 
 def _concentration_point(model, S: np.ndarray) -> CriticalPoint:
     """:func:`mle_concentration` of a validated sample, fitted at the
-    power-of-two scale that puts its largest diagonal entry in [1/2, 1):
-    there the stopping test is relative, and the samples ``2^k S`` take
-    the same steps."""
-    k = -math.frexp(float(S.diagonal().max()))[1]
-    A = np.ldexp(S, k)
+    scale of :func:`_unit_scale`: there the stopping test is relative,
+    and the samples ``2^k S`` take the same steps."""
+    k, A = _unit_scale(S)
     m = model.dim
     B = model._stack                        # (d, m, m)
     d = B.shape[0]
@@ -287,11 +285,11 @@ def mle_graph_decomposable(G: Graph, S) -> CriticalPoint:
 
 def _decomposable_point(G: Graph, A: np.ndarray, order) -> CriticalPoint:
     """:func:`mle_graph_decomposable` on a validated sample and a perfect
-    elimination order of ``G``, at the scale of :func:`_unit_scale`.  The
-    blocks of one size are inverted in one call (one LAPACK solve per
-    block, as for a single matrix), and every ``w inv(S_block)`` is added
-    into ``K`` in one call, block after block in the order of the
-    weights: each entry gets the sums of a loop over the blocks."""
+    elimination order of ``G``, at the scale of :func:`_unit_scale`, so
+    bit for bit homogeneous.  The blocks of one size are inverted in one
+    call (one LAPACK solve per block, as for a single matrix), and every
+    ``w inv(S_block)`` is added into ``K`` in one call, block after block
+    in the order of the weights: each entry gets the sums of a loop."""
     m = G.m
     if G.is_complete():
         Sigma = A.copy()
@@ -353,14 +351,13 @@ def _residual(model, Sg: np.ndarray, Ss: np.ndarray) -> float:
 
 def _tangent_frame(model, Sg: np.ndarray) -> tuple:
     """``(e, K, T, nrm)`` of the model point ``Sg``, built at ``Sg 2^-e``,
-    whose largest diagonal entry is in [1/2, 1): ``K = Sigma^{-1}``, the
+    the scale of :func:`_unit_scale`: ``K = Sigma^{-1}``, the
     tangent directions of nonzero Frobenius norm as the rows of one
     ``(d, m * m)`` array ``T``, and their norms ``nrm``.  Each norm is
     the square root of one dot product of the row with itself, as
     :func:`numpy.linalg.norm` takes it.  The scaling is exact, so the
     frame of ``2^k Sg`` differs only in ``e``."""
-    e = math.frexp(float(Sg.diagonal().max()))[1]
-    Sg = np.ldexp(Sg, -e)
+    k, Sg = _unit_scale(Sg)
     with np.errstate(over="ignore", invalid="ignore"):
         K = np.linalg.inv(Sg)
         T = model.tangent_basis(Sg)
@@ -369,7 +366,7 @@ def _tangent_frame(model, Sg: np.ndarray) -> tuple:
     if np.count_nonzero(nrm) < len(nrm):
         keep = nrm != 0.0
         T, nrm = T[keep], nrm[keep]
-    return e, K, T, nrm
+    return -k, K, T, nrm
 
 
 def _frame_residual(frame: tuple, Ss: np.ndarray) -> float:

@@ -114,11 +114,10 @@ class _Concentration(Model):
 
     def contains(self, A, tol):
         K = np.linalg.inv(_unit_scale(A)[1])
-        scale = max(1.0, float(np.abs(K).max()))
         stack = self._stack.reshape(len(self._stack), -1).T
         coeff, *_ = np.linalg.lstsq(stack, K.ravel(), rcond=None)
         resid = float(np.abs(stack @ coeff - K.ravel()).max())
-        return resid <= tol * scale
+        return resid <= tol * float(np.abs(K).max())
 
     def tangent_basis(self, A):
         """The directions ``-(A B A)``, B in the basis, as one ``(d, m, m)``
@@ -201,12 +200,11 @@ class GraphModel(_Concentration):
 
     def contains(self, A, tol):
         K = np.linalg.inv(_unit_scale(A)[1])
-        scale = max(1.0, float(np.abs(K).max()))
         G = self.graph
         off = [abs(K[i - 1, j - 1])
                for i in range(1, G.m + 1) for j in range(i + 1, G.m + 1)
                if not G.has_edge(i, j)]
-        return max(off, default=0.0) <= tol * scale
+        return bool(max(off, default=0.0) <= tol * float(np.abs(K).max()))
 
     def critical_points(self, A, opts):
         from .mle import _decomposable_point
@@ -240,9 +238,9 @@ class DagModel(Model):
         return self.dag.m
 
     def contains(self, A, tol):
-        scale = max(1.0, float(np.abs(A).max()))
-        fitted = sem_covariance(self.dag, _sem_fit(self.dag, A))
-        return float(np.abs(fitted - A).max()) <= tol * scale
+        B = _unit_scale(A)[1]
+        resid = sem_covariance(self.dag, _sem_fit(self.dag, B)) - B
+        return float(np.abs(resid).max()) <= tol * float(B.diagonal().max())
 
     def tangent_basis(self, A):
         """The derivatives ``M^T E_kk M``, k a vertex, then ``C + C^T``
@@ -451,11 +449,11 @@ def concentration_basis(G: Graph) -> np.ndarray:
 def model_contains(model, Sigma) -> bool:
     """Does the positive definite matrix ``Sigma`` satisfy the model equations?
 
-    Residuals are compared against ``MODEL_TOL`` scaled by
-    ``max(1, |.|)`` of the quantity being tested (concentration entries
-    for inverse-based families, covariance entries for the DAG family),
-    the union by the largest diagonal entry; the correlation families
-    compare unscaled entries.
+    Residuals are compared against ``MODEL_TOL`` times the largest
+    |entry| of ``inv(Sigma 2^-e)`` for the inverse-based families, of
+    ``Sigma 2^-e`` for the DAG family (the scale of :func:`_unit_scale`)
+    and of ``Sigma`` for the union; the correlation families compare
+    unscaled entries.  So the cone families judge ``2^k Sigma`` as ``Sigma``.
     """
     return model.contains(_matrix(Sigma, "Sigma", model.dim, pd=True),
                           MODEL_TOL)
@@ -549,7 +547,8 @@ def sem_fit(dag: Digraph, S) -> SemParams:
 
 def _sem_fit(dag: Digraph, S: np.ndarray) -> SemParams:
     """:func:`sem_fit` of a validated symmetric matrix of the DAG's
-    dimension, at the exact scale of :func:`_unit_scale`."""
+    dimension, at the scale of :func:`_unit_scale`: ``2^k S`` gives the
+    same ``Lambda`` and ``2^k`` times ``omega``, bit for bit."""
     m = dag.m
     e, A = _unit_scale(S)
     Lambda = np.zeros((m, m))

@@ -759,6 +759,23 @@ class TestComposeProject:
         with pytest.raises(NotPD, match="composed sample"):
             compose_cell(path_graph, path_sigma, S1, S2, huge_m)
 
+    @pytest.mark.parametrize("t", [2.0 ** -40, 1.0, 2.0 ** 40])
+    def test_block_test_is_relative_to_sigma(self, t):
+        """``M`` must vanish on the blocks to 1e-12 of Sigma's largest
+        diagonal entry, at every scale: a U x U entry of 1.16e-3 t is
+        rejected (an absolute floor let it through at small t), and a
+        cell member splits and reassembles at that scale."""
+        G = Graph(3, ((1, 2), (2, 3)))
+        A = np.random.default_rng(0).standard_normal((3, 6))
+        S = A @ A.T / 6 + np.eye(3) / 2
+        Sigma = critical_points(GraphModel(G), S)[0].sigma
+        S1, S2, M = project_cell(G, Sigma, S)
+        M[0, 0] += 1.16e-3
+        with pytest.raises(PreconditionFailed, match="must vanish"):
+            compose_cell(G, t * Sigma, t * S1, t * S2, t * M)
+        back = compose_cell(G, t * Sigma, *project_cell(G, t * Sigma, t * S))
+        np.testing.assert_allclose(back, t * S, rtol=1e-10, atol=1e-10 * t)
+
     def test_sample_off_the_slice_is_not_split(self, path_graph, path_sigma):
         S = path_sigma.copy()
         S[0, 1] = S[1, 0] = S[0, 1] + 0.3     # an edge entry is pinned

@@ -10,7 +10,9 @@ Scaling a sample of a cone family (concentration, graph and DAG models
 and the union of two CI planes) by 2^k scales its critical points by
 2^k, bit for bit; scaling the model point with it scales the
 criticality residual by 2^-k, bit for bit, and keeps every
-cell-membership verdict.
+cell-membership verdict.  Scaling a model point keeps its log-normal
+slice directions, bit for bit, and the verdict of the model equations,
+on the model and off it.
 """
 
 import functools
@@ -37,6 +39,8 @@ from logvor import (
     critical_points,
     equicorrelation_matrix,
     is_chordal,
+    lognormal_basis,
+    model_contains,
     model_from_json,
     sample_spectrahedron,
 )
@@ -160,10 +164,11 @@ CONES = {"concentration": CONCENTRATION,
 @functools.cache
 def cone_case(name):
     """Random samples with their critical points, a model point Sigma
-    (the first of them, or ``CI_CONE_SIGMA`` for the union), and
-    samples with their verdicts and residuals at Sigma: on its slice,
-    random, and not PD.  All are computed at scale 1 on a new model
-    object."""
+    (the first of them, or ``CI_CONE_SIGMA`` for the union), samples
+    with their verdicts and residuals at Sigma (on its slice, random,
+    and not PD), the slice directions at Sigma, and Sigma with its
+    (1, m) entry moved off the model by 1e-3 of its largest diagonal
+    entry.  All are computed at scale 1 on a new model object."""
     model = model_from_json(CONES[name].to_json())
     rng = np.random.default_rng(RNG_SEED)
     samples = [random_pd(model.dim, rng) for _ in range(3)]
@@ -174,7 +179,10 @@ def cone_case(name):
         + samples[1:] + [-Sigma]
     verdicts = [cell_membership(model, Sigma, S).status for S in queries]
     residuals = [criticality_residual(model, Sigma, S) for S in queries]
-    return samples, points, Sigma, queries, verdicts, residuals
+    off = Sigma.copy()
+    off[0, -1] = off[-1, 0] = Sigma[0, -1] + 1e-3 * Sigma.diagonal().max()
+    return (samples, points, Sigma, queries, verdicts, residuals,
+            lognormal_basis(model, Sigma).directions, off)
 
 
 @pytest.mark.parametrize("name", sorted(CONES))
@@ -185,9 +193,11 @@ def cone_case(name):
 @example(k=-27)
 @example(k=-40)
 @example(k=300)
+@example(k=48)
 def test_critical_points_scale_by_powers_of_two(name, k):
     model = CONES[name]
-    samples, points, Sigma, queries, verdicts, residuals = cone_case(name)
+    samples, points, Sigma, queries, verdicts, residuals, directions, off \
+        = cone_case(name)
     for S, P in zip(samples, points):
         got = critical_points(model, np.ldexp(S, k))
         assert len(got) == len(P) == (1 if model.degree_one else 2)
@@ -199,3 +209,19 @@ def test_critical_points_scale_by_powers_of_two(name, k):
             for S in queries] == verdicts
     assert [criticality_residual(model, np.ldexp(Sigma, k), np.ldexp(S, k))
             for S in queries] == [math.ldexp(r, -k) for r in residuals]
+    got = lognormal_basis(model, np.ldexp(Sigma, k)).directions
+    assert len(got) == len(directions)
+    assert all(map(np.array_equal, got, directions))
+    assert model_contains(model, np.ldexp(Sigma, k)) is True
+    assert model_contains(model, np.ldexp(off, k)) is False
+
+
+def test_dag_slice_has_dimension_three_at_every_scale():
+    """The DAG 1 -> 2 -> 4 <- 3 at the MLE of a fixed sample.  Its slice
+    rows mix tangent directions of degree 0 and 1 in Sigma; solved at
+    Sigma itself, the SVD cutoff dropped rows from Sigma * 2^48 up."""
+    model = DagModel(Digraph(4, ((1, 2), (2, 4), (3, 4))))
+    A = np.random.default_rng(1).standard_normal((4, 7))
+    Sigma = critical_points(model, A @ A.T / 7 + np.eye(4) / 2)[0].sigma
+    for k in range(0, 500, 4):
+        assert lognormal_basis(model, np.ldexp(Sigma, k)).dimension == 3, k

@@ -454,6 +454,18 @@ def one_model_per_kind(path_graph, collider_dag) -> dict:
     ]}
 
 
+def one_point_per_kind(path_sigma, collider_sigma, elliptope_sigma) -> dict:
+    """A point of each model of :func:`one_model_per_kind`."""
+    return {
+        "concentration": path_sigma, "graph": path_sigma,
+        "dag": collider_sigma,
+        "bivariate-correlation": equicorrelation_matrix(2, 0.5),
+        "equicorrelation": equicorrelation_matrix(4, 0.2),
+        "correlation": elliptope_sigma,
+        "ci-union": np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.7],
+                              [0.0, 0.7, 3.0]])}
+
+
 class TestFamilyProtocol:
     def test_every_kind_rejects_non_pd(self, path_graph, collider_dag):
         """The PD test runs at the boundary, whatever the family."""
@@ -483,14 +495,8 @@ class TestFamilyProtocol:
         """Every family hands over its tangent directions as one float
         ``(d, m, m)`` array.  The public functions hand back arrays that
         the caller owns: writing into them changes no later result."""
-        points = {
-            "concentration": path_sigma, "graph": path_sigma,
-            "dag": collider_sigma,
-            "bivariate-correlation": equicorrelation_matrix(2, 0.5),
-            "equicorrelation": equicorrelation_matrix(4, 0.2),
-            "correlation": elliptope_sigma,
-            "ci-union": np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.7],
-                                  [0.0, 0.7, 3.0]])}
+        points = one_point_per_kind(path_sigma, collider_sigma,
+                                    elliptope_sigma)
         models = one_model_per_kind(path_graph, collider_dag)
         assert points.keys() == models.keys() == FAMILIES.keys()
         for kind, model in models.items():
@@ -509,6 +515,20 @@ class TestFamilyProtocol:
                 assert all(np.array_equal(A, B)
                            for A, B in zip(get(), want, strict=True))
             assert np.array_equal(model.tangent_basis(Sigma), T)
+
+    def test_contains_answers_a_python_bool(self, path_graph, collider_dag,
+                                            path_sigma, collider_sigma,
+                                            elliptope_sigma):
+        """On the model and off it, every family answers True or False,
+        not a numpy bool."""
+        points = one_point_per_kind(path_sigma, collider_sigma,
+                                    elliptope_sigma)
+        rng = np.random.default_rng(11)
+        for kind, model in one_model_per_kind(path_graph,
+                                              collider_dag).items():
+            on, off = points[kind], random_pd(model.dim, rng)
+            assert model_contains(model, on) is True, kind
+            assert model_contains(model, off) is False, kind
 
     def test_flags(self, path_graph, collider_dag):
         models = one_model_per_kind(path_graph, collider_dag)

@@ -82,71 +82,65 @@ class MembershipVerdict:
 
 
 class _Point:
-    """What the cell queries need of one point ``Sigma`` of a model.
+    """One point ``Sigma`` of a model: what the cell queries need of it.
 
     Made at once: the check that the validated ``Sigma`` is a point of
-    the model (:class:`PreconditionFailed` otherwise).  Made on first
+    ``model`` (:class:`PreconditionFailed` otherwise).  Made on first
     need, so each error comes where it came when nothing was kept: the
-    :func:`_tangent_frame`, the log-normal slice and the default
-    sampling radius.  The methods take the model, which the record does
-    not hold.  No array of the record is handed out.
+    :func:`_tangent_frame` at ``Sigma 2^-e``, and from it the log-normal
+    slice and the default sampling radius.  No array of the record is
+    handed out.
     """
 
     def __init__(self, model, A: np.ndarray, key=None):
         if not model.contains(_fits(A, "Sigma", model.dim, pd=True),
                               MODEL_TOL):
             raise PreconditionFailed("Sigma is not a point of the model")
-        self.key, self.sigma = key, A
-        self._frame = self._slice = None
+        self.model, self.key, self.sigma = model, key, A
 
-    def status(self, model, Ss: np.ndarray, tol: float):
+    def status(self, Ss: np.ndarray, tol: float):
         """Place the validated ``Ss`` against the spectrahedron:
         ``NOT_PD``, ``NOT_IN_SPECTRAHEDRON``, or ``None`` inside, by the
-        residual at the frame's scale.  No diagonal entry of a slice point
-        of a ``degree_one`` family exceeds m^2 times the largest of
-        ``Sigma``, so a sample 2^64 times larger is off the slice."""
+        residual at the frame's scale."""
         if not _is_pd(Ss):
             return NOT_PD
-        frame = self.frame(model)
-        if model.degree_one and (math.frexp(float(Ss.diagonal().max()))[1]
-                                 > frame[0] + 64):
-            return NOT_IN_SPECTRAHEDRON
-        if not _frame_residual(frame, Ss) < tol:
+        if not _frame_residual(self.frame, Ss) < tol:
             return NOT_IN_SPECTRAHEDRON
         return None
 
-    def frame(self, model) -> tuple:
-        """The :func:`_tangent_frame` of ``Sigma``, built on first need."""
-        if self._frame is None:
-            self._frame = _tangent_frame(model, self.sigma)
-        return self._frame
+    @cached_property
+    def frame(self) -> tuple:
+        """The :func:`_tangent_frame` of ``Sigma``."""
+        return _tangent_frame(self.model, self.sigma)
 
-    def slice(self, model) -> AffineSlice:
+    @cached_property
+    def slice(self) -> AffineSlice:
         """The log-normal matrix space: the system ``tr(K D K T_k) = 0``
-        over symmetric ``D``, on ``K`` and ``T`` of the :func:`frame`,
+        over symmetric ``D``, on ``K`` and ``T`` of the :attr:`frame`,
         with ``Sigma`` as its base."""
-        if self._slice is None:
-            _, K, T, _ = self.frame(model)
-            # orthonormal coordinates of Sym(m): the diagonal, then the
-            # upper entries times sqrt(2)
-            m = len(K)
-            i, j = np.concatenate([np.diag_indices(m), np.triu_indices(m, 1)],
-                                  axis=1)
-            w = np.where(i == j, 1.0, np.sqrt(2.0))
-            rows = (K @ T.reshape(-1, m, m) @ K)[:, i, j] * w
-            _, svals, vh = np.linalg.svd(rows)
-            cutoff = max(rows.shape) * np.finfo(float).eps \
-                * (svals[0] if svals.size else 0.0)
-            rank = int(np.sum(svals > cutoff))
-            D = np.zeros((len(vh) - rank, m, m))
-            D[:, i, j] = D[:, j, i] = vh[rank:] / w
-            self._slice = AffineSlice(base=self.sigma, directions=tuple(D))
-        return self._slice
+        _, K, T, _ = self.frame
+        # orthonormal coordinates of Sym(m): the diagonal, then the
+        # upper entries times sqrt(2)
+        m = len(K)
+        i, j = np.concatenate([np.diag_indices(m), np.triu_indices(m, 1)],
+                              axis=1)
+        w = np.where(i == j, 1.0, np.sqrt(2.0))
+        rows = (K @ T.reshape(-1, m, m) @ K)[:, i, j] * w
+        _, svals, vh = np.linalg.svd(rows)
+        cutoff = max(rows.shape) * np.finfo(float).eps \
+            * (svals[0] if svals.size else 0.0)
+        rank = int(np.sum(svals > cutoff))
+        D = np.zeros((len(vh) - rank, m, m))
+        D[:, i, j] = D[:, j, i] = vh[rank:] / w
+        return AffineSlice(base=self.sigma, directions=tuple(D))
 
     @cached_property
     def radius(self) -> float:
-        """Half the smallest eigenvalue of ``Sigma``."""
-        return 0.5 * float(np.linalg.eigvalsh(self.sigma)[0])
+        """Half the smallest eigenvalue of ``Sigma``, taken at the
+        frame's scale ``Sigma 2^-e``, so ``2^k Sigma`` has 2^k times it."""
+        e = self.frame[0]
+        return math.ldexp(
+            0.5 * float(np.linalg.eigvalsh(np.ldexp(self.sigma, -e))[0]), e)
 
 
 def _point(model, Sigma) -> _Point:
@@ -173,7 +167,7 @@ def lognormal_basis(model, Sigma) -> AffineSlice:
     is solved at the scale of :func:`_unit_scale`, so ``2^k Sigma`` has
     the directions of ``Sigma``.
     """
-    slice_ = _point(model, Sigma).slice(model)
+    slice_ = _point(model, Sigma).slice
     return AffineSlice(base=slice_.base.copy(),
                        directions=tuple(D.copy() for D in slice_.directions))
 
@@ -185,11 +179,12 @@ def in_spectrahedron(model, Sigma, S, tol: float = CRITICAL_TOL) -> bool:
     ``Sigma`` is trace-orthogonal to the tangent space within ``tol``
     (largest normalised component) at ``(Sigma, S) 2^-e``, with the
     largest diagonal entry of ``Sigma 2^-e`` in [1/2, 1): for a
-    correlation family, ``e = 1``.  ``Sigma`` must be a point of the model.
+    correlation family, ``e = 1``.  A residual that is not finite, as
+    when ``S 2^-e`` overflows, is outside.  ``Sigma`` must be a point of
+    the model.
     """
-    point = _point(model, Sigma)
-    return point.status(model, _matrix(S, "S", model.dim),
-                        _positive(tol, "tol")) is None
+    return _point(model, Sigma).status(_matrix(S, "S", model.dim),
+                                       _positive(tol, "tol")) is None
 
 
 def cell_membership(model, Sigma, S, opts: Optional[SolverOptions] = None
@@ -207,7 +202,7 @@ def cell_membership(model, Sigma, S, opts: Optional[SolverOptions] = None
     """
     point = _point(model, Sigma)
     Sg, Ss = point.sigma, _matrix(S, "S", model.dim)
-    status = point.status(model, Ss, CRITICAL_TOL)
+    status = point.status(Ss, CRITICAL_TOL)
     if status is not None:
         return MembershipVerdict(status=status)
     if model.degree_one:
@@ -396,7 +391,7 @@ def compose_cell(G: Graph, Sigma, S1, S2, M) -> np.ndarray:
     for name, side, block, piece in (("S1", "U", U, A1), ("S2", "W", W, A2)):
         sub = GraphModel(induced_subgraph(G, block))
         status = _Point(sub, principal_submatrix(Sg, block)).status(
-            sub, piece, CRITICAL_TOL)
+            piece, CRITICAL_TOL)
         if status is not None:
             raise PreconditionFailed(
                 f"{name} is not in the {side}-side cell ({status})")
@@ -420,13 +415,13 @@ def project_cell(G: Graph, Sigma, S) -> tuple[np.ndarray, np.ndarray, np.ndarray
     :func:`compose_cell` reassembles ``S`` from the triple.  ``S`` must
     be in the cell of ``Sigma``.
     """
-    model = GraphModel(G)
-    point = _point(model, Sigma)
+    # the model is built for this call, so its record is not kept on it
+    point = _Point(GraphModel(G), check_symmetric(_reals(Sigma, "Sigma")))
     Ss = _matrix(S, "S", G.m)
     dec = find_reducible_decomposition(G)
     if dec is None:
         raise PreconditionFailed("graph admits no clique-separator decomposition")
-    status = point.status(model, Ss, CRITICAL_TOL)
+    status = point.status(Ss, CRITICAL_TOL)
     if status is not None:
         raise PreconditionFailed(f"S is not in the cell of Sigma ({status})")
     A1 = principal_submatrix(Ss, dec.U)
@@ -440,16 +435,18 @@ def sample_spectrahedron(model, Sigma, count: int, seed: int = 0,
 
     Proposals are Gaussian steps along the slice directions with the
     given ``radius`` (default: half the smallest eigenvalue of
-    ``Sigma``); a rejected (non-PD) proposal halves the radius for that
-    sample and redraws, up to 200 proposals per sample.  Deterministic
-    for a fixed seed.  Proposals are built and tested as a stack, with
-    one :func:`pd_mask` call per batch; after a rejection only the next
-    proposal, the retry, is built and tested again, so the random stream
-    and the samples are those of testing one proposal at a time.
+    ``Sigma``, taken at ``Sigma 2^-e`` as the slice is, so ``2^k Sigma``
+    draws 2^k times the samples of ``Sigma``); a rejected (non-PD)
+    proposal halves the radius for that sample and redraws, up to 200
+    proposals per sample.  Deterministic for a fixed seed.  Proposals
+    are built and tested as a stack, with one :func:`pd_mask` call per
+    batch; after a rejection only the next proposal, the retry, is built
+    and tested again, so the random stream and the samples are those of
+    testing one proposal at a time.
     """
     count, seed = _integer(count, "count", 0), _integer(seed, "seed", 0)
     point = _point(model, Sigma)
-    slice_ = point.slice(model)
+    slice_ = point.slice
     radius = _positive(point.radius if radius is None else radius, "radius")
     rng = np.random.default_rng(seed)
     base, dirs = slice_.base, slice_.directions

@@ -26,7 +26,7 @@ from .errors import DimensionMismatch, IndexOutOfRange, NotPD, \
 #: largest diagonal entry.
 PD_PIVOT_RTOL = 1e-12
 #: Asymmetry averaged away by :func:`check_symmetric`, relative to the
-#: largest entry (at least 1).
+#: largest absolute entry, at every scale.
 SYMMETRY_RTOL = 1e-8
 #: Largest diagonal entry from which the PD tests scale a matrix down by a
 #: power of two, so products stay finite; below 1/_HUGE they scale it up.
@@ -54,9 +54,10 @@ def _reals(M, name: str) -> np.ndarray:
 def check_symmetric(M) -> np.ndarray:
     """Validate and return a square, finite, symmetric float matrix.
 
-    Asymmetries up to ``SYMMETRY_RTOL`` times the largest entry are
-    averaged away; anything larger raises :class:`ShapeMismatch`.  The
-    entries must be real numbers, as :func:`_reals` checks them.
+    Asymmetries up to ``SYMMETRY_RTOL`` times the largest absolute entry
+    are averaged away, at every scale; anything larger raises
+    :class:`ShapeMismatch`.  The entries must be real numbers, as
+    :func:`_reals` checks them.
     """
     A = _reals(M, "the matrix")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -65,7 +66,7 @@ def check_symmetric(M) -> np.ndarray:
         raise ShapeMismatch("matrix must have positive dimension")
     if not np.all(np.isfinite(A)):
         raise ShapeMismatch("matrix entries must be finite")
-    scale = max(1.0, float(np.abs(A).max()))
+    scale = float(np.abs(A).max())
     if float(np.abs(A - A.T).max()) > SYMMETRY_RTOL * scale:
         raise ShapeMismatch("matrix is not symmetric")
     if scale >= 2.0 ** 1022:        # A + A.T could overflow; halve first

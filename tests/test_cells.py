@@ -1,5 +1,6 @@
 """Spectrahedron slices, cell membership, decomposition and sampling."""
 
+import gc
 import itertools
 import math
 
@@ -689,6 +690,21 @@ class TestComposeProject:
         M[0, 3] = M[3, 0] = rng.uniform(-m_scale, m_scale)
         return S1, S2, M
 
+    def test_pieces_leave_no_reference_cycle(self, path_graph, path_sigma):
+        """A model point's record holds its model.  The models that
+        compose_cell and project_cell build for one call keep no record,
+        so they are freed on return, not by the cycle collector."""
+        S = compose_cell(path_graph, path_sigma, *self.admissible_triple(
+            path_graph, path_sigma, np.random.default_rng(5)))
+        gc.collect()
+        gc.disable()
+        try:
+            compose_cell(path_graph, path_sigma,
+                         *project_cell(path_graph, path_sigma, S))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_trivial_collapse(self, path_graph, path_sigma):
         dec = find_reducible_decomposition(path_graph)
         S = compose_cell(path_graph, path_sigma,
@@ -1187,6 +1203,39 @@ class TestScaledModelPoints:
         assert not in_spectrahedron(CiUnion(), Sigma, S)
         assert cell_membership(CiUnion(), Sigma, S).status \
             == NOT_IN_SPECTRAHEDRON
+
+
+class TestCellConvexity:
+    """Every logarithmic Voronoi cell is convex: a random point on the
+    segment between two samples in the cell of Sigma is in it too.  The
+    samples are drawn on the log-normal slice, some of them past the
+    cell, so that segments run near its boundary."""
+
+    @pytest.mark.parametrize("name", ["correlation", "equicorrelation",
+                                      "ci-union"])
+    def test_segment_between_cell_points_is_in_the_cell(self, name,
+                                                        elliptope_sigma):
+        rng = np.random.default_rng(20221020)
+        P = elliptope_sigma
+        model, Sigma, draw = {
+            # the slice of a correlation point: S = P + P D P, D diagonal
+            "correlation": (UnrestrictedCorrelation(3), P, lambda: (
+                P + P @ np.diag(rng.uniform(-1.5, 3.0, 3)) @ P)),
+            "equicorrelation": (
+                Equicorrelation(4), equicorrelation_matrix(4, 0.3),
+                lambda: equicorrelation_slice_sample(4, 0.3, rng)),
+            "ci-union": (CiUnion(), TestCiUnionCell().sigma_t(),
+                         lambda: ci_union_t_sample(TestCiUnionCell.T, rng)),
+        }[name]
+        draws = [draw() for _ in range(24)]
+        statuses = [cell_membership(model, Sigma, S).status for S in draws]
+        assert IN_SPECTRAHEDRON_NOT_CELL in statuses
+        kept = [S for S, status in zip(draws, statuses) if status == IN_CELL]
+        for _ in range(40):
+            i, j = rng.choice(len(kept), 2, replace=False)
+            u = rng.uniform()
+            S = (1.0 - u) * kept[i] + u * kept[j]
+            assert cell_membership(model, Sigma, S).status == IN_CELL
 
 
 class TestVerdictJson:

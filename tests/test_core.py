@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from logvor import (
+    Graph,
+    GraphModel,
     IndexOutOfRange,
     NotPD,
     ShapeMismatch,
     check_symmetric,
     embed,
+    in_spectrahedron,
     is_positive_definite,
     log_likelihood,
     pd_mask,
@@ -33,6 +36,20 @@ class TestCheckSymmetric:
     def test_rejects_large_asymmetry(self):
         with pytest.raises(ShapeMismatch):
             check_symmetric(np.array([[1.0, 2.0], [2.5, 3.0]]))
+
+    @pytest.mark.parametrize("k", [-70, 0, 70])
+    def test_tolerance_is_relative_at_every_scale(self, k):
+        """The asymmetry is compared with the largest entry at every
+        scale: it used to be compared with 1 at least, so a small matrix
+        far from symmetric was averaged and a sample of it placed."""
+        t = 2.0 ** k
+        with pytest.raises(ShapeMismatch, match="not symmetric"):
+            check_symmetric(t * np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ShapeMismatch, match="not symmetric"):
+            in_spectrahedron(GraphModel(Graph(2)), t * np.eye(2),
+                             t * np.array([[2.0, 1.0], [0.0, 2.0]]))
+        A = t * np.array([[1.0, 2.0 + 1e-12], [2.0, 3.0]])
+        np.testing.assert_array_equal(check_symmetric(A), (A + A.T) / 2.0)
 
     def test_rejects_non_square(self):
         with pytest.raises(ShapeMismatch):

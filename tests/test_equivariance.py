@@ -12,12 +12,15 @@ and the union of two CI planes) by 2^k scales its critical points by
 criticality residual by 2^-k, bit for bit, and keeps every
 cell-membership verdict.  Scaling a model point keeps its log-normal
 slice directions, bit for bit, and the verdict of the model equations,
-on the model and off it.
+on the model and off it; the sampler draws 2^k times the samples of the
+unscaled point.  A sample far larger than every slice point is off the
+spectrahedron at every scale.
 """
 
 import functools
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from hypothesis import strategies as st
 from logvor import (
     IN_CELL,
     IN_SPECTRAHEDRON_NOT_CELL,
+    NOT_IN_SPECTRAHEDRON,
     CiUnion,
     DagModel,
     Digraph,
@@ -38,6 +42,7 @@ from logvor import (
     criticality_residual,
     critical_points,
     equicorrelation_matrix,
+    in_spectrahedron,
     is_chordal,
     lognormal_basis,
     model_contains,
@@ -165,10 +170,11 @@ CONES = {"concentration": CONCENTRATION,
 def cone_case(name):
     """Random samples with their critical points, a model point Sigma
     (the first of them, or ``CI_CONE_SIGMA`` for the union), samples
-    with their verdicts and residuals at Sigma (on its slice, random,
-    and not PD), the slice directions at Sigma, and Sigma with its
-    (1, m) entry moved off the model by 1e-3 of its largest diagonal
-    entry.  All are computed at scale 1 on a new model object."""
+    with their verdicts and residuals at Sigma (three drawn on its slice
+    by the sampler at seed 2, two random, and one not PD), the slice
+    directions at Sigma, and Sigma with its (1, m) entry moved off the
+    model by 1e-3 of its largest diagonal entry.  All are computed at
+    scale 1 on a new model object."""
     model = model_from_json(CONES[name].to_json())
     rng = np.random.default_rng(RNG_SEED)
     samples = [random_pd(model.dim, rng) for _ in range(3)]
@@ -214,6 +220,31 @@ def test_critical_points_scale_by_powers_of_two(name, k):
     assert all(map(np.array_equal, got, directions))
     assert model_contains(model, np.ldexp(Sigma, k)) is True
     assert model_contains(model, np.ldexp(off, k)) is False
+    drawn = sample_spectrahedron(model, np.ldexp(Sigma, k), 3, seed=2)
+    assert len(drawn) == 3
+    for got, S in zip(drawn, queries[:3]):
+        np.testing.assert_array_equal(got, np.ldexp(S, k))
+        assert in_spectrahedron(model, np.ldexp(Sigma, k), got)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(name for name in CONES if CONES[name].degree_one))
+def test_huge_samples_are_off_the_spectrahedron(name):
+    """No diagonal entry of a slice point of a degree-one family exceeds
+    m^2 times the largest of Sigma, so a slice sample or a random PD
+    matrix times 2^64 or more is off the spectrahedron.  The residual
+    alone says so, with no numpy warning, also where scaling the sample
+    by Sigma's 2^-e overflows."""
+    model = CONES[name]
+    _, _, Sigma, queries, *_ = cone_case(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for S, j in itertools.product(queries[:-1], (64, 200, 1020)):
+            huge = np.ldexp(S, j)
+            assert np.isfinite(huge).all()
+            assert cell_membership(model, Sigma, huge).status \
+                == NOT_IN_SPECTRAHEDRON
+            assert not in_spectrahedron(model, Sigma, huge)
 
 
 def test_dag_slice_has_dimension_three_at_every_scale():

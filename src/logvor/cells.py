@@ -14,24 +14,27 @@ critical points (best effort).
 The spectrahedron depends on ``Sigma`` alone, so a model object keeps
 the record of the last ``Sigma`` it was asked about (:func:`_point`):
 testing many samples against one ``Sigma`` validates only the samples.
+The record refers to its model weakly, so the two form no reference
+cycle and a model is freed as soon as its last user lets it go.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .core import _fits, _is_pd, _loglik, _matrix, _reals, \
+from .core import _fits, _is_pd, _loglik, _matrix, _reals, _unit_scale, \
     check_symmetric, embed, pd_mask, principal_submatrix, sym_to_json
 from .errors import NotOnSlice, NotPD, PreconditionFailed, \
     SamplingExhausted, _integer, _positive, _real
 from .graphs import Graph, find_reducible_decomposition, induced_subgraph
 from .mle import SolverOptions, CriticalPoint, _frame_residual, \
-    _tangent_frame
+    _tangent_directions, _tangent_frame
 from .models import MODEL_TOL, CiUnion, Equicorrelation, \
     GraphModel, _symmetrize, equicorrelation_matrix
 
@@ -87,16 +90,17 @@ class _Point:
     Made at once: the check that the validated ``Sigma`` is a point of
     ``model`` (:class:`PreconditionFailed` otherwise).  Made on first
     need, so each error comes where it came when nothing was kept: the
-    :func:`_tangent_frame` at ``Sigma 2^-e``, and from it the log-normal
-    slice and the default sampling radius.  No array of the record is
-    handed out.
+    :func:`_tangent_frame` at ``Sigma 2^-e``, the log-normal slice and
+    the default sampling radius.  No array of the record is handed out.
+    The record holds its model by a weak reference: whoever builds one
+    keeps the model alive for as long as the record is used.
     """
 
     def __init__(self, model, A: np.ndarray, key=None):
         if not model.contains(_fits(A, "Sigma", model.dim, pd=True),
                               MODEL_TOL):
             raise PreconditionFailed("Sigma is not a point of the model")
-        self.model, self.key, self.sigma = model, key, A
+        self.model, self.key, self.sigma = weakref.ref(model), key, A
 
     def status(self, Ss: np.ndarray, tol: float):
         """Place the validated ``Ss`` against the spectrahedron:
@@ -111,14 +115,16 @@ class _Point:
     @cached_property
     def frame(self) -> tuple:
         """The :func:`_tangent_frame` of ``Sigma``."""
-        return _tangent_frame(self.model, self.sigma)
+        return _tangent_frame(self.model(), self.sigma)
 
     @cached_property
     def slice(self) -> AffineSlice:
         """The log-normal matrix space: the system ``tr(K D K T_k) = 0``
-        over symmetric ``D``, on ``K`` and ``T`` of the :attr:`frame`,
-        with ``Sigma`` as its base."""
-        _, K, T, _ = self.frame
+        over symmetric ``D``, on ``K`` and ``T`` of
+        :func:`_tangent_directions` at ``Sigma 2^-e``, with ``Sigma`` as
+        its base."""
+        K, T, _ = _tangent_directions(self.model(),
+                                      _unit_scale(self.sigma)[1])
         # orthonormal coordinates of Sym(m): the diagonal, then the
         # upper entries times sqrt(2)
         m = len(K)
@@ -138,9 +144,8 @@ class _Point:
     def radius(self) -> float:
         """Half the smallest eigenvalue of ``Sigma``, taken at the
         frame's scale ``Sigma 2^-e``, so ``2^k Sigma`` has 2^k times it."""
-        e = self.frame[0]
-        return math.ldexp(
-            0.5 * float(np.linalg.eigvalsh(np.ldexp(self.sigma, -e))[0]), e)
+        k, A = _unit_scale(self.sigma)
+        return math.ldexp(0.5 * float(np.linalg.eigvalsh(A)[0]), -k)
 
 
 def _point(model, Sigma) -> _Point:
@@ -415,8 +420,8 @@ def project_cell(G: Graph, Sigma, S) -> tuple[np.ndarray, np.ndarray, np.ndarray
     :func:`compose_cell` reassembles ``S`` from the triple.  ``S`` must
     be in the cell of ``Sigma``.
     """
-    # the model is built for this call, so its record is not kept on it
-    point = _Point(GraphModel(G), check_symmetric(_reals(Sigma, "Sigma")))
+    model = GraphModel(G)           # alive while its record is used
+    point = _point(model, Sigma)
     Ss = _matrix(S, "S", G.m)
     dec = find_reducible_decomposition(G)
     if dec is None:

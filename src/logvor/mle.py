@@ -32,8 +32,8 @@ from .errors import (
     _real,
 )
 from .graphs import Graph, adjacency, is_chordal
-from .models import Equicorrelation, SemParams, _Concentration, _sem_fit, \
-    sem_covariance
+from .models import Equicorrelation, GraphModel, SemParams, \
+    _Concentration, _sem_fit, sem_covariance
 
 #: Newton steps that :func:`mle_concentration` takes before it gives up.
 NEWTON_MAX_ITER = 200
@@ -334,7 +334,10 @@ def criticality_residual(model, Sigma, S) -> float:
     residual is scale-invariant in the tangent basis.  Zero residual
     means ``Sigma`` is a critical point of the likelihood of ``S``
     restricted to the model.  It is taken at the scale of
-    :func:`_tangent_frame` and scaled back.
+    :func:`_tangent_frame` and scaled back.  A graph model takes it in
+    closed form, from ``Sigma - S`` on the diagonal and the edges: with
+    no score ``K S K`` to form, it stays finite where the score would
+    overflow.
     """
     return _residual(model, _matrix(Sigma, "Sigma", model.dim, pd=True),
                      _matrix(S, "S", model.dim))
@@ -350,42 +353,84 @@ def _residual(model, Sg: np.ndarray, Ss: np.ndarray) -> float:
 
 
 def _tangent_frame(model, Sg: np.ndarray) -> tuple:
-    """``(e, K, T, nrm)`` of the model point ``Sg``, built at ``Sg 2^-e``,
-    the scale of :func:`_unit_scale`: ``K = Sigma^{-1}``, the
-    tangent directions of nonzero Frobenius norm as the rows of one
-    ``(d, m * m)`` array ``T``, and their norms ``nrm``.  Each norm is
-    the square root of one dot product of the row with itself, as
-    :func:`numpy.linalg.norm` takes it.  The scaling is exact, so the
-    frame of ``2^k Sg`` differs only in ``e``."""
-    k, Sg = _unit_scale(Sg)
+    """``(e, traces, nrm)`` of the model point ``Sg``, built at
+    ``A = Sg 2^-e``, the scale of :func:`_unit_scale`: ``traces(S')``
+    gives the traces ``tr(score T_k)`` of a sample ``S'`` at that scale
+    along the tangent directions ``T_k`` of nonzero Frobenius norm, and
+    ``nrm`` holds their norms.  The scaling is exact, so the frame of
+    ``2^k Sg`` differs only in ``e``.
+
+    A graph model's direction of the basis unit ``E_k`` is
+    ``-A E_k A``, whose trace is ``<A - S', E_k>``: its frame keeps the
+    entries of ``A`` on the diagonal and the edges, their flat
+    positions, and norms read off the Gram matrix ``G = A A``.  A
+    vertex i has the trace ``(A - S')_ii`` over the norm ``G_ii``, an
+    edge ij the half-trace ``(A - S')_ij`` over the half-norm
+    ``sqrt((G_ii G_jj + G_ij^2) / 2)``.  No norm is zero: the PD test
+    puts every diagonal entry of ``A`` above ``PD_PIVOT_RTOL / 2``, and
+    ``G_ii`` above its square.  Every other family takes the dense
+    directions of :func:`_tangent_directions` and the score."""
+    k, A = _unit_scale(Sg)
+    if isinstance(model, GraphModel):
+        m = len(A)
+        i, j = np.array(model.graph.sorted_edges(),
+                        dtype=int).reshape(-1, 2).T - 1
+        G = A @ A
+        d = G.diagonal()
+        at = np.concatenate([np.arange(m) * (m + 1), i * m + j])
+        nrm = np.concatenate([d, np.sqrt((d[i] * d[j] + G[i, j] ** 2) / 2.0)])
+        a = A.take(at)
+
+        def traces(S):
+            return a - S.take(at)
+    else:
+        K, T, nrm = _tangent_directions(model, A)
+
+        def traces(S):
+            return _score_traces(K, T, S)
+    return -k, traces, nrm
+
+
+def _tangent_directions(model, A: np.ndarray) -> tuple:
+    """``K = A^{-1}`` and the tangent directions of the model point
+    ``A`` of nonzero Frobenius norm, as the rows of one ``(d, m * m)``
+    array ``T``, with their norms ``nrm``.  Each norm is the square root
+    of one dot product of the row with itself, as
+    :func:`numpy.linalg.norm` takes it."""
     with np.errstate(over="ignore", invalid="ignore"):
-        K = np.linalg.inv(Sg)
-        T = model.tangent_basis(Sg)
+        K = np.linalg.inv(A)
+        T = model.tangent_basis(A)
         T = T.reshape(len(T), -1)
         nrm = np.sqrt(T[:, None, :] @ T[:, :, None]).ravel()
     if np.count_nonzero(nrm) < len(nrm):
         keep = nrm != 0.0
         T, nrm = T[keep], nrm[keep]
-    return -k, K, T, nrm
+    return K, T, nrm
+
+
+def _score_traces(K: np.ndarray, T: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """``tr(score T_k)`` of the sample ``S`` at the point whose inverse is
+    ``K``, for every row of ``T``.  Each trace is the sum of one
+    contiguous row of ``score * T``, the pairwise sum that
+    :func:`numpy.sum` takes of an ``m x m`` array, formed for a few
+    directions at a time to bound the temporary."""
+    step = max(1, 2 ** 14 // K.size)
+    sc = _score(K, S).ravel()
+    sums = [np.add.reduce(sc * T[s:s + step], axis=1)
+            for s in range(0, len(T), step)]
+    return np.concatenate(sums) if len(sums) > 1 else sums[0]
 
 
 def _frame_residual(frame: tuple, Ss: np.ndarray) -> float:
-    """The largest normalised score component ``|tr(score T)| / nrm`` of
-    the validated ``Ss 2^-e`` over the directions of a :func:`_tangent_frame`,
-    0.0 when it has none.  Each trace is the sum of one contiguous row
-    of ``score * T``, the pairwise sum that :func:`numpy.sum` takes of an
-    ``m x m`` array, formed for a few directions at a time to bound the
-    temporary.  A score that overflows gives an infinite or NaN
-    residual, with no warning; a NaN component wins over any other."""
-    e, K, T, nrm = frame
-    if not len(T):
+    """The largest normalised component ``|trace| / nrm`` of the
+    validated ``Ss 2^-e`` over the directions of a :func:`_tangent_frame`,
+    0.0 when it has none.  A trace that overflows gives an infinite or
+    NaN residual, with no warning; a NaN component wins over any other."""
+    e, traces, nrm = frame
+    if not len(nrm):
         return 0.0
-    step = max(1, 2 ** 14 // K.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        sc = _score(K, np.ldexp(Ss, -e) if e else Ss).ravel()
-        sums = [np.add.reduce(sc * T[s:s + step], axis=1)
-                for s in range(0, len(T), step)]
-        x = np.abs(np.concatenate(sums) if len(sums) > 1 else sums[0]) / nrm
+        x = np.abs(traces(np.ldexp(Ss, -e) if e else Ss)) / nrm
         return float(np.maximum.reduce(x))
 
 

@@ -455,6 +455,43 @@ class TestCellMembership:
         verdict = cell_membership(UnrestrictedCorrelation(3), S, S)
         assert verdict.status == IN_CELL
 
+    def test_graph_queries_build_no_dense_directions(self, path_graph,
+                                                     path_sigma, monkeypatch):
+        """A graph model's residual is taken in closed form: the
+        residual, the spectrahedron test and the membership verdict
+        build neither the basis stack nor the tangent directions."""
+        def refuse(*args):
+            raise AssertionError("dense tangent directions built")
+
+        monkeypatch.setattr(GraphModel, "tangent_basis", refuse)
+        S = path_sigma.copy()
+        S[0, 2] = S[2, 0] = 0.5
+        model = GraphModel(path_graph)
+        assert criticality_residual(model, path_sigma, S) < 1e-15
+        assert in_spectrahedron(model, path_sigma, S)
+        assert cell_membership(model, path_sigma, S).status == IN_CELL
+        S[0, 1] = S[1, 0] = 0.5
+        assert cell_membership(model, path_sigma, S).status \
+            == NOT_IN_SPECTRAHEDRON
+        assert "_stack" not in vars(model)
+
+    def test_record_and_model_leave_no_reference_cycle(self, path_graph,
+                                                       path_sigma):
+        """A model point's record refers to its model weakly, so a model
+        built for one query is freed on return with its record, not by
+        the cycle collector."""
+        S = path_sigma.copy()
+        S[0, 2] = S[2, 0] = 0.5
+        gc.collect()
+        gc.disable()
+        try:
+            assert cell_membership(GraphModel(path_graph), path_sigma,
+                                   S).status == IN_CELL
+            lognormal_basis(GraphModel(path_graph), path_sigma)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestBivariateCell:
     def test_sign_rule_examples(self):
@@ -691,9 +728,9 @@ class TestComposeProject:
         return S1, S2, M
 
     def test_pieces_leave_no_reference_cycle(self, path_graph, path_sigma):
-        """A model point's record holds its model.  The models that
-        compose_cell and project_cell build for one call keep no record,
-        so they are freed on return, not by the cycle collector."""
+        """The models that compose_cell and project_cell build for one
+        call are freed on return with their records, not by the cycle
+        collector."""
         S = compose_cell(path_graph, path_sigma, *self.admissible_triple(
             path_graph, path_sigma, np.random.default_rng(5)))
         gc.collect()

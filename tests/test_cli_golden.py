@@ -10,18 +10,26 @@ the digest of its CSV is kept in ``figures.json``.  Regenerate them
 (only when an output is meant to change) with
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+Run as a script, the file sets ``OPENBLAS_NUM_THREADS=1`` before numpy
+is imported, as CI does when it regenerates the goldens and fails on
+any diff: so a local regeneration writes the bytes that CI writes.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
-import pytest
+if __name__ == "__main__":              # before numpy is imported
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from logvor.cli import _FIGURES, main
+import pytest  # noqa: E402  (after the thread setting)
+
+from logvor.cli import _FIGURES, main  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 PROBLEMS = sorted(p.stem for p in GOLDEN.glob("*.json")

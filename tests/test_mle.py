@@ -478,6 +478,26 @@ class TestElliptopeMultistart:
         for cp in critical_points(model, elliptope_s1):
             assert criticality_residual(model, cp.sigma, elliptope_s1) < 1e-8
 
+    #: A sample with eleven critical points; seed 0 misses the one at
+    #: (sigma_12, sigma_13, sigma_23) = (-0.169, -0.063, 0.949).
+    ELEVEN = [[0.4198, -0.01, 0.0373], [-0.01, 0.1405, 0.0606],
+              [0.0373, 0.0606, 0.0734]]
+
+    @pytest.mark.xfail(strict=True, reason="the multistart at seed 0 finds "
+                       "10 of the 11 critical points; a certified solver "
+                       "finds all")
+    def test_eleven_points_at_seed_0(self):
+        assert len(critical_points(UnrestrictedCorrelation(3), self.ELEVEN,
+                                   SolverOptions(seed=0))) == 11
+
+    def test_eleven_points_at_seed_1(self):
+        points = critical_points(UnrestrictedCorrelation(3), self.ELEVEN,
+                                 SolverOptions(seed=1))
+        assert len(points) == 11
+        missed = np.array([-0.169, 0.949, -0.063])     # in triple's order
+        assert min(np.abs(triple(cp.sigma) - missed).max()
+                   for cp in points) < 2e-3
+
 
 # The correlation multistart as it was before the batched kernel, kept
 # as the oracle of the rebuilt one: starts drawn from the box (-1, 1)^p

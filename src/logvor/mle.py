@@ -184,7 +184,10 @@ def mle_concentration(model, S) -> CriticalPoint:
     resolution of the objective, feasible steps are accepted without a
     measured increase so the final Newton steps are not rejected as
     noise.  Converged when every fitted trace matches its sample trace
-    to 1e-10 relative accuracy within ``NEWTON_MAX_ITER`` steps.
+    to 1e-10 relative accuracy within ``NEWTON_MAX_ITER`` steps.  A
+    graph model is fitted in edge coordinates, one per vertex and per
+    edge, with its Hessian gathered from ``Sigma``: it builds no dense
+    basis.
     """
     if not isinstance(model, _Concentration):
         raise InvalidModel("mle_concentration needs a concentration model")
@@ -194,29 +197,28 @@ def mle_concentration(model, S) -> CriticalPoint:
 def _concentration_point(model, S: np.ndarray) -> CriticalPoint:
     """:func:`mle_concentration` of a validated sample, fitted at the
     scale of :func:`_unit_scale`: there the stopping test is relative,
-    and the samples ``2^k S`` take the same steps."""
+    and the samples ``2^k S`` take the same steps.  The loop reads the
+    four maps of the family's chart (``model._chart()``): ``lam -> K``,
+    the fitted traces of a matrix, the trace projection of the start,
+    and the Hessian at ``Sigma``.  A linear concentration model's chart
+    works on its dense basis; a graph model's works in edge coordinates,
+    so its fit forms no ``(d, m, m)`` array."""
     k, A = _unit_scale(S)
     m = model.dim
-    B = model._stack                        # (d, m, m)
-    d = B.shape[0]
-    Bf = B.reshape(d, -1)
-    gram = Bf @ Bf.T
-    target = Bf @ A.ravel()
-
-    def project(Mat):
-        return np.linalg.solve(gram, Bf @ Mat.ravel())
+    concentration, traces, project, hessian = model._chart()
+    target = traces(A)
 
     lam = project(np.linalg.inv(A))
-    K = np.tensordot(lam, B, 1)
+    K = concentration(lam)
     if not _is_pd(K):
         lam = project(np.eye(m))
-        K = np.tensordot(lam, B, 1)
+        K = concentration(lam)
         if not _is_pd(K):
             raise NoInteriorPoint(
                 "no positive definite matrix found in the span")
         # rescale so the fitted trace against S matches its optimum value
         lam = lam * (m / float(np.vdot(A, K)))
-        K = np.tensordot(lam, B, 1)
+        K = concentration(lam)
 
     def phi(K):
         return _logdet(K) - float(np.vdot(A, K))
@@ -225,15 +227,11 @@ def _concentration_point(model, S: np.ndarray) -> CriticalPoint:
     for _ in range(NEWTON_MAX_ITER):
         Sigma = np.linalg.inv(K)
         Sigma = (Sigma + Sigma.T) / 2.0
-        fitted = Bf @ Sigma.ravel()
-        grad = fitted - target
+        grad = traces(Sigma) - target
         if np.all(np.abs(grad) < 1e-10 * (1.0 + np.abs(target))):
             return _critical_point(np.ldexp(Sigma, -k), S, "unique")
-        # H_ij = tr(Sigma B_i Sigma B_j)
-        P = Sigma @ B
-        H = P.reshape(d, -1) @ P.transpose(0, 2, 1).reshape(d, -1).T
         try:
-            step = np.linalg.solve(H, grad)
+            step = np.linalg.solve(hessian(Sigma), grad)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence("singular Newton system") from exc
         slope = float(grad @ step)
@@ -245,7 +243,7 @@ def _concentration_point(model, S: np.ndarray) -> CriticalPoint:
         t = 1.0
         for _ in range(60):
             cand = lam + t * step
-            Kc = np.tensordot(cand, B, 1)
+            Kc = concentration(cand)
             try:
                 cand_val = phi(Kc)
             except np.linalg.LinAlgError:
@@ -363,21 +361,22 @@ def _tangent_frame(model, Sg: np.ndarray) -> tuple:
     A graph model's direction of the basis unit ``E_k`` is
     ``-A E_k A``, whose trace is ``<A - S', E_k>``: its frame keeps the
     entries of ``A`` on the diagonal and the edges, their flat
-    positions, and norms read off the Gram matrix ``G = A A``.  A
-    vertex i has the trace ``(A - S')_ii`` over the norm ``G_ii``, an
-    edge ij the half-trace ``(A - S')_ij`` over the half-norm
-    ``sqrt((G_ii G_jj + G_ij^2) / 2)``.  No norm is zero: the PD test
-    puts every diagonal entry of ``A`` above ``PD_PIVOT_RTOL / 2``, and
-    ``G_ii`` above its square.  Every other family takes the dense
-    directions of :func:`_tangent_directions` and the score."""
+    positions (from the model's ``_pairs``), and norms read off the
+    Gram matrix ``G = A A``.  A vertex i has the trace ``(A - S')_ii``
+    over the norm ``G_ii``, an edge ij the half-trace ``(A - S')_ij``
+    over the half-norm ``sqrt((G_ii G_jj + G_ij^2) / 2)``.  No norm is
+    zero: the PD test puts every diagonal entry of ``A`` above
+    ``PD_PIVOT_RTOL / 2``, and ``G_ii`` above its square.  Every other
+    family takes the dense directions of :func:`_tangent_directions`
+    and the score."""
     k, A = _unit_scale(Sg)
     if isinstance(model, GraphModel):
         m = len(A)
-        i, j = np.array(model.graph.sorted_edges(),
-                        dtype=int).reshape(-1, 2).T - 1
+        p, q = model._pairs
+        i, j = p[m:], q[m:]
         G = A @ A
         d = G.diagonal()
-        at = np.concatenate([np.arange(m) * (m + 1), i * m + j])
+        at = p * m + q
         nrm = np.concatenate([d, np.sqrt((d[i] * d[j] + G[i, j] ** 2) / 2.0)])
         a = A.take(at)
 

@@ -135,6 +135,33 @@ class _Concentration(Model):
         from .mle import _concentration_point
         return [_concentration_point(self, A)]
 
+    def _chart(self) -> tuple:
+        """The four maps that the Newton fit of
+        :func:`~logvor.mle._concentration_point` reads, in the coordinates
+        ``lam`` of the basis: ``lam -> K = sum_k lam_k B_k``, the traces
+        ``tr(M B_k)`` of a matrix, the trace projection of a matrix onto
+        the span, and the Hessian ``tr(Sigma B_k Sigma B_l)``, here on the
+        dense ``(d, m, m)`` basis."""
+        B = self._stack
+        d = len(B)
+        Bf = B.reshape(d, -1)
+        gram = Bf @ Bf.T
+
+        def concentration(lam):
+            return np.tensordot(lam, B, 1)
+
+        def traces(M):
+            return Bf @ M.ravel()
+
+        def project(M):
+            return np.linalg.solve(gram, traces(M))
+
+        def hessian(Sigma):
+            P = Sigma @ B
+            return P.reshape(d, -1) @ P.transpose(0, 2, 1).reshape(d, -1).T
+
+        return concentration, traces, project, hessian
+
 
 @dataclass(frozen=True, eq=False)
 class LinearConcentration(_Concentration):
@@ -180,7 +207,10 @@ class LinearConcentration(_Concentration):
 @dataclass(frozen=True)
 class GraphModel(_Concentration):
     """Undirected graphical model: zeros of the concentration off the
-    edges, the span of :func:`concentration_basis` (built on first use,
+    edges, the span of :func:`concentration_basis`.  The fit of a
+    non-chordal graph and the criticality residual work in the edge
+    coordinates of ``_pairs``; only ``basis``, the tangent directions
+    and the log-normal slice build the dense basis (on first use,
     read-only; its supports are disjoint, so it needs no rank check)."""
 
     kind = "graph"
@@ -197,6 +227,57 @@ class GraphModel(_Concentration):
     @cached_property
     def basis(self) -> tuple[np.ndarray, ...]:
         return tuple(self._stack)
+
+    @cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The 0-based pairs ``(a_k, b_k)`` of the units of
+        :func:`concentration_basis`, as two read-only int arrays: the
+        vertices ``(v, v)``, then the edges ``i < j`` in sorted order.
+        Built once, for the Newton chart and the closed-form frame."""
+        m = self.graph.m
+        i, j = np.array(self.graph.sorted_edges(),
+                        dtype=int).reshape(-1, 2).T - 1
+        return (_read_only(np.concatenate([np.arange(m), i])),
+                _read_only(np.concatenate([np.arange(m), j])))
+
+    def _chart(self) -> tuple:
+        """The Newton chart of :class:`_Concentration` in edge
+        coordinates, with no dense basis.  The unit ``k`` has ones at the
+        flat positions ``a_k m + b_k`` and ``b_k m + a_k`` (one position
+        on the diagonal) and squared norm ``c_k``, 1 on the diagonal and
+        2 on an edge.  So ``K`` is a scatter of ``lam``, a trace is
+        ``M_ab + M_ba`` (``M_aa`` on the diagonal), the projection is the
+        trace over ``c``, and the Hessian is
+        ``(c_k c_l / 2) (Sigma_aa' Sigma_bb' + Sigma_ab' Sigma_ba')``,
+        four gathers from ``Sigma``: exactly symmetric when ``Sigma`` is."""
+        m = self.graph.m
+        a, b = self._pairs
+        at, mirror = a * m + b, b * m + a
+        c = np.where(a == b, 1.0, 2.0)
+        w = np.outer(c, c / 2.0)
+        am, bm = (a * m)[:, None], (b * m)[:, None]
+        aa, bb, ab, ba = am + a, bm + b, am + b, bm + a
+
+        def concentration(lam):
+            K = np.zeros(m * m)
+            K[at] = lam
+            K[mirror] = lam
+            return K.reshape(m, m)
+
+        def traces(M):
+            t = M.take(at)
+            t[m:] += M.take(mirror[m:])
+            return t
+
+        def project(M):
+            return traces(M) / c
+
+        def hessian(Sigma):
+            H = Sigma.take(aa) * Sigma.take(bb)
+            H += Sigma.take(ab) * Sigma.take(ba)
+            return np.multiply(H, w, out=H)
+
+        return concentration, traces, project, hessian
 
     def contains(self, A, tol):
         K = np.linalg.inv(_unit_scale(A)[1])

@@ -91,6 +91,27 @@ class TestMle:
         code, _, _ = run_cli(capsys, ["mle", file])
         assert code == 0 and len(calls) == 1
 
+    def test_grid_fit_builds_no_dense_basis(self, tmp_path, capsys,
+                                            monkeypatch):
+        """A non-chordal graph is fitted in edge coordinates: neither the
+        fit nor the residual of CLI ``mle`` builds the basis stack."""
+        grid = logvor.Graph(9, ((1, 2), (2, 3), (4, 5), (5, 6), (7, 8),
+                                (8, 9), (1, 4), (4, 7), (2, 5), (5, 8),
+                                (3, 6), (6, 9)))
+        S = np.eye(9) + 0.1 * np.ones((9, 9))
+        model = logvor.GraphModel(grid)
+        assert logvor.critical_points(model, S)[0].source == "unique"
+        assert "_stack" not in vars(model)
+
+        def refuse(*args):
+            raise AssertionError("dense concentration basis built")
+
+        monkeypatch.setattr(logvor.models, "concentration_basis", refuse)
+        file = write_problem(tmp_path, {"model": model.to_json(),
+                                        "sample": sym_to_json(S)})
+        code, out, _ = run_cli(capsys, ["mle", file])
+        assert code == 0 and json.loads(out)["points"][0]["residual"] < 1e-8
+
     @pytest.mark.parametrize("model", [
         {"kind": "graph", "m": 4, "edges": [[1, 2], [2, 3], [3, 4], [1, 4]]},
         PATH_MODEL,

@@ -412,8 +412,8 @@ class TestCriticalPoints:
 
     @pytest.mark.parametrize("scale", [2.0 ** -30, 1e-200, 1e-310,
                                        1e160, 1e300])
-    @pytest.mark.parametrize("family", ["four-cycle", "path", "dag",
-                                        "concentration"])
+    @pytest.mark.parametrize("family", ["four-cycle", "3x3-grid", "path",
+                                        "dag", "concentration"])
     def test_degree_one_fits_are_scale_equivariant(self, family, scale,
                                                     path_graph,
                                                     collider_dag):
@@ -422,17 +422,21 @@ class TestCriticalPoints:
         numpy warns of nothing on the way."""
         model = {"four-cycle": GraphModel(Graph(4, ((1, 2), (2, 3), (3, 4),
                                                     (1, 4)))),
+                 "3x3-grid": GraphModel(Graph(9, (
+                     (1, 2), (2, 3), (4, 5), (5, 6), (7, 8), (8, 9),
+                     (1, 4), (4, 7), (2, 5), (5, 8), (3, 6), (6, 9)))),
                  "path": GraphModel(path_graph),
                  "dag": DagModel(collider_dag),
                  "concentration": LinearConcentration(
                      (np.eye(4), np.ones((4, 4)) - np.eye(4)))}[family]
-        S = random_pd(4, np.random.default_rng(54))
+        m = model.dim
+        S = random_pd(m, np.random.default_rng(54))
         ref = critical_points(model, S)[0]
         got = critical_points(model, scale * S)[0]
         # Newton stops at 1e-10 relative; subnormal entries lose bits
         np.testing.assert_allclose(got.sigma / scale, ref.sigma, rtol=1e-8,
                                    atol=1e-8 * np.abs(ref.sigma).max())
-        assert got.loglik == pytest.approx(ref.loglik - 4 * math.log(scale),
+        assert got.loglik == pytest.approx(ref.loglik - m * math.log(scale),
                                            rel=1e-12)
 
 
